@@ -22,6 +22,7 @@ and hashed by whichever families the requested feature types cover.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -29,7 +30,8 @@ from ..binfmt.dynamic import ldd_output
 from ..binfmt.reader import ElfReader, is_elf
 from ..binfmt.strings_extract import extract_strings, strings_output
 from ..binfmt.symbols import extract_global_symbols, nm_output
-from ..exceptions import FeatureExtractionError, SymbolTableError
+from ..exceptions import (BinaryFormatError, FeatureExtractionError,
+                          SymbolTableError)
 from ..hashing.crypto import crypto_digest
 from ..hashing.ssdeep import FuzzyHasher
 from ..hashing.vector import VectorHasher
@@ -37,7 +39,8 @@ from .records import SampleFeatures
 
 __all__ = ["FEATURE_TYPES", "EXTENDED_FEATURE_TYPES",
            "VECTOR_FEATURE_TYPES", "ALL_FEATURE_TYPES", "HASH_FAMILIES",
-           "FeatureExtractor", "resolve_family_feature_types"]
+           "FeatureExtractor", "resolve_family_feature_types",
+           "malformed_elf_total"]
 
 #: The canonical feature types of the paper, in the order used throughout
 #: the library.
@@ -57,6 +60,28 @@ ALL_FEATURE_TYPES: tuple[str, ...] = EXTENDED_FEATURE_TYPES + VECTOR_FEATURE_TYP
 
 #: Hash-family selectors accepted by :func:`resolve_family_feature_types`.
 HASH_FAMILIES: tuple[str, ...] = ("ctph", "vector", "both")
+
+
+# Inputs with ELF magic whose headers or tables do not parse, counted
+# for operational visibility (surfaced by the serving tier under
+# GET /metrics).  Extraction runs on several serving threads at once,
+# so increments take a lock.
+_MALFORMED_ELF_LOCK = threading.Lock()
+_MALFORMED_ELF_TOTAL = 0
+
+
+def malformed_elf_total() -> int:
+    """How many malformed ELF inputs the symbol feature has read as
+    non-ELF input in this process."""
+
+    with _MALFORMED_ELF_LOCK:
+        return _MALFORMED_ELF_TOTAL
+
+
+def _count_malformed_elf() -> None:
+    global _MALFORMED_ELF_TOTAL
+    with _MALFORMED_ELF_LOCK:
+        _MALFORMED_ELF_TOTAL += 1
 
 
 def _vector_sibling(feature_type: str) -> str:
@@ -167,12 +192,13 @@ class FeatureExtractor:
                     symbol_text = nm_output(
                         reader, include_addresses=self.include_symbol_addresses)
                     n_symbols = symbol_text.count("\n")
-                except (SymbolTableError, Exception) as exc:
-                    if isinstance(exc, SymbolTableError):
-                        stripped = True
-                        symbol_text = ""
-                    else:
-                        raise
+                except BinaryFormatError as exc:
+                    # A stripped binary has no symbols; one that does not
+                    # parse is treated like non-ELF input, which has none
+                    # either, so it cannot fail the batch it arrived in.
+                    stripped = True
+                    if not isinstance(exc, SymbolTableError):
+                        _count_malformed_elf()
             else:
                 stripped = True
             if "ssdeep-symbols" in wanted:

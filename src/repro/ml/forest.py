@@ -34,7 +34,7 @@ from ..parallel import effective_n_jobs, parallel_map, partition_evenly
 from .base import BaseEstimator, ClassifierMixin, check_is_fitted
 from .class_weight import compute_sample_weight
 from .encoding import LabelEncoder
-from .tree import DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, encode_columns
 
 __all__ = ["RandomForestClassifier"]
 
@@ -45,6 +45,9 @@ def _fit_tree_batch(args) -> list[DecisionTreeClassifier]:
 
     (tree_params, X, y, sample_weight, seeds, bootstrap) = args
     n_samples = X.shape[0]
+    # One encoding serves every tree: a bootstrap sample's rows of it
+    # encode the sample.
+    ranks, values = encode_columns(X)
     trees: list[DecisionTreeClassifier] = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -52,11 +55,11 @@ def _fit_tree_batch(args) -> list[DecisionTreeClassifier]:
                                       **tree_params)
         if bootstrap:
             indices = rng.integers(0, n_samples, size=n_samples)
-            tree.fit(X[indices], y[indices],
-                     sample_weight=None if sample_weight is None
-                     else sample_weight[indices])
+            tree._fit_encoded(ranks[indices], values, y[indices],
+                              sample_weight=None if sample_weight is None
+                              else sample_weight[indices])
         else:
-            tree.fit(X, y, sample_weight=sample_weight)
+            tree._fit_encoded(ranks, values, y, sample_weight=sample_weight)
         trees.append(tree)
     return trees
 
@@ -92,6 +95,8 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         y = check_array_1d(y, "y")
         check_consistent_length(X, y)
         check_positive_int(self.n_estimators, "n_estimators")
+        if X.shape[0] == 0:
+            raise ValidationError("cannot fit a forest on an empty data set")
 
         encoder = LabelEncoder()
         y_encoded = encoder.fit_transform(y)

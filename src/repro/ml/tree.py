@@ -10,19 +10,23 @@ inside the Random Forest:
   what de-correlates the trees of a forest,
 * Gini-importance accumulation per feature.
 
-The split search is vectorised over split positions: for every
-candidate feature the samples of the node are sorted once and the
-class-weight histograms of all possible left/right partitions are
-obtained from a single cumulative sum, so no Python loop runs over
-samples (see the optimisation guides' "vectorise the inner loop"
-advice — the only Python-level loops left are over tree nodes and
-candidate features).
+The split search is a histogram kernel (the split search of LightGBM,
+Ke et al., NeurIPS 2017).  At fit time every column of ``X`` is
+encoded once as value ranks — a similarity column holds integer scores
+in [0, 100], so it has at most 101 ranks — and every sample joins a
+(slot, class) group of samples with the same class and the same
+weight.  Per node, one ``np.bincount`` over (candidate feature, rank,
+group) yields the integer group counts of every value bin of every
+candidate feature; a cumulative sum along the ranks gives every left
+partition, and :func:`split_gains` scores all (feature, threshold)
+pairs at once.  Weights enter once per group, as count × weight, so a
+score depends on the partition alone and not on the order samples were
+visited in.  The only Python-level loop left is over tree nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -41,15 +45,145 @@ __all__ = ["DecisionTreeClassifier"]
 
 _CRITERIA = ("gini", "entropy")
 
+#: A split must decrease the impurity by more than this to be taken.
+_MIN_GAIN = 1e-12
+
 
 @dataclass
 class _Split:
-    """Best split found for one node."""
+    """Best split found for one node: samples with ``rank <= rank`` go left."""
 
     feature: int
     threshold: float
+    rank: int
     impurity_decrease: float
-    left_mask: np.ndarray
+
+
+@dataclass
+class _TrainingSet:
+    """The training data in the form the split search reads.
+
+    ``ranks`` and ``values`` are an :func:`encode_columns` encoding of
+    ``X`` (or of a matrix ``X``'s rows are drawn from, so some ranks may
+    be unused).  ``groups[i]`` is sample ``i``'s group,
+    ``slot * n_classes + class``: the samples of one class with the same
+    weight share a slot, whose weight is ``weight_table[slot, class]``.
+    """
+
+    ranks: np.ndarray
+    values: np.ndarray
+    groups: np.ndarray
+    weight_table: np.ndarray
+    max_features: int
+
+
+@dataclass
+class _Node:
+    """One node's samples with their groups renumbered to its classes.
+
+    ``groups`` codes each sample as ``slot * n_local + local class``
+    over the classes present in the node; ``counts`` holds the integer
+    size of each such group and ``weight_table`` their weights, of shape
+    ``(n_slots, n_local)``.  ``impurity`` and ``weight`` are the node's
+    own, computed from the same counts.
+    """
+
+    indices: np.ndarray
+    groups: np.ndarray
+    counts: np.ndarray
+    weight_table: np.ndarray
+    impurity: float
+    weight: float
+
+
+def encode_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column value ranks of a non-empty ``X``: ``(ranks, values)``.
+
+    ``values[j, ranks[i, j]] == X[i, j]``, equal values share a rank and
+    ranks follow the order of the values, so ``X[i, j] <= values[j, r]``
+    exactly when ``ranks[i, j] <= r``.  Rows of ``values`` are padded to
+    the largest number of distinct values in a column.
+    """
+
+    n_samples, n_features = X.shape
+    order = np.argsort(X, axis=0, kind="stable")
+    ordered = np.take_along_axis(X, order, axis=0)
+    new_value = np.ones(ordered.shape, dtype=bool)
+    new_value[1:] = ordered[1:] != ordered[:-1]
+    ordered_ranks = np.cumsum(new_value, axis=0) - 1
+    ranks = np.empty((n_samples, n_features), dtype=np.intp)
+    np.put_along_axis(ranks, order, ordered_ranks, axis=0)
+    values = np.zeros((n_features, int(ordered_ranks[-1].max()) + 1),
+                      dtype=np.float64)
+    values[np.arange(n_features), ordered_ranks] = ordered
+    return ranks, values
+
+
+def weight_groups(classes: np.ndarray, weights: np.ndarray, n_classes: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Group samples by (class, weight): ``(slots, weight_table)``.
+
+    ``slots[i]`` numbers sample ``i``'s weight among the distinct weights
+    of its class, in increasing order, and ``weight_table[slot, class]``
+    is that weight (0 where a class has fewer slots).  Balanced class
+    weights, constant per class, give a single slot.
+    """
+
+    pairs, inverse = np.unique(np.column_stack([classes, weights]), axis=0,
+                               return_inverse=True)
+    pair_class = pairs[:, 0].astype(np.intp)
+    pair_slot = np.arange(len(pairs)) - np.searchsorted(pair_class, pair_class)
+    weight_table = np.zeros((int(pair_slot.max()) + 1, n_classes),
+                            dtype=np.float64)
+    weight_table[pair_slot, pair_class] = pairs[:, 1]
+    return pair_slot[inverse.reshape(-1)], weight_table
+
+
+def class_mass(counts: np.ndarray, weight_table: np.ndarray) -> np.ndarray:
+    """Weighted class mass of integer group counts.
+
+    ``counts`` has the group axis (``n_slots * n_classes``) last; the
+    result has it replaced by the class axis.  Each group's count is
+    multiplied by its weight once and the slots of a class are added in
+    slot order, so equal counts always give bit-equal masses.
+    """
+
+    n_slots, n_classes = weight_table.shape
+    counts = counts.reshape(counts.shape[:-1] + (n_slots, n_classes))
+    mass = counts[..., 0, :] * weight_table[0]
+    for slot in range(1, n_slots):
+        mass += counts[..., slot, :] * weight_table[slot]
+    return mass
+
+
+def impurity(mass: np.ndarray, criterion: str) -> np.ndarray:
+    """Gini or entropy impurity of class masses (class axis last)."""
+
+    totals = mass.sum(axis=-1, keepdims=True)
+    proportions = mass / np.where(totals > 0, totals, 1.0)
+    if criterion == "gini":
+        result = 1.0 - np.sum(proportions ** 2, axis=-1)
+    else:  # entropy
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.where(proportions > 0, np.log2(proportions), 0.0)
+        result = -np.sum(proportions * logs, axis=-1)
+    return np.where(totals[..., 0] > 0, result, 0.0)
+
+
+def split_gains(left_counts: np.ndarray, node: _Node, criterion: str
+                ) -> np.ndarray:
+    """Impurity decrease of each candidate split of ``node``.
+
+    ``left_counts`` holds one row of integer group counts (the node's
+    local groups) per candidate left child; the right child is the rest
+    of the node.  Rows are scored independently, so a candidate's gain
+    does not depend on which other candidates share the call.
+    """
+
+    children = class_mass(np.stack([left_counts, node.counts - left_counts]),
+                          node.weight_table)
+    weighted = children.sum(axis=-1) * impurity(children, criterion)
+    return node.impurity - (weighted[0] + weighted[1]) / max(node.weight, 1e-12)
 
 
 class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
@@ -92,8 +226,21 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
     # ------------------------------------------------------------------ fit
     def fit(self, X, y, sample_weight=None) -> "DecisionTreeClassifier":
         X = check_array_2d(X, "X")
+        if X.shape[0] == 0:
+            raise ValidationError("cannot fit a tree on an empty data set")
+        return self._fit_encoded(*encode_columns(X), y, sample_weight)
+
+    def _fit_encoded(self, ranks: np.ndarray, values: np.ndarray, y,
+                     sample_weight=None) -> "DecisionTreeClassifier":
+        """Fit on ``X`` given as its :func:`encode_columns` encoding.
+
+        The rows of an encoding are an encoding of those rows, so a
+        forest encodes its matrix once and passes each tree the rows of
+        its bootstrap sample.
+        """
+
         y = check_array_1d(y, "y")
-        check_consistent_length(X, y)
+        check_consistent_length(ranks, y)
         if self.criterion not in _CRITERIA:
             raise ValidationError(
                 f"criterion must be one of {_CRITERIA}, got {self.criterion!r}")
@@ -101,21 +248,21 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             raise ValidationError("min_samples_split must be >= 2")
         if self.min_samples_leaf < 1:
             raise ValidationError("min_samples_leaf must be >= 1")
-        if X.shape[0] == 0:
-            raise ValidationError("cannot fit a tree on an empty data set")
 
         encoder = LabelEncoder()
         y_encoded = encoder.fit_transform(y)
         self.classes_ = encoder.classes_
         self._encoder = encoder
-        n_samples, n_features = X.shape
+        n_samples, n_features = ranks.shape
         n_classes = len(self.classes_)
         self.n_features_in_ = n_features
 
         weights = np.ones(n_samples, dtype=np.float64)
         if sample_weight is not None:
             sample_weight = np.asarray(sample_weight, dtype=np.float64)
-            check_consistent_length(X, sample_weight)
+            check_consistent_length(ranks, sample_weight)
+            if not np.all(np.isfinite(sample_weight)):
+                raise ValidationError("sample_weight must be finite")
             if np.any(sample_weight < 0):
                 raise ValidationError("sample_weight must be non-negative")
             weights *= sample_weight
@@ -123,12 +270,11 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             weights *= compute_sample_weight(self.class_weight, y)
 
         rng = check_random_state(self.random_state)
-        max_features = self._resolve_max_features(n_features)
-
-        # Pre-computed weighted one-hot label matrix (n_samples, n_classes):
-        # every split evaluation reduces to cumulative sums over its rows.
-        weighted_onehot = np.zeros((n_samples, n_classes), dtype=np.float64)
-        weighted_onehot[np.arange(n_samples), y_encoded] = weights
+        slots, weight_table = weight_groups(y_encoded, weights, n_classes)
+        data = _TrainingSet(ranks=ranks, values=values,
+                            groups=slots * n_classes + y_encoded,
+                            weight_table=weight_table,
+                            max_features=self._resolve_max_features(n_features))
 
         # Flat node storage (grown dynamically).
         self._feature: list[int] = []
@@ -139,11 +285,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         self._n_node_samples: list[int] = []
         self._importances = np.zeros(n_features, dtype=np.float64)
 
-        total_weight = float(weights.sum())
-        stack: list[tuple[np.ndarray, int, int]] = []  # (indices, depth, parent slot)
-        root_indices = np.arange(n_samples)
-        self._build(X, weighted_onehot, weights, root_indices, depth=0,
-                    rng=rng, max_features=max_features, total_weight=total_weight)
+        self._build(data, np.arange(n_samples), depth=0, rng=rng)
 
         self.feature_importances_ = self._normalized_importances()
         self.tree_node_count_ = len(self._feature)
@@ -293,24 +435,6 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             return max(1, int(value * n_features))
         raise ValidationError(f"invalid max_features: {value!r}")
 
-    def _impurity(self, class_weights: np.ndarray) -> np.ndarray:
-        """Impurity of one or more weighted class histograms.
-
-        ``class_weights`` has the class axis last; returns an array with
-        that axis reduced.
-        """
-
-        totals = class_weights.sum(axis=-1, keepdims=True)
-        safe_totals = np.where(totals > 0, totals, 1.0)
-        proportions = class_weights / safe_totals
-        if self.criterion == "gini":
-            impurity = 1.0 - np.sum(proportions ** 2, axis=-1)
-        else:  # entropy
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logs = np.where(proportions > 0, np.log2(proportions), 0.0)
-            impurity = -np.sum(proportions * logs, axis=-1)
-        return np.where(totals.squeeze(-1) > 0, impurity, 0.0)
-
     def _new_node(self, value: np.ndarray, n_samples: int) -> int:
         node_id = len(self._feature)
         self._feature.append(-2)       # -2 marks a leaf
@@ -321,32 +445,29 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         self._n_node_samples.append(n_samples)
         return node_id
 
-    def _build(self, X: np.ndarray, weighted_onehot: np.ndarray,
-               weights: np.ndarray, indices: np.ndarray, depth: int,
-               rng: np.random.Generator, max_features: int,
-               total_weight: float) -> int:
+    def _build(self, data: _TrainingSet, indices: np.ndarray, depth: int,
+               rng: np.random.Generator) -> int:
         """Grow the subtree for ``indices``; returns its root node id."""
 
-        node_value = weighted_onehot[indices].sum(axis=0)
+        counts = np.bincount(data.groups[indices],
+                             minlength=data.weight_table.size)
+        node_value = class_mass(counts, data.weight_table)
         node_id = self._new_node(node_value, len(indices))
 
         if self._should_stop(indices, node_value, depth):
             return node_id
 
-        split = self._best_split(X, weighted_onehot, indices, rng, max_features)
+        split = self._best_split(data, self._node(data, indices, counts), rng)
         if split is None:
             return node_id
 
         self._feature[node_id] = split.feature
         self._threshold[node_id] = split.threshold
-        self._importances[split.feature] += split.impurity_decrease / max(total_weight, 1e-12)
+        self._importances[split.feature] += split.impurity_decrease
 
-        left_indices = indices[split.left_mask]
-        right_indices = indices[~split.left_mask]
-        left_id = self._build(X, weighted_onehot, weights, left_indices,
-                              depth + 1, rng, max_features, total_weight)
-        right_id = self._build(X, weighted_onehot, weights, right_indices,
-                               depth + 1, rng, max_features, total_weight)
+        left_mask = data.ranks[indices, split.feature] <= split.rank
+        left_id = self._build(data, indices[left_mask], depth + 1, rng)
+        right_id = self._build(data, indices[~left_mask], depth + 1, rng)
         self._left[node_id] = left_id
         self._right[node_id] = right_id
         return node_id
@@ -360,73 +481,108 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         # Pure node: all weight concentrated in one class.
         return np.count_nonzero(node_value > 0) <= 1
 
-    def _best_split(self, X: np.ndarray, weighted_onehot: np.ndarray,
-                    indices: np.ndarray, rng: np.random.Generator,
-                    max_features: int) -> _Split | None:
-        n_features = X.shape[1]
-        candidate_features = rng.permutation(n_features)
-        node_onehot = weighted_onehot[indices]
-        node_total = node_onehot.sum(axis=0)
-        node_weight = float(node_total.sum())
-        parent_impurity = float(self._impurity(node_total))
+    def _node(self, data: _TrainingSet, indices: np.ndarray,
+              counts: np.ndarray) -> _Node:
+        """Renumber the node's groups over the classes present in it."""
 
-        best: _Split | None = None
-        best_score = -np.inf
-        examined = 0
+        n_slots, n_classes = data.weight_table.shape
+        counts = counts.reshape(n_slots, n_classes)
+        present = counts.any(axis=0).nonzero()[0]
+        local_class = np.zeros(n_classes, dtype=np.intp)
+        local_class[present] = np.arange(len(present))
+        local_group = (np.arange(n_slots)[:, None] * len(present)
+                       + local_class).ravel()
+        local_counts = counts[:, present].ravel()
+        weight_table = data.weight_table[:, present]
+        mass = class_mass(local_counts, weight_table)
+        return _Node(indices=indices, groups=local_group[data.groups[indices]],
+                     counts=local_counts, weight_table=weight_table,
+                     impurity=float(impurity(mass, self.criterion)),
+                     weight=float(mass.sum()))
+
+    def _best_split(self, data: _TrainingSet, node: _Node,
+                    rng: np.random.Generator) -> _Split | None:
+        """The best split of ``node`` over the features ``rng`` draws.
+
+        The first ``max_features`` draws of one permutation form a block,
+        constant features included, and the best gain in the block wins
+        (ties: the earlier draw, then the lower threshold).  If nothing
+        in the block gains more than ``_MIN_GAIN``, the first later draw
+        that does is taken instead.
+        """
+
+        draws = rng.permutation(data.ranks.shape[1])
+        block = data.max_features
+        split = self._search(data, node, draws[:block], first=False)
+        if split is None and block < len(draws):
+            split = self._search(data, node, draws[block:], first=True)
+        return split
+
+    def _search(self, data: _TrainingSet, node: _Node, features: np.ndarray,
+                first: bool) -> _Split | None:
+        """Score every threshold of ``features`` from one histogram.
+
+        Returns the best split over all of them, or with ``first`` the
+        best split of the earliest feature that has one.
+        """
+
+        n_node = len(node.indices)
+        n_groups = node.counts.size
+        n_bins = data.values.shape[1]
+        # One bin per (draw, rank); the occupied bins get one histogram
+        # row each, in (draw, rank) order.
+        bins = data.ranks[node.indices[:, None], features]
+        bins += np.arange(len(features)) * n_bins
+        occupancy = np.bincount(bins.ravel(), minlength=len(features) * n_bins)
+        occupied = occupancy.nonzero()[0]
+        row = np.zeros(len(features) * n_bins, dtype=np.intp)
+        row[occupied] = np.arange(len(occupied))
+        codes = row[bins]
+        codes *= n_groups
+        codes += node.groups[:, None]
+        histogram = np.bincount(codes.ravel(),
+                                minlength=len(occupied) * n_groups)
+
+        # A threshold lies between two adjacent occupied bins of one draw.
+        # Each draw's rows hold every sample of the node once, so the
+        # running sum enters draw d at d times the node's counts.
+        draw = occupied // n_bins
+        candidates = (draw[1:] == draw[:-1]).nonzero()[0]
+        if not len(candidates):
+            return None
+        draw = draw[candidates]
+        left = np.cumsum(histogram.reshape(-1, n_groups), axis=0)[candidates]
+        left -= draw[:, None] * node.counts
+        n_left = np.cumsum(occupancy[occupied])[candidates] - draw * n_node
+
+        rank = occupied % n_bins
+        feature = features[draw]
+        high = data.values[feature, rank[candidates + 1]]
+        rank = rank[candidates]
+        threshold = (data.values[feature, rank] + high) / 2.0
         min_leaf = self.min_samples_leaf
-
-        for feature in candidate_features:
-            if examined >= max_features and best is not None:
-                break
-            examined += 1
-            values = X[indices, feature]
-            order = np.argsort(values, kind="stable")
-            sorted_values = values[order]
-            if sorted_values[0] == sorted_values[-1]:
-                continue  # constant feature in this node
-
-            cumulative = np.cumsum(node_onehot[order], axis=0)
-            n_node = len(indices)
-            positions = np.arange(1, n_node)
-            # A split is only valid between two distinct consecutive values
-            # and if both children satisfy min_samples_leaf.
-            distinct = sorted_values[1:] != sorted_values[:-1]
-            size_ok = (positions >= min_leaf) & ((n_node - positions) >= min_leaf)
-            valid = distinct & size_ok
-            if not np.any(valid):
-                continue
-
-            left_counts = cumulative[:-1][valid]
-            right_counts = node_total[None, :] - left_counts
-            left_weight = left_counts.sum(axis=1)
-            right_weight = right_counts.sum(axis=1)
-            left_impurity = self._impurity(left_counts)
-            right_impurity = self._impurity(right_counts)
-            weighted_child = (left_weight * left_impurity +
-                              right_weight * right_impurity) / max(node_weight, 1e-12)
-            gains = parent_impurity - weighted_child
-
-            best_local = int(np.argmax(gains))
-            if gains[best_local] <= 1e-12:
-                continue
-            if gains[best_local] > best_score:
-                valid_positions = positions[valid]
-                split_position = int(valid_positions[best_local])
-                threshold = float((sorted_values[split_position - 1] +
-                                   sorted_values[split_position]) / 2.0)
-                left_mask = values <= threshold
-                # Guard against degenerate thresholds caused by float
-                # rounding (all samples on one side).
-                if not left_mask.any() or left_mask.all():
-                    continue
-                best_score = float(gains[best_local])
-                best = _Split(
-                    feature=int(feature),
-                    threshold=threshold,
-                    impurity_decrease=node_weight * float(gains[best_local]),
-                    left_mask=left_mask,
-                )
-        return best
+        # The midpoint must still fall below the upper value once rounded.
+        valid = ((n_left >= min_leaf) & (n_left <= n_node - min_leaf)
+                 & (threshold < high)).nonzero()[0]
+        if not len(valid):
+            return None
+        gains = split_gains(left[valid], node, self.criterion)
+        if first:
+            useful = gains > _MIN_GAIN
+            if not useful.any():
+                return None
+            draw = draw[valid]
+            earliest = (draw == draw[np.argmax(useful)]).nonzero()[0]
+            best = earliest[int(np.argmax(gains[earliest]))]
+        else:
+            best = int(np.argmax(gains))
+            if gains[best] <= _MIN_GAIN:
+                return None
+        chosen = valid[best]
+        return _Split(feature=int(feature[chosen]),
+                      threshold=float(threshold[chosen]),
+                      rank=int(rank[chosen]),
+                      impurity_decrease=node.weight * float(gains[best]))
 
     def _finalize_nodes(self) -> None:
         """Freeze the grown node lists into the arrays prediction uses.

@@ -125,6 +125,9 @@ class _HTTPServer(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    # Job launches arrive in bursts; socketserver's default listen
+    # backlog of 5 resets the connections of a burst beyond it.
+    request_queue_size = 128
     app: "ClassificationServer" = None
 
 
@@ -534,9 +537,13 @@ class ClassificationServer:
             payload["service_cache"] = cache_info()
         # Process-wide CTPH comparability counters: how many digest
         # comparisons were structurally impossible, by typed reason.
+        from ..features.extractors import malformed_elf_total
         from ..hashing.compare import incomparable_counts
 
         payload["incomparable_comparisons"] = incomparable_counts()
+        # Process-wide count of ELF-magic uploads that did not parse and
+        # were classified as non-ELF input.
+        payload["malformed_elf_total"] = malformed_elf_total()
         load_mode = getattr(self.manager, "load_mode", None)
         if load_mode is not None:
             payload["load_mode"] = str(load_mode)
