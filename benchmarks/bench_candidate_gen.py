@@ -24,16 +24,15 @@ mutated-family corpus:
   distinct-digest corpus (the general case, where per-key tuples and
   un-interned signatures cost the legacy layout the most);
 * **bit-identical results** — ``top_k`` rankings, dense score matrices
-  and the raw candidate-pair sets must agree exactly, on the single
-  index and on a 4-shard :class:`~repro.index.ShardedSimilarityIndex`.
+  and the raw candidate-pair sets must agree exactly.
 
 Run directly (``python benchmarks/bench_candidate_gen.py``, add
 ``--quick`` for the small CI configuration).  Exit status is non-zero
 when any result diverges or a speedup floor is missed, so the script
 doubles as a regression tripwire; a JSON trajectory is written to
 ``benchmarks/output/BENCH_candidate_gen.json`` for CI archiving.
-``tests/test_candidate_bench_smoke.py`` runs the identity checks (and a
-conservative speedup floor on multi-core machines) in tier 1.
+``tests/test_candidate_bench_smoke.py`` runs the identity checks in
+tier 1; its ``slow`` test keeps the speedup floors.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.hashing.ssdeep import fuzzy_hash
-from repro.index import ShardedSimilarityIndex, SimilarityIndex
+from repro.index import SimilarityIndex
 from repro.index.core import IndexMatch, expand_digest, \
     score_signature_pairs, signature_grams
 
@@ -219,8 +218,7 @@ class BenchResult:
             f"{self.legacy_peak_bytes:,} B vs arrays "
             f"{self.new_peak_bytes:,} B "
             f"({self.peak_memory_ratio:.1f}x smaller)",
-            f"all results bit-identical (single + 4-shard): "
-            f"{self.results_match}",
+            f"all results bit-identical: {self.results_match}",
         ]
         return "\n".join(lines)
 
@@ -325,24 +323,16 @@ def run(n_corpus: int, n_queries: int, *, k: int = 10) -> BenchResult:
     index = SimilarityIndex([FEATURE_TYPE])
     index.add_many(corpus)
     index.seal()
-    sharded = ShardedSimilarityIndex([FEATURE_TYPE], n_shards=4,
-                                     executor="serial")
-    sharded.add_many(corpus)
-    sharded.seal()
 
     # Identity first: rankings, matrices and raw candidate sets.
     results_match = True
     for query in queries:
         if index.top_k(query, k, min_score=0) \
-                != legacy.top_k(query, k, min_score=0) \
-                or sharded.top_k(query, k, min_score=0) \
                 != legacy.top_k(query, k, min_score=0):
             results_match = False
     legacy_matrix = legacy.score_matrix(queries)
     new_matrix = index.score_matrix(FEATURE_TYPE, queries)
-    sharded_matrix = sharded.score_matrix(FEATURE_TYPE, queries)
-    if not (np.array_equal(legacy_matrix, new_matrix)
-            and np.array_equal(legacy_matrix, sharded_matrix)):
+    if not np.array_equal(legacy_matrix, new_matrix):
         results_match = False
     legacy_pairs = _candidate_pair_set(*legacy.collect_candidates(queries))
     batch = index.collect_candidates({FEATURE_TYPE: queries})

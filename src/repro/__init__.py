@@ -91,7 +91,6 @@ from .features import (
 from .index import (
     IndexMatch,
     PairScore,
-    ShardedSimilarityIndex,
     SimilarityIndex,
     load_index,
 )
@@ -174,7 +173,6 @@ __all__ = [
     "SampleFeatures",
     "SimilarityFeatureBuilder",
     # similarity index
-    "ShardedSimilarityIndex",
     "SimilarityIndex",
     "load_index",
     "IndexMatch",

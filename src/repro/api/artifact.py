@@ -21,10 +21,11 @@ Array payloads hold the flattened forest (per-tree node tables
 concatenated, with offset arrays) and, when ``include_index`` is left
 on, the anchor index under ``index.*`` names.
 
-Format version 2 additionally allows the embedded anchor index to be a
-:class:`~repro.index.ShardedSimilarityIndex`: its header (under
-``index.header``) carries ``"sharded": true`` plus the shard layout,
-and its arrays are prefixed ``index.shardN.*``.  Format version 3
+Format version 2 additionally allowed the embedded anchor index to be
+sharded: its header (under ``index.header``) carries ``"sharded": true``
+plus the shard layout, and its arrays are prefixed ``index.shardN.*``.
+This build no longer writes that layout; it reads it into one index
+over the surviving members (:mod:`repro.index.legacy`).  Format version 3
 adds the second hash family: the classifier may carry a ``family``
 parameter (``"ctph"``/``"vector"``/``"both"``) and the embedded index
 may hold packed ``uint64`` vector-digest matrices (``v{idx}.*``
@@ -68,7 +69,7 @@ from ..features.extractors import (
     ALL_FEATURE_TYPES,
     resolve_family_feature_types,
 )
-from ..index import ShardedSimilarityIndex, SimilarityIndex, load_index
+from ..index import SimilarityIndex, load_index
 from ..index.storage import (
     ContainerFormat,
     read_container,
@@ -84,8 +85,8 @@ __all__ = ["MODEL_FORMAT_VERSION", "MODEL_MAGIC", "MODEL_SUFFIX", "MODEL_KIND",
 _LOG = get_logger("api.artifact")
 
 #: Current model artifact format version; v1 (single-index anchors
-#: only), v2 (sharded anchors, CTPH-only) and v3 (unaligned payloads)
-#: files remain readable.
+#: only), v2 (sharded anchors allowed, CTPH-only) and v3 (unaligned
+#: payloads) files remain readable.
 MODEL_FORMAT_VERSION = 4
 
 #: File magic identifying a repro model artifact.
@@ -351,16 +352,15 @@ def save_model(classifier: FuzzyHashClassifier, path: str | os.PathLike, *,
 
 # ------------------------------------------------------------------- load
 def load_model(path: str | os.PathLike,
-               index: "SimilarityIndex | ShardedSimilarityIndex | str | "
-                      "os.PathLike | None" = None, *,
+               index: "SimilarityIndex | str | os.PathLike | None" = None,
+               *,
                mmap_mode: str | None = None) -> FuzzyHashClassifier:
     """Load a model artifact; the result predicts bit-identically.
 
     ``index`` supplies the anchor index for headless artifacts (a loaded
-    :class:`~repro.index.SimilarityIndex` or
-    :class:`~repro.index.ShardedSimilarityIndex`, or a path to either
-    format); it
-    is ignored with a warning when the artifact embeds its own.
+    :class:`~repro.index.SimilarityIndex`, or a path that
+    :func:`~repro.index.load_index` opens); it is ignored with a warning
+    when the artifact embeds its own.
     ``mmap_mode="r"`` adopts the bulk arrays as read-only zero-copy
     views into a shared memory map (v4 aligned artifacts; older files
     transparently fall back to the materialising path).  Raises
@@ -372,8 +372,7 @@ def load_model(path: str | os.PathLike,
 
 
 def _restore(path: Path,
-             index: "SimilarityIndex | ShardedSimilarityIndex | str | "
-                    "os.PathLike | None",
+             index: "SimilarityIndex | str | os.PathLike | None",
              mmap_mode: str | None = None
              ) -> tuple[FuzzyHashClassifier, dict]:
     """Fully restore an artifact; returns ``(classifier, header)``."""
@@ -427,15 +426,9 @@ def _restore(path: Path,
         # second copy; a mapped load also defers the O(payload) content
         # scans (the file was validated when written).
         try:
-            if index_header.get("sharded"):
-                anchor: SimilarityIndex | ShardedSimilarityIndex = \
-                    ShardedSimilarityIndex.from_state(
-                        index_header, index_arrays, source=source,
-                        copy=False, deep_validate=mmap_mode is None)
-            else:
-                anchor = SimilarityIndex.from_state(
-                    index_header, index_arrays, source=source,
-                    copy=False, deep_validate=mmap_mode is None)
+            anchor = SimilarityIndex.from_state(
+                index_header, index_arrays, source=source,
+                copy=False, deep_validate=mmap_mode is None)
         except ReproError as exc:
             raise ModelFormatError(
                 f"{source} cannot be restored: {exc}") from exc
@@ -445,7 +438,7 @@ def _restore(path: Path,
             raise ModelFormatError(
                 f"{source} was saved without its anchor index "
                 "(include_index=False); pass index=<SimilarityIndex or path>")
-        if not isinstance(index, (SimilarityIndex, ShardedSimilarityIndex)):
+        if not isinstance(index, SimilarityIndex):
             # A path: we own the freshly-loaded index, so the builder
             # can adopt it directly (mmap_mode flows through).
             builder_state = {"index": load_index(index, mmap_mode=mmap_mode)}
@@ -500,16 +493,16 @@ def _summarise(path: Path, header: Mapping) -> dict:
         raise ModelFormatError(
             f"{source} is missing required header fields: {exc}") from exc
     index_header = index_block.get("header") or {}
-    index_sharded = bool(index_header.get("sharded"))
-    if index_block.get("included"):
-        if index_sharded:
-            tombstones = sum(len(dead)
-                             for dead in index_header.get("tombstones", []))
-            index_members = len(index_header.get("order", [])) - tombstones
-        else:
-            index_members = len(index_header.get("sample_ids", []))
-    else:
+    if not index_block.get("included"):
         index_members = 0
+    elif index_header.get("sharded"):
+        # Legacy sharded anchors: every member in the global order,
+        # minus the tombstoned ones.
+        tombstones = sum(len(dead)
+                         for dead in index_header.get("tombstones", []))
+        index_members = len(index_header.get("order", [])) - tombstones
+    else:
+        index_members = len(index_header.get("sample_ids", []))
     family = str(params.get("family", "ctph"))
     try:
         active_types = list(resolve_family_feature_types(
@@ -537,9 +530,6 @@ def _summarise(path: Path, header: Mapping) -> dict:
         "confidence_threshold": params.get("confidence_threshold"),
         "anchor_strategy": params.get("anchor_strategy"),
         "index_included": bool(index_block.get("included")),
-        "index_sharded": index_sharded,
-        "index_shards": int(index_header.get("n_shards", 0))
-        if index_sharded else 0,
         "index_members": index_members,
         "wal_checkpoint": header.get("wal_checkpoint"),
     }
@@ -578,8 +568,7 @@ def inspect_model(path: str | os.PathLike) -> dict:
 
 
 def validate_model(path: str | os.PathLike,
-                   index: "SimilarityIndex | ShardedSimilarityIndex | str | "
-                          "os.PathLike | None" = None
+                   index: "SimilarityIndex | str | os.PathLike | None" = None
                    ) -> dict:
     """Fully restore an artifact, then return its :func:`inspect_model`
     summary — the load exercises every structural check, so success

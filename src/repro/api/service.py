@@ -21,11 +21,10 @@ a pluggable execution backend (``executor=`` spec, see
 :mod:`repro.parallel.backend`; plain ``n_jobs`` process counts still
 work), and each batch runs the anchor index's candidate generation plus
 the vectorised :class:`~repro.distance.batch.BatchEditDistance` scoring
-once — fanned across shards when the model's anchor index is a
-:class:`~repro.index.ShardedSimilarityIndex` — followed by a single
-forest pass (labels and confidences come from the same probability
-matrix).  ``classify_stream`` applies the same micro-batching to an
-iterable of arbitrary length while yielding decisions in input order.
+once, followed by a single forest pass (labels and confidences come from
+the same probability matrix).  ``classify_stream`` applies the same
+micro-batching to an iterable of arbitrary length while yielding
+decisions in input order.
 
 The serving hot path additionally keeps an LRU digest→score cache: an
 executable whose digests were already scored (same binary resubmitted,
@@ -50,7 +49,7 @@ from ..core.classifier import FuzzyHashClassifier
 from ..exceptions import EvaluationError, NotFittedError, ValidationError
 from ..features.pipeline import FeatureExtractionPipeline
 from ..features.records import SampleFeatures
-from ..index import ShardedSimilarityIndex, SimilarityIndex
+from ..index import SimilarityIndex
 from ..logging_utils import get_logger
 from ..observability.trace import span
 
@@ -188,15 +187,8 @@ class ClassificationService:
         self._pipeline = FeatureExtractionPipeline(active_types,
                                                    n_jobs=n_jobs,
                                                    executor=executor)
-        # An explicitly requested executor must reach the anchor index
-        # too: a sharded index restored from an artifact comes up with a
-        # serial backend, and shard fan-out on the scoring hot path is
-        # the whole point of asking for one.
         anchor = getattr(getattr(classifier, "builder_", None),
                          "index_", None)
-        if executor is not None and isinstance(anchor,
-                                               ShardedSimilarityIndex):
-            anchor.set_executor(executor)
         # Seal pending posting tails up front: the index merges them
         # lazily on first query, and a serving process should pay that
         # once at start-up, not on its first request.
@@ -210,14 +202,14 @@ class ClassificationService:
               n_jobs: int = 1, executor=None,
               batch_size: int = DEFAULT_BATCH_SIZE,
               cache_size: int = DEFAULT_CACHE_SIZE,
-              index: "SimilarityIndex | ShardedSimilarityIndex | None" = None,
+              index: SimilarityIndex | None = None,
               **classifier_params) -> "ClassificationService":
         """Fit a fresh model on labelled feature records.
 
         ``classifier_params`` are forwarded to
         :class:`FuzzyHashClassifier` (``n_estimators``,
         ``confidence_threshold``, ``random_state``, ...); ``index``
-        optionally supplies a prebuilt anchor index (single or sharded).
+        optionally supplies a prebuilt anchor index.
         """
 
         classifier = FuzzyHashClassifier(n_jobs=n_jobs, **classifier_params)
@@ -232,8 +224,7 @@ class ClassificationService:
              n_jobs: int = 1, executor=None,
              batch_size: int = DEFAULT_BATCH_SIZE,
              cache_size: int = DEFAULT_CACHE_SIZE,
-             index: "SimilarityIndex | ShardedSimilarityIndex | str | "
-                    "os.PathLike | None" = None,
+             index: "SimilarityIndex | str | os.PathLike | None" = None,
              mmap: bool = False
              ) -> "ClassificationService":
         """Cold-start from a model artifact — no retraining.
@@ -279,8 +270,8 @@ class ClassificationService:
         return self.classifier.classes_
 
     @property
-    def similarity_index(self) -> "SimilarityIndex | ShardedSimilarityIndex":
-        """The model's fitted anchor index (single or sharded)."""
+    def similarity_index(self) -> SimilarityIndex:
+        """The model's fitted anchor index."""
 
         builder = getattr(self.classifier, "builder_", None)
         index = getattr(builder, "index_", None)
@@ -309,16 +300,15 @@ class ClassificationService:
 
         return getattr(self, "_mutable", False)
 
-    def enable_mutation(self, *, n_shards: int = 4) -> None:
+    def enable_mutation(self) -> None:
         """Switch the service into mutable-corpus mode (idempotent).
 
-        The anchor index becomes a :class:`ShardedSimilarityIndex`
-        (converted in place when the artifact carried a single index),
-        unlocking :meth:`ingest_features` / :meth:`ingest_bytes` /
-        :meth:`purge` / :meth:`compact`.  Only the per-class anchor
-        strategies support this: under ``all-train`` every anchor is its
-        own feature column, so growing the corpus would change the
-        matrix layout under the trained forest.
+        Unlocks :meth:`ingest_features` / :meth:`ingest_bytes` /
+        :meth:`purge` / :meth:`compact` on the anchor index (members are
+        added in place and purged through tombstones).  Only the
+        per-class anchor strategies support this: under ``all-train``
+        every anchor is its own feature column, so growing the corpus
+        would change the matrix layout under the trained forest.
 
         Mutations themselves are **not** internally synchronised against
         concurrent classification — the serving tier
@@ -339,15 +329,10 @@ class ClassificationService:
                 "'all-train': each anchor is a feature column, so adding "
                 "anchors would change the feature layout under the "
                 "trained forest")
-        index = builder.index_
-        if not isinstance(index, ShardedSimilarityIndex):
-            index = ShardedSimilarityIndex.from_index(
-                index, n_shards=n_shards, executor=self.executor)
-            builder.refresh_from_index(index)
-        index.seal()
+        builder.index_.seal()
         self._mutable = True
 
-    def _check_mutable(self) -> ShardedSimilarityIndex:
+    def _check_mutable(self) -> SimilarityIndex:
         if not self.mutable:
             raise ValidationError(
                 "this service is immutable; call enable_mutation() first")
@@ -382,11 +367,13 @@ class ClassificationService:
                     f"{sorted(known)} (new classes need a retrain)")
         reports = []
         for record in records:
-            sequence = index.add(record.sample_id, record.digests,
-                                 class_name=record.class_name)
+            index.add(record.sample_id, record.digests,
+                      class_name=record.class_name)
+            # The corpus sequence counts tombstoned members until the
+            # next compaction, so it never repeats between compactions.
             reports.append({"sample_id": record.sample_id,
                             "class": record.class_name,
-                            "sequence": int(sequence)})
+                            "sequence": index.total_members - 1})
         builder.refresh_from_index()
         self._invalidate_cache()
         _LOG.info("ingested %d samples; corpus now holds %d members",
@@ -451,13 +438,9 @@ class ClassificationService:
     def compact(self) -> int:
         """Physically drop tombstoned members; returns how many."""
 
-        index = self._check_mutable()
-        dropped = index.compact()
-        if dropped:
-            # Member indices renumber densely but scores are unchanged,
-            # so the digest cache stays valid.
-            self.classifier.builder_.refresh_from_index()
-        return dropped
+        # Member indices are already dense over the survivors and do not
+        # change, so the anchor bookkeeping and digest cache stay valid.
+        return self._check_mutable().compact()
 
     def corpus_info(self) -> dict:
         """Live corpus statistics for lifecycle policies and /healthz."""
@@ -466,13 +449,11 @@ class ClassificationService:
         classes: dict[str, int] = {}
         for name in index.class_names:
             classes[name] = classes.get(name, 0) + 1
-        info = {"members": int(index.n_members), "classes": classes,
-                "mutable": self.mutable}
-        if isinstance(index, ShardedSimilarityIndex):
-            info["total_members"] = int(index.total_members)
-            info["tombstones"] = int(index.n_tombstones)
-            info["tombstone_ratio"] = float(index.tombstone_ratio)
-        return info
+        return {"members": int(index.n_members), "classes": classes,
+                "mutable": self.mutable,
+                "total_members": int(index.total_members),
+                "tombstones": int(index.n_tombstones),
+                "tombstone_ratio": float(index.tombstone_ratio)}
 
     def _invalidate_cache(self) -> None:
         # A corpus mutation changes similarity scores (a new anchor can

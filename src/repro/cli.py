@@ -35,13 +35,12 @@ The sub-commands cover the library's main entry points:
 ``model inspect | validate``
     Inspect a model artifact's header, or fully restore it to prove it
     will serve.
-``index build | query | stats | compact | merge``
+``index build | query | stats | merge``
     Manage persistent similarity indexes: build one from a software
-    tree (or an exported features JSON) — single-file by default, a
-    sharded directory with ``--shards N`` — run top-k queries against
-    either layout, inspect statistics (``--json`` adds a per-shard
-    breakdown), reclaim tombstoned members (``compact``) and convert
-    between the two layouts in both directions (``merge``).
+    tree (or an exported features JSON), run top-k queries against it,
+    inspect statistics, and rewrite a legacy sharded-index directory as
+    one single-file index (``merge``).  Query and stats also read such
+    directories directly.
 
 Global ``--jobs N`` / ``--executor SPEC`` (before the sub-command)
 select the parallelism every sub-command fans out with: ``--executor``
@@ -233,9 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enable online ingestion: POST /ingest adds "
                             "labelled samples to the live corpus and "
                             "DELETE /samples/<id> purges them")
-    serve.add_argument("--ingest-shards", type=int, default=4,
-                       help="shard count when the artifact's index must be "
-                            "converted for mutation (default 4)")
     serve.add_argument("--max-ingest-items", type=int, default=None,
                        help="per-request ingest sample cap (default 32)")
     serve.add_argument("--wal-dir", default=None, metavar="DIR",
@@ -344,9 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
                              choices=["ctph", "vector", "both"],
                              help="hash family per feature type "
                                   "(default ctph)")
-    index_build.add_argument("--shards", type=int, default=None, metavar="N",
-                             help="build a sharded index directory with N "
-                                  "shards instead of a single file")
 
     index_query = index_sub.add_parser(
         "query", help="top-k similarity query against a saved index")
@@ -367,31 +360,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     index_stats = index_sub.add_parser(
         "stats", help="print statistics of a saved index")
-    index_stats.add_argument("index_file", help="index file or sharded "
-                                                "directory to inspect")
+    index_stats.add_argument("index_file", help="index file (or legacy "
+                                                "sharded directory) to "
+                                                "inspect")
     index_stats.add_argument("--json", action="store_true",
-                             help="machine-readable output, with a per-shard "
-                                  "breakdown for sharded indexes")
-
-    index_compact = index_sub.add_parser(
-        "compact", help="rebuild a sharded index without its tombstoned "
-                        "members, reclaiming space")
-    index_compact.add_argument("index_dir", help="sharded index directory "
-                                                 "written by 'index build "
-                                                 "--shards' or 'index merge'")
+                             help="machine-readable output")
 
     index_merge = index_sub.add_parser(
-        "merge", help="convert between single-file and sharded layouts "
-                      "(both directions)")
-    index_merge.add_argument("source", help="index file or sharded directory "
-                                            "to convert")
+        "merge", help="rewrite a legacy sharded-index directory as one "
+                      "single-file index")
+    index_merge.add_argument("source", help="sharded index directory (or "
+                                            "index file) to rewrite")
     index_merge.add_argument("--output", "-o", required=True,
-                             help="destination: a sharded directory with "
-                                  "--shards, else a single index file")
-    index_merge.add_argument("--shards", type=int, default=None, metavar="N",
-                             help="write a sharded directory with N shards "
-                                  "(default: merge into one single-file "
-                                  "index)")
+                             help="single-file index to write")
 
     info = sub.add_parser("info", help="print version and environment information")
 
@@ -504,10 +485,8 @@ def _cmd_classify(args) -> int:
                 "(or --model FILE plus a target directory)")
         target = args.target
         # Load the index first: a missing/corrupt file must fail fast, not
-        # after the (potentially expensive) training feature pass.  Both
-        # layouts work: a single .rpsi file or a sharded directory.
-        index = load_index(args.index,
-                           executor=args.executor) if args.index else None
+        # after the (potentially expensive) training feature pass.
+        index = load_index(args.index) if args.index else None
         family = args.family or "ctph"
         active_types = resolve_family_feature_types(FEATURE_TYPES, family)
         features = _index_features(args.source, active_types,
@@ -597,7 +576,6 @@ def _cmd_serve(args) -> int:
                            n_jobs=_effective_jobs(args),
                            executor=args.executor,
                            mutable=args.ingest,
-                           n_shards=args.ingest_shards,
                            score_workers=args.score_workers,
                            wal_dir=args.wal_dir,
                            wal_repair=args.wal_repair,
@@ -752,8 +730,6 @@ def _format_model_info(info: dict) -> str:
         classes += f", ... ({info['n_classes']} total)"
     if info["index_included"]:
         index_line = f"embedded, {info['index_members']} anchors"
-        if info.get("index_sharded"):
-            index_line += f" across {info['index_shards']} shards"
     else:
         index_line = "not included (headless)"
     family = info.get("family", "ctph")
@@ -814,7 +790,7 @@ def _cmd_index_build(args) -> int:
     from .exceptions import ValidationError
     from .features.extractors import (FEATURE_TYPES,
                                       resolve_family_feature_types)
-    from .index import ShardedSimilarityIndex, SimilarityIndex
+    from .index import SimilarityIndex
 
     feature_types = resolve_family_feature_types(
         tuple(args.types) if args.types else FEATURE_TYPES, args.family)
@@ -830,11 +806,7 @@ def _cmd_index_build(args) -> int:
                 f"feature types {missing} appear in none of the "
                 f"{len(features)} source records (available: "
                 f"{sorted(available)})")
-    if args.shards is not None:
-        index = ShardedSimilarityIndex(feature_types, n_shards=args.shards,
-                                       executor=args.executor)
-    else:
-        index = SimilarityIndex(feature_types)
+    index = SimilarityIndex(feature_types)
     index.add_many(features)
     stats = index.stats()
     for feature_type, info in stats["feature_types"].items():
@@ -855,7 +827,7 @@ def _cmd_index_query(args) -> int:
     from .features.extractors import FeatureExtractor
     from .index import load_index
 
-    index = load_index(args.index_file, executor=args.executor)
+    index = load_index(args.index_file)
     if args.digest:
         matches = index.top_k(args.target, args.k,
                               feature_type=args.feature_type,
@@ -882,7 +854,7 @@ def _cmd_index_stats(args) -> int:
 
     from .index import load_index
 
-    index = load_index(args.index_file, executor=args.executor)
+    index = load_index(args.index_file)
     stats = index.stats()
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
@@ -891,45 +863,13 @@ def _cmd_index_stats(args) -> int:
     return 0
 
 
-def _cmd_index_compact(args) -> int:
-    from pathlib import Path
-
-    from .exceptions import ValidationError
-    from .index import ShardedSimilarityIndex
-
-    if Path(args.index_dir).is_file():
-        raise ValidationError(
-            f"{args.index_dir} is a single-file index; compact applies to "
-            "sharded index directories (single-file indexes hold no "
-            "tombstones)")
-    index = ShardedSimilarityIndex.load(args.index_dir)
-    dropped = index.compact()
-    if dropped:
-        index.save(args.index_dir)
-    print(f"compacted {args.index_dir}: dropped {dropped} tombstoned "
-          f"members, {index.n_members} remain")
-    return 0
-
-
 def _cmd_index_merge(args) -> int:
-    from .index import ShardedSimilarityIndex, SimilarityIndex, load_index
+    from .index import load_index
 
-    source = load_index(args.source, executor=args.executor)
-    if args.shards is not None:
-        merged = ShardedSimilarityIndex.from_index(source,
-                                                   n_shards=args.shards,
-                                                   executor=args.executor)
-        path = merged.save(args.output)
-        print(f"sharded {merged.n_members} members across "
-              f"{merged.n_shards} shards -> {path}")
-    else:
-        if isinstance(source, ShardedSimilarityIndex):
-            merged = source.merge_to_single()
-        else:
-            merged = source
-        path = merged.save(args.output)
-        print(f"merged {merged.n_members} members into a single-file "
-              f"index -> {path}")
+    index = load_index(args.source)
+    path = index.save(args.output)
+    print(f"merged {index.n_members} members into a single-file "
+          f"index -> {path}")
     return 0
 
 
@@ -938,10 +878,6 @@ def _format_stats(stats: dict) -> str:
              f"({stats['labelled_members']} labelled, "
              f"{stats['classes']} classes), "
              f"ngram length: {stats['ngram_length']}"]
-    if "shards" in stats:
-        lines[0] += (f", shards: {stats['n_shards']} "
-                     f"({stats['routing']} routing), "
-                     f"tombstones: {stats['tombstones']}")
     for feature_type, info in stats["feature_types"].items():
         if info.get("family") == "vector":
             lines.append(f"  {feature_type:<16} "
@@ -952,11 +888,6 @@ def _format_stats(stats: dict) -> str:
         blocks = ",".join(str(b) for b in info["block_sizes"]) or "-"
         lines.append(f"  {feature_type:<16} {info['entries']:>6} entries  "
                      f"{info['postings']:>8} postings  block sizes: {blocks}")
-    for shard in stats.get("shards", ()):
-        lines.append(f"  shard {shard['shard']:>4}  {shard['members']:>6} "
-                     f"members  {shard['tombstones']:>4} tombstones  "
-                     f"{shard['postings']:>8} postings  "
-                     f"~{shard['estimated_bytes']} bytes")
     return "\n".join(lines)
 
 
@@ -964,7 +895,6 @@ def _cmd_index(args) -> int:
     handler = {"build": _cmd_index_build,
                "query": _cmd_index_query,
                "stats": _cmd_index_stats,
-               "compact": _cmd_index_compact,
                "merge": _cmd_index_merge}[args.index_command]
     return handler(args)
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..exceptions import NotFittedError, ValidationError
 from ..hashing.rolling import ROLLING_WINDOW
-from ..index import ShardedSimilarityIndex, SimilarityIndex
+from ..index import SimilarityIndex
 from ..logging_utils import get_logger
 from .extractors import FEATURE_TYPES
 from .records import SampleFeatures
@@ -116,15 +116,13 @@ class SimilarityFeatureBuilder:
         index.add_many(anchors)
         return self._adopt_index(index)
 
-    def fit_from_index(self, index: "SimilarityIndex | ShardedSimilarityIndex"
+    def fit_from_index(self, index: SimilarityIndex
                        ) -> "SimilarityFeatureBuilder":
         """Adopt a prebuilt (e.g. loaded-from-disk) anchor index.
 
-        Accepts a plain :class:`~repro.index.SimilarityIndex` or a
-        :class:`~repro.index.ShardedSimilarityIndex` (whose queries then
-        fan out over its execution backend).  The index must cover this
-        builder's feature types, use the same n-gram length, and carry a
-        class label on every member.  Anchor selection
+        The index must cover this builder's feature types, use the same
+        n-gram length, and carry a class label on every surviving
+        member.  Anchor selection
         (``class-medoids``) is *not* re-applied — the index is trusted
         to already hold the intended anchor set.
         """
@@ -250,8 +248,7 @@ class SimilarityFeatureBuilder:
 
         ready = state.get("index") if isinstance(state, dict) else None
         if ready is not None:
-            if not isinstance(ready, (SimilarityIndex,
-                                      ShardedSimilarityIndex)):
+            if not isinstance(ready, SimilarityIndex):
                 raise ValidationError(
                     f"invalid feature-builder state: 'index' must be a "
                     f"similarity index, got {type(ready).__name__}")
@@ -262,15 +259,8 @@ class SimilarityFeatureBuilder:
         except (KeyError, TypeError) as exc:
             raise ValidationError(
                 f"invalid feature-builder state: {exc}") from exc
-        # The header self-describes its kind: a sharded snapshot carries
-        # "sharded": true (and the .rpm v2 artifact embeds it verbatim).
-        if isinstance(header, dict) and header.get("sharded"):
-            index: SimilarityIndex | ShardedSimilarityIndex = \
-                ShardedSimilarityIndex.from_state(header, arrays,
-                                                  source=source)
-        else:
-            index = SimilarityIndex.from_state(header, arrays, source=source)
-        return self.fit_from_index(index)
+        return self.fit_from_index(
+            SimilarityIndex.from_state(header, arrays, source=source))
 
     # ----------------------------------------------------------- internals
     def _adopt_index(self, index: SimilarityIndex) -> "SimilarityFeatureBuilder":

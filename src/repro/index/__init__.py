@@ -20,13 +20,19 @@ incrementally, queried repeatedly and shipped between processes:
 * :mod:`~repro.index.storage` — the single-file on-disk container
   (JSON header + raw NumPy arrays, versioned, magic ``RPROSIDX``;
   format v2 carries the columnar arrays, v1 files rebuild on load);
-* :class:`~repro.index.sharded.ShardedSimilarityIndex` — the same
-  corpus partitioned across N shards by a deterministic ``sample_id``
-  hash, with tombstoned ``remove`` + ``compact``, queries fanned out
-  over a pluggable execution backend with bit-identical merged
-  results, and per-shard directory persistence
-  (``manifest.json`` + one container per shard);
-  :func:`~repro.index.sharded.load_index` opens either format.
+* :mod:`~repro.index.legacy` — readers for the retired sharded
+  layouts (a ``manifest.json`` directory, or a ``"sharded": true``
+  snapshot inside a model artifact), which load as one index over
+  their surviving members; :func:`~repro.index.core.load_index` opens
+  a file or such a directory.
+
+Removing members
+----------------
+``SimilarityIndex.remove(sample_id)`` tombstones members without
+touching the postings: every query answers over the survivors,
+renumbered densely in insertion order, exactly as a fresh index built
+from them would.  ``compact()`` drops tombstoned members physically,
+and ``get_state`` / ``save`` always write the survivors only.
 
 Digest format and comparability rules
 -------------------------------------
@@ -60,9 +66,9 @@ or 7-gram gate applies.  :class:`~repro.index.knn.VectorKNNIndex` is
 the standalone top-k structure over one such packed matrix.
 """
 
-from .core import IndexMatch, PairScore, SimilarityIndex, expand_digest
+from .core import (IndexMatch, PairScore, SimilarityIndex, expand_digest,
+                   load_index)
 from .knn import KNNMatch, PackedDigestStore, VectorKNNIndex, brute_force_top_k
-from .sharded import ShardedSimilarityIndex, load_index
 from .storage import FORMAT_VERSION
 
 __all__ = [
@@ -71,7 +77,6 @@ __all__ = [
     "KNNMatch",
     "PackedDigestStore",
     "PairScore",
-    "ShardedSimilarityIndex",
     "SimilarityIndex",
     "VectorKNNIndex",
     "brute_force_top_k",

@@ -13,6 +13,13 @@ indexed by their 7-gram postings, and answers:
 * ``save`` / ``load`` — round-tripping to a single compact file
   (:mod:`repro.index.storage`).
 
+Members can be removed: :meth:`SimilarityIndex.remove` tombstones them
+without touching the postings, every query then answers over the
+survivors renumbered densely in insertion order (exactly as a fresh
+index built from the survivors would), and :meth:`SimilarityIndex.compact`
+drops them physically.  Snapshots (``get_state`` / ``save``) always hold
+the survivors only, so a removed member can never come back on reload.
+
 Since format version 2 the postings and entry tables live in compact
 columnar NumPy arrays (:mod:`repro.index.postings`): signatures are
 interned in an index-wide string pool, entries are ``int32``/``int64``
@@ -74,7 +81,8 @@ from .postings import ArrayPostings, SignaturePool, block_prefix64, \
 from .storage import read_container, write_container
 
 __all__ = ["CandidateBatch", "IndexMatch", "PairScore", "SimilarityIndex",
-           "expand_digest", "score_signature_pairs", "signature_grams"]
+           "expand_digest", "load_index", "score_signature_pairs",
+           "signature_grams"]
 
 _LOG = get_logger("index.core")
 
@@ -90,7 +98,7 @@ _NO_EXCLUDED: frozenset[int] = frozenset()
 #: (query rows × entries) scatter to sorting packed codes above this
 #: many cells (the dense path is O(hits) but allocates one byte per
 #: cell).  16M cells = 16 MB transient, roughly a 64-query batch
-#: against a 100k-entry shard.
+#: against a 100k-entry index.
 _DENSE_DEDUP_CELLS = 1 << 24
 
 
@@ -129,11 +137,10 @@ def score_signature_pairs(left: Sequence[str], right: Sequence[str],
                           ) -> np.ndarray:
     """SSDeep scores for same-block-size signature pairs.
 
-    The 7-gram common-substring gate is the caller's responsibility; this
-    is the pure scoring half, shared by :class:`SimilarityIndex` and by
-    the worker processes a
-    :class:`~repro.index.sharded.ShardedSimilarityIndex` fans shard
-    queries out to (module-level, hence picklable).
+    The 7-gram common-substring gate is the caller's responsibility;
+    this is the pure scoring half of :class:`SimilarityIndex`, kept
+    module-level so it can also score a :class:`CandidateBatch` on its
+    own.
     """
 
     n = len(left)
@@ -220,10 +227,8 @@ class CandidateBatch:
     type had.
 
     Produced by :meth:`SimilarityIndex.collect_candidates`, consumed by
-    :func:`score_signature_pairs` — splitting candidate generation from
-    DP scoring is what lets a sharded index generate candidates per
-    shard and fan only the (CPU-bound, cheaply-pickled) scoring out to
-    an execution backend.
+    :func:`score_signature_pairs`; member indices are the dense
+    (surviving) ones every query reports.
 
     ``vector`` carries the second hash family: per ``vector-*`` feature
     type, ``(query_index, member_index, score)`` arrays of *already
@@ -275,9 +280,15 @@ class SimilarityIndex:
         self._vector_types = tuple(ft for ft in feature_types
                                    if is_vector_feature_type(ft))
         self._ngram_length = int(ngram_length)
+        # Per *physical* member (insertion order, tombstoned included);
+        # queries see the survivors renumbered densely.
         self._sample_ids: list[str] = []
         self._class_names: list[str] = []
+        #: Surviving physical members per sample id.
         self._members_by_id: dict[str, set[int]] = {}
+        #: Tombstoned physical members, and the cached survivor view.
+        self._dead: set[int] = set()
+        self._view: tuple[np.ndarray, np.ndarray] | None = None
         self._pool = SignaturePool(self._ngram_length)
         self._stores: dict[str, ArrayPostings] = {
             ft: ArrayPostings(self._pool, self._ngram_length)
@@ -305,23 +316,56 @@ class SimilarityIndex:
 
     @property
     def n_members(self) -> int:
-        return len(self._sample_ids)
+        """Surviving (non-tombstoned) members."""
+
+        return len(self._sample_ids) - len(self._dead)
 
     def __len__(self) -> int:
+        return self.n_members
+
+    @property
+    def total_members(self) -> int:
+        """All resident members, tombstoned ones included."""
+
         return len(self._sample_ids)
 
     @property
+    def n_tombstones(self) -> int:
+        return len(self._dead)
+
+    @property
+    def tombstone_ratio(self) -> float:
+        """Tombstoned fraction of all resident members (0.0 when empty).
+
+        Lifecycle policies compact past a ratio threshold instead of an
+        absolute count, so the trigger scales with corpus size.
+        """
+
+        total = len(self._sample_ids)
+        return len(self._dead) / total if total else 0.0
+
+    @property
     def sample_ids(self) -> tuple[str, ...]:
+        """Sample ids of the surviving members, in insertion order."""
+
+        if self._dead:
+            return tuple(self._sample_ids[m] for m in self._survivors()[0])
         return tuple(self._sample_ids)
 
     @property
     def class_names(self) -> tuple[str, ...]:
+        if self._dead:
+            return tuple(self._class_names[m] for m in self._survivors()[0])
         return tuple(self._class_names)
 
     def members_for_id(self, sample_id: str) -> frozenset[int]:
         """Member indices registered under ``sample_id`` (may be several)."""
 
-        return frozenset(self._members_by_id.get(sample_id, ()))
+        members = self._members_by_id.get(sample_id, ())
+        if self._dead:
+            dense = self._survivors()[1]
+            return frozenset(int(dense[m]) for m in members)
+        return frozenset(members)
 
     # -------------------------------------------------------------- updates
     def add(self, sample_id: str, digests: Mapping[str, str], *,
@@ -333,12 +377,9 @@ class SimilarityIndex:
         postings (the member simply never matches on that type).
         """
 
-        if not isinstance(sample_id, str) or not sample_id:
-            raise ValidationError("sample_id must be a non-empty string")
         if not isinstance(digests, Mapping):
             raise ValidationError(
                 f"digests must be a mapping, got {type(digests).__name__}")
-        member = len(self._sample_ids)
         # Parse every digest before mutating, so a malformed digest cannot
         # leave a half-added member behind.
         expanded = {ft: expand_digest(digests.get(ft, ""))
@@ -346,9 +387,7 @@ class SimilarityIndex:
         vparsed = {ft: (VectorDigest.parse(digests[ft])
                         if digests.get(ft) else None)
                    for ft in self._vector_types}
-        self._sample_ids.append(sample_id)
-        self._class_names.append(str(class_name))
-        self._members_by_id.setdefault(sample_id, set()).add(member)
+        member = self._append_member(sample_id, class_name)
         for feature_type, pairs in expanded.items():
             for block_size, signature in pairs:
                 self._add_entry(feature_type, member, block_size, signature)
@@ -356,7 +395,7 @@ class SimilarityIndex:
         # digests append a masked zero row) so row index == member index.
         for feature_type, parsed in vparsed.items():
             self._vstores[feature_type].append(parsed)
-        return member
+        return member - len(self._dead)
 
     def add_many(self, samples: Iterable) -> list[int]:
         """Add many members; returns their member indices.
@@ -388,6 +427,43 @@ class SimilarityIndex:
 
         for store in self._stores.values():
             store.merge()
+
+    def remove(self, sample_id: str) -> int:
+        """Tombstone every member registered under ``sample_id``.
+
+        Returns how many members were newly tombstoned (0 when the id is
+        unknown or already removed).  Queries stop seeing them at once;
+        :meth:`compact` reclaims their postings and signatures.
+        """
+
+        members = self._members_by_id.pop(sample_id, None)
+        if not members:
+            return 0
+        self._dead.update(members)
+        self._view = None
+        return len(members)
+
+    def compact(self) -> int:
+        """Physically drop tombstoned members; returns how many.
+
+        Queries are unaffected: member indices are already dense over
+        the survivors, and stay the same.
+        """
+
+        dropped = len(self._dead)
+        if dropped:
+            fresh = self._survivor_copy()
+            self._sample_ids = fresh._sample_ids
+            self._class_names = fresh._class_names
+            self._members_by_id = fresh._members_by_id
+            self._pool = fresh._pool
+            self._stores = fresh._stores
+            self._vstores = fresh._vstores
+            self._dead = set()
+            self._view = None
+            _LOG.info("compacted index: dropped %d tombstoned members, "
+                      "%d survive", dropped, self.n_members)
+        return dropped
 
     # -------------------------------------------------------------- queries
     def top_k(self, digest: str, k: int = 10, *,
@@ -424,13 +500,13 @@ class SimilarityIndex:
             raise ValidationError("k must be >= 1")
         if not 0 <= min_score <= 100:
             raise ValidationError("min_score must be in [0, 100]")
-        if not self._sample_ids:
+        if not self.n_members:
             return []
         # The common serving call has nothing to exclude: reuse one
         # shared frozen set instead of building a fresh set per query.
         excluded: frozenset[int] | set[int] = _NO_EXCLUDED
         for sample_id in exclude_ids:
-            members = self._members_by_id.get(sample_id)
+            members = self.members_for_id(sample_id)
             if members:
                 if excluded is _NO_EXCLUDED:
                     excluded = set()
@@ -450,6 +526,7 @@ class SimilarityIndex:
             for row in matrices.values():
                 np.maximum(best, row[0], out=best)
 
+        alive = self._survivors()[0] if self._dead else None
         order = np.argsort(-best, kind="stable")
         results: list[IndexMatch] = []
         for member in order:
@@ -461,9 +538,10 @@ class SimilarityIndex:
                 if score < min_score:
                     break
                 continue
+            row = member if alive is None else alive[member]
             results.append(IndexMatch(member_index=int(member),
-                                      sample_id=self._sample_ids[member],
-                                      class_name=self._class_names[member],
+                                      sample_id=self._sample_ids[row],
+                                      class_name=self._class_names[row],
                                       score=score))
             if len(results) == k:
                 break
@@ -541,6 +619,8 @@ class SimilarityIndex:
         Candidate pairs from every type are de-duplicated together (a
         score depends only on the signature pair and block size, not the
         type).  ``exclude`` follows :meth:`score_matrix` semantics.
+        Tombstoned members never become candidates; the rest are
+        reported under their dense (surviving) indices.
         """
 
         # Query signatures interned per call (ids shared across types so
@@ -555,6 +635,10 @@ class SimilarityIndex:
         per_type: list[tuple] = []
         n_queries_by_type: dict[str, int] = {}
         vector: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # Physical -> dense member map (-1 for tombstoned members).
+        dense = self._survivors()[1] if self._dead else None
+        if exclude is not None:
+            exclude = self._checked_exclude(exclude)
 
         for feature_type, digests in digests_by_type.items():
             self._check_feature_type(feature_type)
@@ -644,6 +728,11 @@ class SimilarityIndex:
 
             queries = row_query_arr[urows]
             members = store.entry_member[uentries]
+            if dense is not None:
+                members = dense[members]
+                keep = members >= 0
+                urows, uentries = urows[keep], uentries[keep]
+                queries, members = queries[keep], members[keep]
             if exclude is not None:
                 keep = self._exclusion_mask(exclude, queries, members)
                 if keep is not None:
@@ -721,18 +810,19 @@ class SimilarityIndex:
                               vector=vector)
 
     def _vector_candidates(self, feature_type: str, digests: Sequence[str],
-                           exclude: Sequence[Iterable[int]] | None
+                           exclude: list[np.ndarray] | None
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """Eager packed-Hamming scoring for one vector feature type.
 
         Returns ``(query_index, member_index, score)`` arrays of every
-        pair scoring >= 1 (mirroring the CTPH path, which only emits
-        candidate pairs), or ``None`` when nothing scores.
+        surviving pair scoring >= 1 (mirroring the CTPH path, which only
+        emits candidate pairs), or ``None`` when nothing scores.
         """
 
         store = self._vstores[feature_type]
         if not len(store):
             return None
+        dense = self._survivors()[1] if self._dead else None
         q_parts: list[np.ndarray] = []
         m_parts: list[np.ndarray] = []
         s_parts: list[np.ndarray] = []
@@ -741,11 +831,16 @@ class SimilarityIndex:
                 continue
             scores = store.scores(digest)
             members = np.flatnonzero(scores >= 1)
+            hits = scores[members].astype(np.float64)
+            if dense is not None:
+                members = dense[members]
+                keep = members >= 0
+                members, hits = members[keep], hits[keep]
             if not members.size:
                 continue
             q_parts.append(np.full(members.size, query_index, dtype=np.int64))
             m_parts.append(members.astype(np.int64))
-            s_parts.append(scores[members].astype(np.float64))
+            s_parts.append(hits)
         if not q_parts:
             return None
         queries = np.concatenate(q_parts)
@@ -760,28 +855,39 @@ class SimilarityIndex:
             return None
         return queries.astype(np.int32), members.astype(np.int32), scores
 
-    def _exclusion_mask(self, exclude: Sequence[Iterable[int]],
+    def _checked_exclude(self, exclude: Sequence[Iterable[int]]
+                         ) -> list[np.ndarray]:
+        """``exclude`` as int64 arrays, each index checked in range."""
+
+        n_members = self.n_members
+        checked = []
+        for per_query in exclude:
+            members = np.fromiter(map(int, per_query), dtype=np.int64)
+            bad = members[(members < 0) | (members >= n_members)]
+            if bad.size:
+                raise ValidationError(
+                    f"exclude references member #{int(bad[0])} but only "
+                    f"{n_members} survive")
+            checked.append(members)
+        return checked
+
+    def _exclusion_mask(self, exclude: list[np.ndarray],
                         queries: np.ndarray, members: np.ndarray
                         ) -> np.ndarray | None:
         """Boolean keep-mask for candidate pairs, or ``None`` for all."""
 
-        n_members = self.n_members
         if len(exclude) == 1:
-            dropped = np.fromiter(
-                (m for m in map(int, exclude[0]) if 0 <= m < n_members),
-                dtype=np.int64)
-            if not dropped.size:
+            if not exclude[0].size:
                 return None
-            return ~np.isin(members, dropped)
-        codes = []
-        for query_index, per_query in enumerate(exclude):
-            for m in map(int, per_query):
-                if 0 <= m < n_members:
-                    codes.append(query_index * n_members + m)
+            return ~np.isin(members, exclude[0])
+        n_members = np.int64(self.n_members)
+        codes = [query_index * n_members + per_query
+                 for query_index, per_query in enumerate(exclude)
+                 if per_query.size]
         if not codes:
             return None
-        pair_codes = queries * np.int64(n_members) + members
-        return ~np.isin(pair_codes, np.asarray(codes, dtype=np.int64))
+        pair_codes = queries * n_members + members
+        return ~np.isin(pair_codes, np.concatenate(codes))
 
     def pairwise_matrix(self, feature_type: str | None = None, *,
                         max_pairs: int | None = None,
@@ -807,13 +913,20 @@ class SimilarityIndex:
         else:
             types = self._feature_types
 
+        # Candidates and scoring work on physical members; tombstoned
+        # ones are filtered out and the survivors renumbered at the end
+        # (the renumbering is monotonic, so the pair order is the same).
+        dense = self._survivors()[1] if self._dead else None
         candidates: set[tuple[int, int]] = set()
         for ft in types:
             if ft in self._vstores:
                 # The vector family has no candidate gate: any two
                 # members carrying a digest are comparable (the
                 # max_pairs budget below is what bounds the sweep).
-                present = np.flatnonzero(self._vstores[ft].present)
+                present = self._vstores[ft].present
+                if dense is not None:
+                    present = present & (dense >= 0)
+                present = np.flatnonzero(present)
                 if present.size >= 2:
                     candidates.update(combinations(present.tolist(), 2))
                 continue
@@ -823,6 +936,8 @@ class SimilarityIndex:
                 if len(entry_ids) < 2:
                     continue
                 members = np.unique(entry_member[entry_ids])
+                if dense is not None:
+                    members = members[dense[members] >= 0]
                 if members.size >= 2:
                     candidates.update(combinations(members.tolist(), 2))
         pairs = sorted(candidates)
@@ -853,7 +968,7 @@ class SimilarityIndex:
                 scores[~(present[rows_i] & present[rows_j])] = 0.0
                 np.maximum(best, scores, out=best)
                 continue
-            sig_by_member = self.member_signatures(ft)
+            sig_by_member = self._member_signatures(ft)
             left: list[str] = []
             right: list[str] = []
             block_sizes: list[int] = []
@@ -886,31 +1001,16 @@ class SimilarityIndex:
                 if slot_scores[slot] > best[pair_idx]:
                     best[pair_idx] = slot_scores[slot]
 
+        if dense is not None:
+            pairs = [(int(dense[i]), int(dense[j])) for i, j in pairs]
         return [PairScore(i=i, j=j, score=int(score))
                 for (i, j), score in zip(pairs, best) if score >= min_score]
 
-    # ----------------------------------------------------- shard interface
-    # The methods below expose just enough of the internal structure for
-    # a ShardedSimilarityIndex to merge posting buckets, redistribute
-    # members between shards and compact tombstones away — without
-    # reaching into privates or round-tripping through lossy digests
-    # (the original digest string is not recoverable from normalised
-    # signatures).
-
-    def posting_members(self, feature_type: str
-                        ) -> dict[tuple[int, str], tuple[int, ...]]:
-        """``(block_size, gram)`` bucket -> sorted unique member indices."""
-
-        self._check_feature_type(feature_type)
-        if feature_type in self._vstores:
-            return {}          # the vector family has no posting buckets
-        store = self._stores[feature_type]
-        entry_member = store.entry_member
-        buckets: dict[tuple[int, str], tuple[int, ...]] = {}
-        for block_size, gram, entry_ids in store.iter_buckets():
-            buckets[(block_size, gram)] = tuple(
-                np.unique(entry_member[entry_ids]).tolist())
-        return buckets
+    # ------------------------------------------------------ entry transfer
+    # Members move between indexes as already-expanded entries, never
+    # round-tripping through lossy digests (the original digest string
+    # is not recoverable from normalised signatures): the legacy
+    # sharded-layout reader rebuilds one index from its shards this way.
 
     def member_signatures(self, feature_type: str
                           ) -> dict[int, dict[int, str]]:
@@ -918,11 +1018,21 @@ class SimilarityIndex:
 
         Vector types use a synthetic block size of 0 and the canonical
         digest string as the "signature", which round-trips exactly
-        through :meth:`append_entries` (shard redistribution and
-        compaction move vector digests the same way as CTPH entries).
+        through :meth:`append_entries`.
         """
 
         self._check_feature_type(feature_type)
+        signatures = self._member_signatures(feature_type)
+        if not self._dead:
+            return signatures
+        dense = self._survivors()[1]
+        return {int(dense[member]): sigs
+                for member, sigs in signatures.items() if dense[member] >= 0}
+
+    def _member_signatures(self, feature_type: str
+                           ) -> dict[int, dict[int, str]]:
+        """:meth:`member_signatures` keyed by physical member."""
+
         if feature_type in self._vstores:
             vstore = self._vstores[feature_type]
             return {member: {0: vstore.digest_string(member)}
@@ -943,17 +1053,12 @@ class SimilarityIndex:
         entries; returns its member index.
 
         The entry-level counterpart of :meth:`add` for callers that hold
-        index contents rather than digests — shard redistribution and
-        compaction.  Signatures are trusted to be already run-length
-        normalised (they came out of an index).
+        index contents rather than digests (see
+        :meth:`member_signatures`).  Signatures are trusted to be
+        already run-length normalised (they came out of an index).
         """
 
-        if not isinstance(sample_id, str) or not sample_id:
-            raise ValidationError("sample_id must be a non-empty string")
-        member = len(self._sample_ids)
-        self._sample_ids.append(sample_id)
-        self._class_names.append(str(class_name))
-        self._members_by_id.setdefault(sample_id, set()).add(member)
+        member = self._append_member(sample_id, class_name)
         for feature_type in self._ctph_types:
             for block_size, signature in entries_by_type.get(feature_type, ()):
                 self._add_entry(feature_type, member, int(block_size),
@@ -963,51 +1068,16 @@ class SimilarityIndex:
             for _block_size, signature in entries_by_type.get(feature_type, ()):
                 digest = VectorDigest.parse(str(signature))
             self._vstores[feature_type].append(digest)
-        return member
-
-    def subset(self, keep: Sequence[int]) -> "SimilarityIndex":
-        """A new index holding only ``keep`` members, renumbered 0..n-1.
-
-        ``keep`` must be strictly increasing member indices; relative
-        order (and therefore every tie-break) is preserved.  This is the
-        compaction primitive: dropping tombstoned members from a shard
-        is ``shard.subset(survivors)``.
-        """
-
-        keep = [int(m) for m in keep]
-        if any(b <= a for a, b in zip(keep, keep[1:])):
-            raise ValidationError("subset members must be strictly increasing")
-        if keep and not (0 <= keep[0] and keep[-1] < self.n_members):
-            raise ValidationError(
-                f"subset members must be in [0, {self.n_members}), "
-                f"got {keep[0]}..{keep[-1]}")
-        remap = {old: new for new, old in enumerate(keep)}
-        result = SimilarityIndex(self._feature_types,
-                                 ngram_length=self._ngram_length)
-        for old in keep:
-            member = result.n_members
-            result._sample_ids.append(self._sample_ids[old])
-            result._class_names.append(self._class_names[old])
-            result._members_by_id.setdefault(
-                self._sample_ids[old], set()).add(member)
-        pool = self._pool
-        for feature_type in self._ctph_types:
-            store = self._stores[feature_type]
-            for member, block, sig_id in zip(store.entry_member.tolist(),
-                                             store.entry_block.tolist(),
-                                             store.entry_sig.tolist()):
-                new_member = remap.get(member)
-                if new_member is not None:
-                    result._add_entry(feature_type, new_member, block,
-                                      pool[sig_id])
-        for feature_type in self._vector_types:
-            result._vstores[feature_type] = \
-                self._vstores[feature_type].subset(keep)
-        return result
+        return member - len(self._dead)
 
     # ---------------------------------------------------------------- stats
     def stats(self) -> dict:
-        """Summary counters (members, entries, postings, block sizes)."""
+        """Summary counters (members, entries, postings, block sizes).
+
+        ``members``, ``classes`` and ``labelled_members`` count the
+        survivors; entries, postings and byte sizes count what is
+        resident, tombstoned members included until :meth:`compact`.
+        """
 
         per_type = {}
         n_entries = 0
@@ -1035,7 +1105,7 @@ class SimilarityIndex:
             }
             vector_bytes += vstore.nbytes
         arrays_bytes += vector_bytes
-        labelled = [name for name in self._class_names if name]
+        labelled = [name for name in self.class_names if name]
         # Serialised size estimate, mirroring the columnar container
         # layout (entry columns + CSR postings + interned signature
         # pool) without materialising the arrays the way get_state would.
@@ -1045,6 +1115,8 @@ class SimilarityIndex:
                      + sum(len(c) for c in self._class_names))
         return {
             "members": self.n_members,
+            "total_members": self.total_members,
+            "tombstones": self.n_tombstones,
             "classes": len(set(labelled)),
             "labelled_members": len(labelled),
             "ngram_length": self._ngram_length,
@@ -1073,8 +1145,12 @@ class SimilarityIndex:
         :meth:`from_state` restores it.  Since index format version 2
         the snapshot carries the columnar postings verbatim, so loading
         adopts the arrays directly instead of re-hashing every gram.
+        The snapshot holds the survivors only (a compacted copy when the
+        index has tombstones), so the format carries no tombstones.
         """
 
+        if self._dead:
+            return self._survivor_copy().get_state()
         pool_bytes, pool_offsets = self._pool.packed()
         header = {
             "ngram_length": self._ngram_length,
@@ -1103,10 +1179,7 @@ class SimilarityIndex:
 
         header, arrays = self.get_state()
         path = write_container(path, header, arrays)
-        _LOG.info("saved index (%d members, %d entries) to %s",
-                  self.n_members,
-                  sum(store.n_entries for store in self._stores.values()),
-                  path)
+        _LOG.info("saved index (%d members) to %s", self.n_members, path)
         return path
 
     @classmethod
@@ -1149,9 +1222,17 @@ class SimilarityIndex:
         entry by entry.  ``copy=False`` adopts the arrays as views
         (zero-copy; the caller guarantees nothing else mutates them) and
         ``deep_validate=False`` skips the O(payload) content scans — the
-        mapped-load fast path.
+        mapped-load fast path.  A legacy sharded snapshot (header
+        ``"sharded": true``) is rebuilt as one index over its survivors
+        (:mod:`repro.index.legacy`).
         """
 
+        if isinstance(header, Mapping) and header.get("sharded"):
+            from .legacy import index_from_sharded_state
+
+            return index_from_sharded_state(header, arrays, source=source,
+                                            copy=copy,
+                                            deep_validate=deep_validate)
         try:
             ngram_length = int(header["ngram_length"])
             feature_types = [str(ft) for ft in header["feature_types"]]
@@ -1344,6 +1425,56 @@ class SimilarityIndex:
                             int(entry_block[i]), signature)
 
     # ------------------------------------------------------------ internals
+    def _append_member(self, sample_id: str, class_name: str) -> int:
+        """Register a new physical member; returns its physical index."""
+
+        if not isinstance(sample_id, str) or not sample_id:
+            raise ValidationError("sample_id must be a non-empty string")
+        member = len(self._sample_ids)
+        self._sample_ids.append(sample_id)
+        self._class_names.append(str(class_name))
+        self._members_by_id.setdefault(sample_id, set()).add(member)
+        self._view = None
+        return member
+
+    def _survivors(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(alive, dense)``: surviving physical members in insertion
+        order, and the physical -> dense map (-1 for tombstoned ones)."""
+
+        view = self._view
+        if view is None:
+            dense = np.zeros(len(self._sample_ids), dtype=np.int64)
+            dense[list(self._dead)] = -1
+            alive = np.flatnonzero(dense == 0)
+            dense[alive] = np.arange(alive.size)
+            view = self._view = (alive, dense)
+        return view
+
+    def _survivor_copy(self) -> "SimilarityIndex":
+        """A new index over the surviving members, in insertion order."""
+
+        alive = self._survivors()[0].tolist()
+        remap = {old: new for new, old in enumerate(alive)}
+        result = SimilarityIndex(self._feature_types,
+                                 ngram_length=self._ngram_length)
+        for old in alive:
+            result._append_member(self._sample_ids[old],
+                                  self._class_names[old])
+        pool = self._pool
+        for feature_type in self._ctph_types:
+            store = self._stores[feature_type]
+            for member, block, sig_id in zip(store.entry_member.tolist(),
+                                             store.entry_block.tolist(),
+                                             store.entry_sig.tolist()):
+                new_member = remap.get(member)
+                if new_member is not None:
+                    result._add_entry(feature_type, new_member, block,
+                                      pool[sig_id])
+        for feature_type in self._vector_types:
+            result._vstores[feature_type] = \
+                self._vstores[feature_type].subset(alive)
+        return result
+
     def _add_entry(self, feature_type: str, member: int, block_size: int,
                    signature: str) -> None:
         sig_id = self._pool.intern(signature)
@@ -1365,6 +1496,22 @@ class SimilarityIndex:
             raise ValidationError(
                 f"unknown feature type {feature_type!r}; this index holds "
                 f"{list(self._feature_types)}")
+
+
+def load_index(path: str | os.PathLike, *,
+               mmap_mode: str | None = None) -> SimilarityIndex:
+    """Load an index file, or a legacy sharded-index directory.
+
+    A directory is read by :func:`repro.index.legacy.load_sharded_directory`
+    into one index over its survivors; a file loads through
+    :meth:`SimilarityIndex.load` (``mmap_mode="r"`` maps it zero-copy).
+    """
+
+    if Path(path).is_dir():
+        from .legacy import load_sharded_directory
+
+        return load_sharded_directory(path, mmap_mode=mmap_mode)
+    return SimilarityIndex.load(path, mmap_mode=mmap_mode)
 
 
 @lru_cache(maxsize=16384)

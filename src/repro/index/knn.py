@@ -8,8 +8,8 @@ Two layers live here:
   ``(n, words)`` matrix so a query is answered by one vectorised
   ``XOR`` + popcount sweep.  :class:`~repro.index.core.SimilarityIndex`
   embeds one store per ``vector-*`` feature type, which is how the
-  vector family rides the existing sharding, persistence, ingestion and
-  hot-reload machinery.
+  vector family rides the existing tombstones, persistence, ingestion
+  and hot-reload machinery.
 * :class:`VectorKNNIndex` — a standalone index over one digest per
   member, mirroring the :class:`~repro.index.core.SimilarityIndex`
   contract (``add`` / ``remove`` tombstones / ``compact`` / ``top_k`` /

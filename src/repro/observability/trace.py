@@ -26,10 +26,10 @@ call per instrumented stage, no allocation, no clock read.
 (``queue_wait``, ``batch_assembly``, ``extract_features``,
 ``candidate_gen``, ``dp_scoring``, ``forest_predict``,
 ``worker_dispatch``, ``ingest_apply``, ``wal_fsync``, ``serialize``,
-``decision_log``, ``parse``); *detail* spans carrying a ``shard=`` or
-``worker=`` label attribute the same time at finer grain (per index
-shard, per scoring-worker pid) and are therefore excluded from the
-per-trace ``stages`` rollup so the rollup still sums to ≈ wall time.
+``decision_log``, ``parse``); *detail* spans carrying a ``worker=``
+label attribute the same time at finer grain (per scoring-worker pid)
+and are therefore excluded from the per-trace ``stages`` rollup so the
+rollup still sums to ≈ wall time.
 
 **Process boundaries.**  ``perf_counter`` readings are not comparable
 across processes, so a scoring worker records spans against its own
@@ -79,7 +79,7 @@ REQUEST_ID_HEADER = "X-Request-Id"
 
 #: Meta keys that mark a span as attribution *detail* (a finer-grained
 #: view of time already covered by a top-level stage span).
-DETAIL_META_KEYS = frozenset({"shard", "worker"})
+DETAIL_META_KEYS = frozenset({"worker"})
 
 #: Default ring sizes for ``GET /debug/trace``.
 DEFAULT_RING_SIZE = 128
@@ -180,7 +180,7 @@ def span(name: str, **meta):
 
     ``with span("dp_scoring"):`` at a call site costs one contextvar
     read when tracing is off.  Keyword arguments become span meta;
-    ``shard=``/``worker=`` mark the span as attribution detail.
+    ``worker=`` marks the span as attribution detail.
     """
 
     sink = _SINK.get()
@@ -303,7 +303,7 @@ class Tracer:
     metrics:
         Optional :class:`~repro.serving.metrics.MetricsRegistry`; when
         given, finished traces feed a ``stage_latency_seconds``
-        histogram family labeled ``(stage, shard, worker)`` plus
+        histogram family labeled ``(stage, worker)`` plus
         ``traces_sampled_total`` / ``slow_requests_total`` counters.
     sample_rate:
         Fraction of requests traced, in ``[0, 1]``.  ``0`` disables
@@ -338,7 +338,7 @@ class Tracer:
         if metrics is not None:
             self._stage_hist = metrics.histogram(
                 "stage_latency_seconds",
-                labels=("stage", "shard", "worker"))
+                labels=("stage", "worker"))
             self._sampled = metrics.counter("traces_sampled_total")
             self._slow_counter = metrics.counter("slow_requests_total")
 
@@ -372,7 +372,6 @@ class Tracer:
                 meta = item.meta or {}
                 self._stage_hist.labels(
                     stage=item.name,
-                    shard=str(meta.get("shard", "")),
                     worker=str(meta.get("worker", "")),
                 ).observe(item.duration)
         if self._sampled is not None:

@@ -1,12 +1,10 @@
 """Parallel execution helpers.
 
 HPC-style throughput matters in several places of the pipeline:
-fuzzy-hash feature extraction over thousands of executables, fitting
-the many trees / grid-search candidates of the Random Forest, and
-fanning similarity queries out across the shards of a
-:class:`~repro.index.sharded.ShardedSimilarityIndex`.  All are
-embarrassingly parallel, so a small, dependency-free execution layer is
-enough:
+fuzzy-hash feature extraction over thousands of executables, and
+fitting the many trees / grid-search candidates of the Random Forest.
+Both are embarrassingly parallel, so a small, dependency-free execution
+layer is enough:
 
 * :mod:`repro.parallel.backend` — the pluggable
   :class:`~repro.parallel.backend.ExecutionBackend` abstraction

@@ -1,8 +1,8 @@
 """Pluggable execution backends.
 
-Every fan-out in the library — feature extraction over a corpus, shard
-queries of the :class:`~repro.index.sharded.ShardedSimilarityIndex`,
-batched classification — runs through one :class:`ExecutionBackend`:
+Every fan-out in the library — feature extraction over a corpus,
+forest fitting, batched classification — runs through one
+:class:`ExecutionBackend`:
 
 * :class:`SerialBackend` — in-process, zero overhead (the default
   everywhere; library users only pay for parallelism they asked for);
@@ -20,8 +20,8 @@ explicit ``:N`` is honoured as requested.
 
 Pools are created lazily on first :meth:`ExecutionBackend.map` and kept
 alive until :meth:`ExecutionBackend.close` (backends are context
-managers), so a long-lived owner — e.g. a sharded index answering many
-queries — pays pool start-up once, not per call.
+managers), so a long-lived owner — e.g. a classification service
+extracting many batches — pays pool start-up once, not per call.
 
 When a process pool cannot be created or dies (``OSError`` /
 ``RuntimeError``), :class:`ProcessBackend` falls back to serial

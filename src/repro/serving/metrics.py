@@ -214,7 +214,7 @@ class Histogram:
 class InstrumentFamily:
     """One named metric with labels: lazily-created child instruments.
 
-    ``family.labels(stage="dp_scoring", shard="2")`` returns the child
+    ``family.labels(stage="dp_scoring", worker="4242")`` returns the child
     for that label-value tuple, creating it on first use.  Label names
     are fixed at registration; a missing label defaults to ``""``
     (rendered as an absent label in Prometheus exposition) and unknown

@@ -23,7 +23,7 @@ and therefore one response — can never mix generations.
 
 With ``mutable=True`` the manager additionally owns **online corpus
 mutation**: :meth:`ingest_items` / :meth:`purge` / :meth:`compact`
-mutate the live service's sharded anchor index, and :meth:`publish`
+mutate the live service's anchor index, and :meth:`publish`
 re-exports the grown corpus as an atomic artifact.  Mutations run under
 the predict lock, so they are serialised against model passes *and*
 against hot-reload swaps (the swap takes the predict lock too) — a
@@ -101,9 +101,6 @@ class ModelManager:
     mutable:
         Enable online corpus mutation on every loaded service
         (:meth:`ClassificationService.enable_mutation`).
-    n_shards:
-        Shard count used when a loaded artifact carries a single
-        (non-sharded) index that mutable mode must convert.
     score_workers:
         Fork this many scoring worker processes
         (:class:`~repro.serving.workers.ScoringWorkerPool`) and
@@ -131,14 +128,13 @@ class ModelManager:
 
     def __init__(self, model_path: str | os.PathLike, *,
                  poll_interval: float = DEFAULT_POLL_INTERVAL,
-                 metrics=None, mutable: bool = False, n_shards: int = 4,
+                 metrics=None, mutable: bool = False,
                  score_workers: int = 0,
                  wal_dir: str | os.PathLike | None = None,
                  wal_repair: bool = False, **load_kwargs) -> None:
         self.model_path = Path(model_path)
         self.poll_interval = float(poll_interval)
         self.mutable = bool(mutable)
-        self.n_shards = int(n_shards)
         self.score_workers = int(score_workers)
         if self.score_workers < 0:
             raise ServingError(
@@ -306,7 +302,7 @@ class ModelManager:
         service = ClassificationService.load(self.model_path,
                                              **self._load_kwargs)
         if self.mutable:
-            service.enable_mutation(n_shards=self.n_shards)
+            service.enable_mutation()
         return service
 
     def _load_converged(self, signature: tuple[int, int, int]
@@ -492,9 +488,15 @@ class ModelManager:
 
     def corpus_info(self) -> dict:
         """Live corpus statistics (see
-        :meth:`ClassificationService.corpus_info`)."""
+        :meth:`ClassificationService.corpus_info`).
 
-        return self.service.corpus_info()
+        Read under the predict lock, like every mutation: the anchor
+        index is not internally synchronised, and a read racing a
+        compaction could otherwise see it half swapped.
+        """
+
+        with self._predict_lock:
+            return self.service.corpus_info()
 
     def durability_info(self) -> dict | None:
         """WAL state for ``/healthz``, or ``None`` without a WAL."""
@@ -671,4 +673,4 @@ class ModelManager:
             return
         info = self.corpus_info()
         self._members_gauge.set(info["members"])
-        self._tombstones_gauge.set(info.get("tombstones", 0))
+        self._tombstones_gauge.set(info["tombstones"])

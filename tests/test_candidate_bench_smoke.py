@@ -2,16 +2,14 @@
 
 Runs ``benchmarks/bench_candidate_gen.py`` at a small scale so a
 regression that breaks the array-postings/legacy result identity fails
-the default test run.  The speedup floors are vectorisation (not
-fan-out), so they hold on a single core — but shared CI machines are
-noisy and the quick corpus is small, so tier 1 only asserts a
-conservative floor on machines with at least two CPUs; the full ≥3x
-candidate-generation / ≥1.5x top_k acceptance floors are the
-benchmark's own defaults (``pytest -m slow`` opts in).
+the default test run.  Tier 1 asserts no timing: the quick corpus times
+a few milliseconds, which a loaded machine cannot measure reliably.
+The ≥3x candidate-generation / ≥1.5x top_k floors are the benchmark's
+own defaults, checked by its CI step and by the ``slow`` test
+(``pytest -m slow`` opts in).
 """
 
 import importlib.util
-import os
 import sys
 from pathlib import Path
 
@@ -19,8 +17,6 @@ import pytest
 
 _BENCH_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / \
     "bench_candidate_gen.py"
-
-_MULTICORE = (os.cpu_count() or 1) >= 2
 
 
 @pytest.fixture(scope="module")
@@ -37,11 +33,6 @@ def test_quick_benchmark_results_are_bit_identical(bench):
     result = bench.run(500, 6)
     assert result.results_match, \
         "array-postings results diverged from the legacy reference"
-    if _MULTICORE:
-        # The full benchmark demonstrates >=3x; the smoke floor is kept
-        # conservative so a loaded CI machine cannot flake it.
-        assert result.collect_speedup >= 1.2, \
-            f"candidate generation only {result.collect_speedup:.1f}x faster"
 
 
 def test_benchmark_cli_quick_mode(bench, capsys, tmp_path, monkeypatch):

@@ -11,8 +11,8 @@ randomly generated corpora:
 * the raw candidate pair sets match;
 * dense ``score_matrix`` outputs and ``top_k`` rankings match;
 * the equivalence survives save/load round trips (the columnar v2
-  container), and — on the sharded index — removals, ``compact()`` and
-  directory round trips.
+  container), and a legacy sharded directory with tombstones loads as
+  an index matching the reference over its survivors.
 """
 
 import tempfile
@@ -24,9 +24,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.hashing.ssdeep import fuzzy_hash
-from repro.index import ShardedSimilarityIndex, SimilarityIndex
+from repro.index import SimilarityIndex, load_index
 from repro.index.core import expand_digest, score_signature_pairs, \
     signature_grams
+
+from legacy_fixtures import LEGACY_DIR, directory_survivors, expected
 
 FT = "ssdeep-file"
 
@@ -156,37 +158,16 @@ def test_equivalence_survives_save_load(blobs, rnd):
             index.top_k(query, len(members), min_score=0)
 
 
-@_settings
-@given(_blobs, _seeds, st.integers(min_value=1, max_value=4),
-       st.booleans(), st.booleans())
-def test_sharded_matches_reference_after_removals(blobs, rnd, n_shards,
-                                                  do_compact, round_trip):
-    members = _corpus_from_blobs(blobs, rnd)
-    sharded = ShardedSimilarityIndex([FT], n_shards=n_shards,
-                                     executor="serial")
-    sharded.add_many(members)
-    removed = {sample_id for sample_id, _, _ in members
-               if rnd.random() < 0.3}
-    for sample_id in removed:
-        sharded.remove(sample_id)
-    if do_compact:
-        sharded.compact()
-    if round_trip:
-        with tempfile.TemporaryDirectory() as tmp:
-            sharded.save(Path(tmp) / "sharded")
-            sharded = ShardedSimilarityIndex.load(Path(tmp) / "sharded")
+def test_sharded_matches_reference_after_removals():
+    """A legacy sharded directory with tombstones loads as an index whose
+    candidate layer matches the reference over its survivors."""
 
-    survivors = [m for m in members if m[0] not in removed]
+    legacy = load_index(LEGACY_DIR)
     reference = ReferenceCandidateIndex()
-    for _, digests, _ in survivors:
+    for _, digests, _ in directory_survivors():
         reference.add(digests[FT])
-    queries = _queries_for(members, rnd)
-
-    assert np.array_equal(sharded.score_matrix(FT, queries),
+    queries = [query[FT] for query in expected()["directory"]["queries"]]
+    assert _new_candidate_pairs(legacy, queries) == \
+        reference.candidate_pairs(queries)
+    assert np.array_equal(legacy.score_matrix(FT, queries),
                           reference.score_matrix(queries))
-    # Rankings against a plain rebuilt index over the survivors.
-    flat = SimilarityIndex([FT])
-    flat.add_many(survivors)
-    for query in queries:
-        assert sharded.top_k(query, max(len(survivors), 1), min_score=0) == \
-            flat.top_k(query, max(len(survivors), 1), min_score=0)

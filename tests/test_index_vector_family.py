@@ -1,12 +1,12 @@
 """Two-family similarity index tests.
 
-A ``SimilarityIndex`` (and its sharded counterpart) can carry CTPH
-``ssdeep-*`` and vector ``vector-*`` feature types side by side.  These
-tests pin down:
+A ``SimilarityIndex`` can carry CTPH ``ssdeep-*`` and vector
+``vector-*`` feature types side by side.  These tests pin down:
 
 * routing — each family's queries only see its own stores;
-* single vs sharded bit-identity with mixed families, through
-  tombstones, compaction and save/load;
+* tombstones and compaction cover the vector stores, and a legacy
+  mixed-family sharded directory loads bit-identically to a single
+  index over its survivors;
 * persistence — a mixed-family index round-trips through the ``.rpsi``
   container, and stats report the per-family breakdown.
 """
@@ -19,7 +19,10 @@ import pytest
 from repro.exceptions import IndexFormatError
 from repro.hashing.ssdeep import fuzzy_hash
 from repro.hashing.vector import vector_hash
-from repro.index import ShardedSimilarityIndex, SimilarityIndex, load_index
+from repro.index import SimilarityIndex, load_index
+
+from legacy_fixtures import (LEGACY_DIR, directory_survivors, expected,
+                             fresh_directory_index)
 
 TYPES = ("ssdeep-file", "vector-file")
 
@@ -64,34 +67,33 @@ def test_mixed_family_top_k_routes_by_feature_type():
 
 
 def test_single_and_sharded_mixed_family_bit_identical():
-    members = _make_members(11, 30)
-    single = SimilarityIndex(TYPES)
-    for sample_id, digests, class_name in members:
-        single.add(sample_id, digests, class_name=class_name)
-    single.seal()
-    sharded = ShardedSimilarityIndex(TYPES, n_shards=4, executor="serial")
-    sharded.add_many(members)
-    sharded.seal()
+    """A legacy mixed-family sharded directory answers like a single
+    index built from its survivors, on both families."""
 
+    members = directory_survivors()
+    single = fresh_directory_index()
+    legacy = load_index(LEGACY_DIR)
     single_m = _matrices(single, members)
-    sharded_m = _matrices(sharded, members)
+    legacy_m = _matrices(legacy, members)
     for ft in TYPES:
-        assert np.array_equal(single_m[ft], sharded_m[ft])
+        assert np.array_equal(single_m[ft], legacy_m[ft])
     for _, digests, _ in members[:6]:
         for ft in TYPES:
             assert single.top_k(digests[ft], 8, feature_type=ft,
                                 min_score=0) == \
-                sharded.top_k(digests[ft], 8, feature_type=ft, min_score=0)
+                legacy.top_k(digests[ft], 8, feature_type=ft, min_score=0)
 
 
 def test_sharded_tombstones_and_compact_cover_vector_stores():
+    """Tombstones hide vector rows like CTPH entries — in a single index
+    before and after ``compact()``, and in a legacy sharded directory."""
+
     members = _make_members(23, 20)
-    sharded = ShardedSimilarityIndex(TYPES, n_shards=3, executor="serial")
-    sharded.add_many(members)
+    index = SimilarityIndex(TYPES)
+    index.add_many(members)
     removed = {members[2][0], members[9][0], members[15][0]}
     for sid in removed:
-        sharded.remove(sid)
-    sharded.compact()
+        index.remove(sid)
 
     survivors = [m for m in members if m[0] not in removed]
     fresh = SimilarityIndex(TYPES)
@@ -99,10 +101,21 @@ def test_sharded_tombstones_and_compact_cover_vector_stores():
         fresh.add(sample_id, digests, class_name=class_name)
     fresh.seal()
 
-    fresh_m = _matrices(fresh, survivors)
-    sharded_m = _matrices(sharded, survivors)
-    for ft in TYPES:
-        assert np.array_equal(fresh_m[ft], sharded_m[ft])
+    fresh_m = _matrices(fresh, members)
+    for ft, matrix in _matrices(index, members).items():
+        assert np.array_equal(fresh_m[ft], matrix)
+    assert index.compact() == len(removed)
+    for ft, matrix in _matrices(index, members).items():
+        assert np.array_equal(fresh_m[ft], matrix)
+
+    legacy = load_index(LEGACY_DIR)
+    gone = {"m011", "m017"}
+    for sid, digests, _ in expected()["directory"]["members"]:
+        if sid in gone:
+            hits = legacy.top_k(digests["vector-file"], 30,
+                                feature_type="vector-file", min_score=0)
+            assert len(hits) == legacy.n_members
+            assert gone.isdisjoint(hit.sample_id for hit in hits)
 
 
 def test_mixed_family_save_load_round_trip(tmp_path):
@@ -121,15 +134,6 @@ def test_mixed_family_save_load_round_trip(tmp_path):
     original_m = _matrices(index, members)
     for ft in TYPES:
         assert np.array_equal(loaded_m[ft], original_m[ft])
-
-    sharded_dir = tmp_path / "mixed-shards"
-    sharded = ShardedSimilarityIndex.from_index(index, n_shards=3,
-                                                executor="serial")
-    sharded.save(sharded_dir)
-    reloaded = load_index(sharded_dir)
-    reloaded_m = _matrices(reloaded, members)
-    for ft in TYPES:
-        assert np.array_equal(reloaded_m[ft], original_m[ft])
 
 
 def test_stats_families_breakdown():

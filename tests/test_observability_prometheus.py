@@ -28,9 +28,9 @@ def make_registry() -> MetricsRegistry:
         hist.observe(value)
     family = registry.histogram("stage_latency_seconds",
                                 buckets=(0.01, 0.1),
-                                labels=("stage", "shard"))
+                                labels=("stage", "worker"))
     family.labels(stage="dp_scoring").observe(0.02)
-    family.labels(stage="dp_scoring", shard="1").observe(0.005)
+    family.labels(stage="dp_scoring", worker="1").observe(0.005)
     return registry
 
 
@@ -67,10 +67,10 @@ def test_histogram_renders_cumulative_buckets_sum_and_count():
 
 def test_labeled_family_renders_one_series_per_child():
     text = render_prometheus(make_registry())
-    # Empty-valued labels (shard unset) are dropped from the line.
+    # Empty-valued labels (worker unset) are dropped from the line.
     assert ('stage_latency_seconds_bucket{stage="dp_scoring",le="+Inf"} 1'
             in text)
-    assert ('stage_latency_seconds_bucket{stage="dp_scoring",shard="1",'
+    assert ('stage_latency_seconds_bucket{stage="dp_scoring",worker="1",'
             'le="+Inf"} 1' in text)
     families = parse_prometheus(text)
     series_keys = {tuple(sorted((k, v) for k, v in labels.items()
@@ -78,7 +78,7 @@ def test_labeled_family_renders_one_series_per_child():
                    for name, labels, _ in
                    families["stage_latency_seconds"]["samples"]}
     assert (("stage", "dp_scoring"),) in series_keys
-    assert (("shard", "1"), ("stage", "dp_scoring")) in series_keys
+    assert (("stage", "dp_scoring"), ("worker", "1")) in series_keys
 
 
 def test_label_values_are_escaped_and_round_trip():

@@ -43,7 +43,7 @@ def test_span_without_sink_is_the_shared_noop_singleton():
     # No allocation on the unsampled path: the exact same object every
     # time, and entering it records nothing anywhere.
     assert span("dp_scoring") is NOOP_SPAN
-    assert span("dp_scoring", shard=3) is NOOP_SPAN
+    assert span("dp_scoring", worker=3) is NOOP_SPAN
     with span("dp_scoring"):
         pass
 
@@ -55,7 +55,7 @@ def test_span_records_into_the_active_sink():
         assert current_sink() is collector
         with span("candidate_gen"):
             pass
-        with span("dp_scoring", shard=2):
+        with span("dp_scoring", batch_items=2):
             pass
     finally:
         deactivate(token)
@@ -64,7 +64,7 @@ def test_span_records_into_the_active_sink():
     assert names == ["candidate_gen", "dp_scoring"]
     assert all(s.duration >= 0.0 for s in collector.spans)
     assert collector.spans[0].meta is None
-    assert collector.spans[1].meta == {"shard": 2}
+    assert collector.spans[1].meta == {"batch_items": 2}
 
 
 def test_span_records_even_when_the_stage_raises():
@@ -94,10 +94,9 @@ def test_deactivate_restores_the_previous_sink():
 
 
 # ---------------------------------------------------------- detail spans
-def test_shard_and_worker_meta_mark_detail_spans():
+def test_worker_meta_marks_detail_spans():
     assert not Span("dp_scoring", 0.0, 1.0).is_detail
     assert not Span("dp_scoring", 0.0, 1.0, {"batch_items": 4}).is_detail
-    assert Span("dp_scoring", 0.0, 1.0, {"shard": 0}).is_detail
     assert Span("candidate_gen", 0.0, 1.0, {"worker": 123}).is_detail
 
 
@@ -105,8 +104,8 @@ def test_stage_totals_exclude_detail_and_sum_repeats():
     trace = RequestTrace("abcd", "classify")
     trace.add("candidate_gen", 0.0, 0.5)
     trace.add("candidate_gen", 0.5, 0.25)          # same stage twice
-    trace.add("candidate_gen", 0.0, 0.4, {"shard": 0})   # detail: excluded
-    trace.add("candidate_gen", 0.4, 0.35, {"shard": 1})  # detail: excluded
+    trace.add("candidate_gen", 0.0, 0.4, {"worker": 11})   # detail: excluded
+    trace.add("candidate_gen", 0.4, 0.35, {"worker": 12})  # detail: excluded
     trace.add("forest_predict", 0.75, 0.1)
     totals = trace.stage_totals()
     assert totals == {"candidate_gen": pytest.approx(0.75),
@@ -116,7 +115,7 @@ def test_stage_totals_exclude_detail_and_sum_repeats():
 def test_trace_as_dict_shape():
     trace = RequestTrace("feedbeef", "ingest")
     trace.add("wal_fsync", trace.start, 0.002)
-    trace.add("dp_scoring", trace.start, 0.001, {"shard": 1})
+    trace.add("dp_scoring", trace.start, 0.001, {"worker": 1})
     trace.wall = 0.004
     trace.items = 3
     trace.status = 200
@@ -129,7 +128,7 @@ def test_trace_as_dict_shape():
     assert payload["stages"] == {"wal_fsync": pytest.approx(2.0)}
     assert len(payload["spans"]) == 2
     detail = payload["spans"][1]
-    assert detail["shard"] == 1                    # meta merged into span
+    assert detail["worker"] == 1                   # meta merged into span
     assert detail["ms"] == pytest.approx(1.0)
     json.dumps(payload)                            # JSON-serialisable
 
@@ -140,7 +139,7 @@ def test_shipped_spans_rebase_onto_the_parent_clock():
     worker_side = SpanCollector()
     worker_side.add("candidate_gen", worker_side.start + 0.01, 0.5)
     worker_side.add("dp_scoring", worker_side.start + 0.51, 0.25,
-                    {"shard": 2})
+                    {"batch_items": 2})
     shipped = worker_side.shipped()
     assert shipped[0][1] == pytest.approx(0.01)    # offset, not absolute
 
@@ -155,7 +154,7 @@ def test_shipped_spans_rebase_onto_the_parent_clock():
     first, second = parent.spans
     assert first.start == pytest.approx(base + 0.01)
     assert first.meta == {"worker": 42}
-    assert second.meta == {"shard": 2, "worker": 42}
+    assert second.meta == {"batch_items": 2, "worker": 42}
     # worker= marks them all as detail: they attribute time inside the
     # parent's worker_dispatch stage instead of double-counting it.
     assert parent.stage_totals() == {}
@@ -201,17 +200,14 @@ def test_tracer_feeds_stage_histogram_with_attribution_labels():
     tracer = Tracer(registry, slow_request_ms=0)
     trace = tracer.begin("0123", "classify")
     trace.add("dp_scoring", trace.start, 0.01)
-    trace.add("dp_scoring", trace.start, 0.004, {"shard": 1})
     trace.add("candidate_gen", trace.start, 0.002, {"worker": 77})
     tracer.finish(trace, items=2, status=200)
 
     family = registry.histogram("stage_latency_seconds",
-                                labels=("stage", "shard", "worker"))
+                                labels=("stage", "worker"))
     top = family.labels(stage="dp_scoring")
-    shard = family.labels(stage="dp_scoring", shard="1")
     worker = family.labels(stage="candidate_gen", worker="77")
     assert top.state()["count"] == 1
-    assert shard.state()["count"] == 1
     assert worker.state()["count"] == 1
     assert registry.counter("traces_sampled_total").value == 1
     assert registry.counter("slow_requests_total").value == 0

@@ -56,7 +56,7 @@ def both_server(family_records, tmp_path):
         family_records, feature_types=("ssdeep-file",), family="both",
         n_estimators=10, random_state=1, confidence_threshold=0.1,
     ).save(live)
-    manager = ModelManager(live, poll_interval=0, mutable=True, n_shards=3,
+    manager = ModelManager(live, poll_interval=0, mutable=True,
                            cache_size=64)
     server = ClassificationServer(
         manager, ServerConfig(port=0, workers=2, enable_ingest=True)).start()

@@ -107,16 +107,12 @@ def mutable_service(trained_records):
     service = ClassificationService.train(
         trained_records, feature_types=["ssdeep-file"], n_estimators=10,
         random_state=1, confidence_threshold=0.1, cache_size=64)
-    service.enable_mutation(n_shards=3)
+    service.enable_mutation()
     return service
 
 
-def test_enable_mutation_converts_to_sharded_and_is_idempotent(
-        mutable_service):
-    from repro.index import ShardedSimilarityIndex
-
+def test_enable_mutation_keeps_the_index_and_is_idempotent(mutable_service):
     index = mutable_service.similarity_index
-    assert isinstance(index, ShardedSimilarityIndex)
     mutable_service.enable_mutation()            # idempotent
     assert mutable_service.similarity_index is index
 
@@ -188,20 +184,29 @@ def test_purge_guards_last_anchor_of_a_class(mutable_service,
     info = mutable_service.corpus_info()
     assert info["classes"]["fam0"] == 1
     assert info["tombstones"] == len(fam0) - 1
+    assert info["total_members"] == info["members"] + len(fam0) - 1
+    assert info["tombstone_ratio"] == (len(fam0) - 1) / info["total_members"]
+    # The corpus sequence counts tombstoned members until compaction.
+    reports = mutable_service.ingest_bytes([("online-1", b"\x05" * 2048,
+                                             "fam0")])
+    assert reports[0]["sequence"] == info["total_members"]
     # Compaction drops them physically; queries already ignored them.
     assert mutable_service.compact() == len(fam0) - 1
     assert mutable_service.corpus_info()["tombstones"] == 0
+    reports = mutable_service.ingest_bytes([("online-2", b"\x06" * 2048,
+                                             "fam0")])
+    assert reports[0]["sequence"] == info["members"] + 1
 
 
 def test_refresh_from_index_rejects_class_set_changes(trained_records):
-    from repro.index import ShardedSimilarityIndex
+    from repro.index import SimilarityIndex
 
     service = ClassificationService.train(
         trained_records, feature_types=["ssdeep-file"], n_estimators=5,
         random_state=1)
     service.enable_mutation()
     builder = service.classifier.builder_
-    rogue = ShardedSimilarityIndex(["ssdeep-file"], n_shards=2)
+    rogue = SimilarityIndex(["ssdeep-file"])
     rogue.add_many([(r.sample_id, r.digests, "mystery-class")
                     for r in trained_records[:5]])
     with pytest.raises(ValidationError, match="class set"):
@@ -217,7 +222,7 @@ def mutable_manager(trained_records, tmp_path):
         random_state=1, confidence_threshold=0.1).save(live)
     registry = MetricsRegistry()
     manager = ModelManager(live, poll_interval=0, metrics=registry,
-                           mutable=True, n_shards=3, cache_size=64)
+                           mutable=True, cache_size=64)
     return manager, registry, live
 
 
@@ -267,6 +272,24 @@ def test_manager_publish_to_side_path_keeps_watching(mutable_manager,
     assert ClassificationService.load(side).similarity_index.n_members == 31
 
 
+def test_purged_id_stays_gone_after_publish_and_cold_reload(
+        mutable_manager, trained_records):
+    manager, _, live = mutable_manager
+    manager.ingest_items([("online-1", b"\x06" * 2048, "fam0")])
+    victim = trained_records[0].sample_id
+    assert manager.purge(victim) == (1, 1)
+    assert manager.corpus_info()["tombstones"] == 1
+    manager.publish()
+    cold = ClassificationService.load(live)
+    index = cold.similarity_index
+    assert index.n_tombstones == 0
+    assert index.members_for_id(victim) == frozenset()
+    assert index.sample_ids == manager.service.similarity_index.sample_ids
+    assert cold.corpus_info()["tombstones"] == 0
+    probe = [("probe", b"\x06" * 2048)]
+    assert cold.classify_bytes(probe) == manager.classify_items(probe)[0]
+
+
 # ------------------------------------------------------------ HTTP server
 @pytest.fixture()
 def ingest_server(trained_records, tmp_path):
@@ -274,7 +297,7 @@ def ingest_server(trained_records, tmp_path):
     ClassificationService.train(
         trained_records, feature_types=["ssdeep-file"], n_estimators=10,
         random_state=1, confidence_threshold=0.1).save(live)
-    manager = ModelManager(live, poll_interval=0, mutable=True, n_shards=3,
+    manager = ModelManager(live, poll_interval=0, mutable=True,
                            cache_size=64)
     server = ClassificationServer(
         manager, ServerConfig(port=0, workers=2, enable_ingest=True)).start()

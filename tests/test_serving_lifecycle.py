@@ -53,7 +53,6 @@ def make_manager(trained_records, tmp_path, **kwargs):
         random_state=1, confidence_threshold=0.1).save(live)
     kwargs.setdefault("poll_interval", 0)
     kwargs.setdefault("mutable", True)
-    kwargs.setdefault("n_shards", 3)
     kwargs.setdefault("cache_size", 64)
     return ModelManager(live, **kwargs), live
 

@@ -216,7 +216,7 @@ def test_ingest_wal_mode_traces_fsync_and_acks_request_id(model_artifact,
     wal_dir = tmp_path / "wal"
     config = ServerConfig(port=0, workers=2, enable_ingest=True)
     server = make_server(model_artifact, tmp_path, config=config,
-                         mutable=True, n_shards=3, wal_dir=wal_dir)
+                         mutable=True, wal_dir=wal_dir)
     try:
         alien = b"\x7fALIEN" + bytes((11 * k) % 241
                                      for k in range(4096)) * 4
@@ -272,7 +272,7 @@ def test_healthz_schema_ingest_wal_mode(model_artifact, tmp_path):
                           trace_sample=0.5, slow_request_ms=250.0,
                           enable_profiling=True)
     server = make_server(model_artifact, tmp_path, config=config,
-                         mutable=True, n_shards=3, wal_dir=tmp_path / "wal")
+                         mutable=True, wal_dir=tmp_path / "wal")
     try:
         status, _, health = request_json(server.port, "GET", "/healthz")
     finally:
@@ -280,6 +280,9 @@ def test_healthz_schema_ingest_wal_mode(model_artifact, tmp_path):
     assert status == 200
     assert health["ingest_enabled"] is True
     assert isinstance(health["corpus"]["members"], int)
+    assert health["corpus"]["total_members"] == health["corpus"]["members"]
+    assert health["corpus"]["tombstones"] == 0
+    assert health["corpus"]["tombstone_ratio"] == 0.0
     assert isinstance(health["durability"], dict)
     check_tracing_block(health["tracing"])
     assert health["tracing"] == {"enabled": True, "sample_rate": 0.5,
@@ -314,7 +317,7 @@ def test_metrics_prometheus_exposition_parses(model_artifact, tmp_path):
     assert status_json == 200
     assert snapshot["http_requests_total"] >= 1
     assert snapshot["stage_latency_seconds"]["labels"] == \
-        ["stage", "shard", "worker"]
+        ["stage", "worker"]
     assert status_bad == 400
 
 

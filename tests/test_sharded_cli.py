@@ -1,16 +1,19 @@
-"""Tests for the sharded-index and streaming CLI surface:
-``index build --shards``, ``index stats --json``, ``index compact``,
-``index merge`` (both directions), ``classify --jsonl`` and the global
-``--jobs``/``--executor`` options."""
+"""Tests for the index CLI on legacy sharded directories, the streaming
+``classify --jsonl`` path and the global ``--jobs``/``--executor``
+options.
+
+``index query`` and ``index stats`` read a legacy sharded directory as
+one index over its survivors; ``index merge OLD.rpsd -o NEW.rpsi`` is
+the one-line migration to a single file."""
 
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.features.records import SampleFeatures, features_to_json
-from repro.index import ShardedSimilarityIndex, SimilarityIndex
+from repro.index import SimilarityIndex
 
+from legacy_fixtures import LEGACY_DIR, assert_answers_as_recorded, expected
 from test_index_core import make_corpus
 
 FT = "ssdeep-file"
@@ -21,55 +24,27 @@ def corpus():
     return make_corpus(30, seed=13)
 
 
-@pytest.fixture(scope="module")
-def features_json(tmp_path_factory, corpus):
-    records = [SampleFeatures(sample_id=sid, class_name=cls, version="1",
-                              executable=sid, digests=digests)
-               for sid, digests, cls in corpus]
-    path = tmp_path_factory.mktemp("feat") / "features.json"
-    path.write_text(features_to_json(records), encoding="utf-8")
-    return str(path)
-
-
-@pytest.fixture(scope="module")
-def sharded_dir(tmp_path_factory, features_json):
-    out = tmp_path_factory.mktemp("idx") / "corpus.rpsd"
-    assert main(["index", "build", features_json, "-o", str(out),
-                 "--types", FT, "--shards", "3"]) == 0
-    return str(out)
-
-
 def test_parser_lists_new_subcommands_and_flags():
-    text = build_parser().format_help()
+    parser = build_parser()
+    text = parser.format_help()
     assert "--jobs" in text and "--executor" in text
-    index_help = build_parser().parse_known_args(["index", "build", "x",
-                                                  "-o", "y"])[0]
-    assert hasattr(index_help, "shards")
+    args = parser.parse_args(["index", "merge", "x", "-o", "y"])
+    assert (args.index_command, args.source, args.output) == \
+        ("merge", "x", "y")
+    with pytest.raises(SystemExit):
+        parser.parse_args(["index", "compact", "x"])
+    for argv in (["index", "build", "x", "-o", "y", "--shards", "2"],
+                 ["serve", "--model", "m.rpm", "--ingest-shards", "2"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
 
 
-def test_index_build_shards_creates_directory(sharded_dir, corpus):
-    loaded = ShardedSimilarityIndex.load(sharded_dir)
-    assert loaded.n_shards == 3
-    assert loaded.n_members == len(corpus)
-
-
-def test_index_stats_human_readable_on_sharded(sharded_dir, capsys):
-    assert main(["index", "stats", sharded_dir]) == 0
+def test_index_stats_human_readable_on_sharded(capsys):
+    assert main(["index", "stats", str(LEGACY_DIR)]) == 0
     out = capsys.readouterr().out
-    assert "shards: 3" in out
-    assert "fnv32" in out
-    assert "shard    0" in out
-
-
-def test_index_stats_json_per_shard_breakdown(sharded_dir, corpus, capsys):
-    assert main(["index", "stats", sharded_dir, "--json"]) == 0
-    stats = json.loads(capsys.readouterr().out)
-    assert stats["n_shards"] == 3
-    assert stats["members"] == len(corpus)
-    assert len(stats["shards"]) == 3
-    for shard in stats["shards"]:
-        assert {"members", "postings", "tombstones",
-                "estimated_bytes"} <= set(shard)
+    survivors = len(expected()["directory"]["survivor_ids"])
+    assert out.startswith(f"members: {survivors} ")
+    assert "ssdeep-file" in out and "vector-file" in out
 
 
 def test_index_stats_json_on_single_file(tmp_path, corpus, capsys):
@@ -79,67 +54,35 @@ def test_index_stats_json_on_single_file(tmp_path, corpus, capsys):
     assert main(["index", "stats", str(path), "--json"]) == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["members"] == len(corpus)
+    assert stats["tombstones"] == 0
     assert "shards" not in stats
 
 
-def test_index_query_works_on_sharded_directory(sharded_dir, corpus, capsys):
-    digest = corpus[4][1][FT]
-    assert main(["index", "query", sharded_dir, digest, "--digest",
-                 "-k", "5"]) == 0
+def test_index_query_works_on_sharded_directory(capsys):
+    member = expected()["directory"]["members"][4]
+    assert main(["index", "query", str(LEGACY_DIR), member[1][FT],
+                 "--digest", "-k", "5"]) == 0
     out = capsys.readouterr().out
-    assert "s0004" in out and "100" in out
+    assert member[0] in out and "100" in out
 
 
-def test_index_merge_sharded_to_single_and_back(sharded_dir, corpus,
-                                                tmp_path, capsys):
+def test_index_merge_sharded_to_single_and_back(tmp_path, capsys):
+    """``index merge`` rewrites a sharded directory as one file, which
+    loads back answering exactly as the sharded code recorded."""
+
     single_path = tmp_path / "merged.rpsi"
-    assert main(["index", "merge", sharded_dir, "-o",
+    assert main(["index", "merge", str(LEGACY_DIR), "-o",
                  str(single_path)]) == 0
-    assert "merged 30 members" in capsys.readouterr().out
-    merged = SimilarityIndex.load(single_path)
-    assert merged.n_members == len(corpus)
-
-    back = tmp_path / "back.rpsd"
-    assert main(["index", "merge", str(single_path), "-o", str(back),
-                 "--shards", "2"]) == 0
-    assert "across 2 shards" in capsys.readouterr().out
-    resharded = ShardedSimilarityIndex.load(back)
-    digest = corpus[7][1][FT]
-    assert resharded.top_k(digest, 5, min_score=0) == \
-        merged.top_k(digest, 5, min_score=0)
+    survivors = len(expected()["directory"]["survivor_ids"])
+    assert f"merged {survivors} members" in capsys.readouterr().out
+    for mmap_mode in (None, "r"):
+        assert_answers_as_recorded(
+            SimilarityIndex.load(single_path, mmap_mode=mmap_mode))
 
 
-def test_index_compact_reclaims_tombstones(tmp_path, corpus, capsys):
-    index = ShardedSimilarityIndex([FT], n_shards=2)
-    index.add_many(corpus)
-    index.remove(corpus[0][0])
-    path = index.save(tmp_path / "idx.rpsd")
-    assert main(["index", "compact", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "dropped 1 tombstoned" in out
-    assert ShardedSimilarityIndex.load(path).n_tombstones == 0
-
-
-def test_index_compact_rejects_single_file(tmp_path, corpus, capsys):
-    single = SimilarityIndex([FT])
-    single.add_many(corpus)
-    path = single.save(tmp_path / "single.rpsi")
-    assert main(["index", "compact", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err and "Traceback" not in err
-
-
-def test_index_build_sharded_with_executor_spec(tmp_path, features_json):
-    out = tmp_path / "threaded.rpsd"
-    assert main(["--executor", "thread:2", "index", "build", features_json,
-                 "-o", str(out), "--types", FT, "--shards", "2"]) == 0
-    assert ShardedSimilarityIndex.load(out).n_shards == 2
-
-
-def test_bad_executor_spec_exits_two(features_json, tmp_path, capsys):
-    code = main(["--executor", "warp:9", "index", "build", features_json,
-                 "-o", str(tmp_path / "x.rpsd"), "--types", FT,
-                 "--shards", "2"])
+def test_bad_executor_spec_exits_two(tiny_tree, tmp_path, capsys):
+    code = main(["--executor", "warp:9", "index", "build", tiny_tree,
+                 "-o", str(tmp_path / "x.rpsi")])
     captured = capsys.readouterr()
     assert code == 2
     assert "error:" in captured.err
