@@ -2,8 +2,9 @@
 
 The similarity feature matrix is the computational core of the method:
 millions of digest pairs at paper scale.  These benchmarks compare the
-batched NumPy edit-distance engine against the scalar reference and
-measure the end-to-end matrix construction on the benchmark corpus.
+bit-parallel scoring kernel (``indel_distance``) against the weighted
+Damerau DP it must agree with, and measure the end-to-end matrix
+construction on the benchmark corpus.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import random
 
 import pytest
 
-from repro.distance.batch import BatchEditDistance
 from repro.distance.damerau import weighted_edit_distance
+from repro.distance.scoring import indel_distance
 from repro.features.similarity import SimilarityFeatureBuilder
 
 _ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdef012345+/"
@@ -33,11 +34,10 @@ def _signature_pairs(n_pairs: int, seed: int = 0) -> tuple[list[str], list[str]]
 
 
 @pytest.mark.benchmark(group="micro-similarity")
-def test_batched_edit_distance_5000_pairs(benchmark):
+def test_indel_distance_5000_pairs(benchmark):
     left, right = _signature_pairs(5000)
-    engine = BatchEditDistance(substitute_cost=3, transpose_cost=5)
-    distances = benchmark(lambda: engine.distances_two_lists(left, right))
-    assert distances.shape == (5000,)
+    distances = benchmark(lambda: list(map(indel_distance, left, right)))
+    assert len(distances) == 5000
 
 
 @pytest.mark.benchmark(group="micro-similarity")
@@ -52,14 +52,13 @@ def test_scalar_edit_distance_200_pairs(benchmark):
 
 
 @pytest.mark.benchmark(group="micro-similarity")
-def test_batched_matches_scalar_throughput_sanity():
+def test_indel_matches_scalar_throughput_sanity():
     """Correctness guard for the two timed paths above (same answers)."""
 
     left, right = _signature_pairs(300, seed=2)
-    engine = BatchEditDistance(substitute_cost=3, transpose_cost=5)
-    batched = engine.distances_two_lists(left, right)
+    indel = list(map(indel_distance, left, right))
     scalar = [weighted_edit_distance(a, b) for a, b in zip(left, right)]
-    assert batched.tolist() == scalar
+    assert indel == scalar
 
 
 @pytest.mark.benchmark(group="micro-similarity")

@@ -10,7 +10,7 @@ The library classifies HPC application executables into application
 classes (or "unknown") by comparing SSDeep fuzzy hashes of the raw
 binary, its embedded strings and its global symbols with a Random
 Forest trained on similarity scores.  All substrates — the SSDeep/CTPH
-implementation, the Damerau–Levenshtein engine, a minimal ELF toolkit
+implementation, the edit-distance scoring kernel, a minimal ELF toolkit
 (``strings``/``nm``/``strip`` equivalents), the synthetic sciCORE-like
 corpus and the Random-Forest / metrics / model-selection stack — are
 implemented in this package; the only runtime dependency is NumPy.

@@ -20,9 +20,10 @@ Classification is batched end to end: feature extraction fans out over
 a pluggable execution backend (``executor=`` spec, see
 :mod:`repro.parallel.backend`; plain ``n_jobs`` process counts still
 work), and each batch runs the anchor index's candidate generation plus
-the vectorised :class:`~repro.distance.batch.BatchEditDistance` scoring
-once, followed by a single forest pass (labels and confidences come from
-the same probability matrix).  ``classify_stream`` applies the same
+its edit-distance scoring
+(:func:`~repro.distance.scoring.indel_distance`) once, followed by a
+single forest pass (labels and confidences come from the same
+probability matrix).  ``classify_stream`` applies the same
 micro-batching to an iterable of arbitrary length while yielding
 decisions in input order.
 

@@ -5,33 +5,30 @@ two digest strings (the paper uses the Damerau–Levenshtein distance,
 Eq. 1).  This subpackage provides:
 
 * :mod:`repro.distance.levenshtein` — classic Levenshtein distance
-  (pure-Python reference and a NumPy row-DP implementation),
+  (pure-Python reference),
 * :mod:`repro.distance.damerau` — restricted (optimal string alignment)
-  and unrestricted Damerau–Levenshtein distances,
-* :mod:`repro.distance.batch` — a batched NumPy dynamic-programming
-  engine that evaluates thousands of string pairs at once (the hot path
-  when building the similarity feature matrix),
-* :mod:`repro.distance.scoring` — SSDeep's scaling of the edit distance
-  into a 0–100 similarity score.
+  and unrestricted Damerau–Levenshtein distances, plus SSDeep's
+  cost-weighted variant (the oracle the scoring kernel is tested
+  against),
+* :mod:`repro.distance.scoring` — :func:`indel_distance`, the one
+  kernel every scoring path calls (a bit-parallel LCS equal to SSDeep's
+  weighted distance), and SSDeep's scaling of it into a 0–100
+  similarity score.
 """
 
-from .levenshtein import levenshtein_distance, levenshtein_distance_numpy
+from .levenshtein import levenshtein_distance
 from .damerau import (
     damerau_levenshtein_distance,
     osa_distance,
     weighted_edit_distance,
 )
-from .batch import BatchEditDistance, batch_edit_distances
-from .scoring import scale_edit_distance, ssdeep_score_from_distance
+from .scoring import indel_distance, ssdeep_score_from_distance
 
 __all__ = [
     "levenshtein_distance",
-    "levenshtein_distance_numpy",
     "damerau_levenshtein_distance",
     "osa_distance",
     "weighted_edit_distance",
-    "BatchEditDistance",
-    "batch_edit_distances",
-    "scale_edit_distance",
+    "indel_distance",
     "ssdeep_score_from_distance",
 ]

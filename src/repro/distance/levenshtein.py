@@ -1,21 +1,12 @@
 """Levenshtein (insert/delete/substitute) edit distance.
 
-Two implementations are provided:
-
-* :func:`levenshtein_distance` — a straightforward two-row dynamic
-  program in pure Python.  Used as the reference in tests and for very
-  short strings where NumPy overhead dominates.
-* :func:`levenshtein_distance_numpy` — a row-vectorised NumPy variant.
-  The column dependency introduced by insertions is resolved with the
-  classic ``minimum.accumulate`` trick, so each DP row costs a handful
-  of vector operations instead of a Python loop.
+:func:`levenshtein_distance` is a straightforward two-row dynamic
+program in pure Python, used as a reference in the tests.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = ["levenshtein_distance", "levenshtein_distance_numpy"]
+__all__ = ["levenshtein_distance"]
 
 
 def levenshtein_distance(a: str | bytes, b: str | bytes) -> int:
@@ -46,46 +37,3 @@ def levenshtein_distance(a: str | bytes, b: str | bytes) -> int:
         previous, current = current, previous
     return previous[len(b)]
 
-
-def levenshtein_distance_numpy(a: str | bytes, b: str | bytes) -> int:
-    """NumPy row-DP Levenshtein distance (same result as the reference).
-
-    Each DP row is computed with vectorised operations.  The serial
-    dependency along the row (insertions) is handled by observing that
-    ``row[j] = min(row[j], row[j-1] + 1)`` is equivalent to
-    ``row = minimum.accumulate(row - arange) + arange`` where ``arange``
-    is the column index.
-    """
-
-    if a == b:
-        return 0
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return len(a)
-
-    a_arr = _as_codes(a)
-    b_arr = _as_codes(b)
-    n = b_arr.size
-
-    cols = np.arange(n + 1, dtype=np.int64)
-    previous = cols.copy()
-    for i in range(1, a_arr.size + 1):
-        # Candidate values ignoring the insertion dependency.
-        substitution = previous[:-1] + (b_arr != a_arr[i - 1])
-        deletion = previous[1:] + 1
-        row = np.empty(n + 1, dtype=np.int64)
-        row[0] = i
-        row[1:] = np.minimum(substitution, deletion)
-        # Resolve insertions with a prefix-minimum scan.
-        row = np.minimum.accumulate(row - cols) + cols
-        previous = row
-    return int(previous[-1])
-
-
-def _as_codes(s: str | bytes) -> np.ndarray:
-    """Encode a string or bytes object as an integer code array."""
-
-    if isinstance(s, (bytes, bytearray, memoryview)):
-        return np.frombuffer(bytes(s), dtype=np.uint8).astype(np.int64)
-    return np.array([ord(c) for c in s], dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Scaling of edit distances into SSDeep similarity scores.
+"""Edit distance between SSDeep signatures, scaled into 0–100 scores.
 
 SSDeep reports similarity on a 0–100 scale where 0 means "no similarity"
 and 100 means "the inputs are (structurally) identical" (paper,
@@ -14,10 +14,16 @@ digest chunk strings:
 4. for small block sizes, cap the score so that two very short digests
    cannot spuriously reach a high score.
 
-Both the generic scaling helper and the exact SSDeep formula are
-exposed, because the feature-matrix code wants to run step 1 in a batch
-(:class:`repro.distance.batch.BatchEditDistance`) and apply steps 2–4
-afterwards as vectorised NumPy arithmetic.
+With those costs the weighted distance is the indel distance
+``len1 + len2 - 2 * LCS``: a substitution (3) never beats deleting the
+old character and inserting the new one (1 + 1), and a transposition
+(5) never beats deleting one character and re-inserting it on the
+other side (1 + 1).  :func:`indel_distance` computes step 1 that way,
+with a bit-parallel longest-common-subsequence over Python integers;
+:func:`repro.distance.damerau.weighted_edit_distance` is the DP it must
+agree with (the tests check this property).
+:func:`ssdeep_score_from_distance` applies steps 2–4 to scalars or
+NumPy arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ __all__ = [
     "INCOMPARABLE_EMPTY",
     "INCOMPARABLE_SHORT_SIGNATURE",
     "INCOMPARABLE_REASONS",
-    "scale_edit_distance",
+    "indel_distance",
     "ssdeep_score_from_distance",
 ]
 
@@ -65,21 +71,26 @@ INCOMPARABLE_REASONS = (INCOMPARABLE_BLOCK_SIZE, INCOMPARABLE_EMPTY,
                         INCOMPARABLE_SHORT_SIGNATURE)
 
 
-def scale_edit_distance(distance, len1, len2,
-                        digest_length: int = SPAMSUM_LENGTH):
-    """Rescale raw edit distances by digest length onto ``[0, 100]``.
+def indel_distance(a: str, b: str) -> int:
+    """Insert/delete edit distance ``len(a) + len(b) - 2 * LCS(a, b)``.
 
-    Implements steps 2–3 above without the block-size cap; accepts
-    scalars or NumPy arrays (broadcasting applies).  Returns floats in
-    ``[0, 100]`` where higher means more similar.
+    Equal to SSDeep's weighted edit distance (see the module docstring).
+    Bit ``i`` of each mask marks where ``a[i]`` occurs; the zero bits
+    of ``v`` count the longest common subsequence, one column of the
+    LCS table per character of ``b`` (Allison & Dix 1986; Hyyrö 2004).
+    Python integers have no width limit, so any length takes this path.
     """
 
-    distance = np.asarray(distance, dtype=np.float64)
-    total_len = np.asarray(len1, dtype=np.float64) + np.asarray(len2, dtype=np.float64)
-    total_len = np.where(total_len <= 0, 1.0, total_len)
-    rescaled = distance * digest_length / total_len
-    score = 100.0 - (100.0 * rescaled) / digest_length
-    return np.clip(score, 0.0, 100.0)
+    masks: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        masks[ch] = masks.get(ch, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    v = full
+    for ch in b:
+        u = v & masks.get(ch, 0)
+        v = (v + u) | (v - u)
+    lcs = len(a) - (v & full).bit_count()
+    return len(a) + len(b) - 2 * lcs
 
 
 def ssdeep_score_from_distance(distance, len1, len2, block_size,

@@ -13,7 +13,7 @@ trained on.
   (optionally in parallel worker processes),
 * :mod:`repro.features.similarity` — turn digests into the similarity
   feature matrix (SSDeep scores against per-class anchors), with
-  7-gram candidate pruning and a batched edit-distance engine,
+  7-gram candidate pruning and a bit-parallel edit-distance kernel,
 * :mod:`repro.features.store` — on-disk feature cache.
 """
 

@@ -14,12 +14,12 @@ builds that matrix:
 
 Candidate generation and scoring are delegated to the persistent
 :class:`~repro.index.SimilarityIndex`: ``fit`` indexes the anchors once
-(block-size buckets, 7-gram inverted postings, batched NumPy
-edit-distance scoring) and every ``transform`` reuses that index.  A
-builder can also adopt an index loaded from disk
-(:meth:`SimilarityFeatureBuilder.fit_from_index`), so a restarted
-workflow skips re-indexing its anchors (pair it with a persisted
-feature store to avoid re-hashing the corpus as well).
+(block-size buckets, 7-gram inverted postings, bit-parallel
+edit-distance scoring with :func:`~repro.distance.scoring.indel_distance`)
+and every ``transform`` reuses that index.  A builder can also adopt an
+index loaded from disk (:meth:`SimilarityFeatureBuilder.fit_from_index`),
+so a restarted workflow skips re-indexing its anchors (pair it with a
+persisted feature store to avoid re-hashing the corpus as well).
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ class SimilarityFeatureBuilder:
             exclude = [self.index_.members_for_id(q.sample_id) for q in queries]
 
         # One batched pass over all feature types: candidate pairs are
-        # de-duplicated across types and scored by a single DP sweep.
+        # de-duplicated across types and each is scored once.
         matrices = self.index_.score_matrices(
             {ft: [q.digest(ft) for q in queries] for ft in self.feature_types},
             exclude=exclude)

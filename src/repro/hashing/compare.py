@@ -13,9 +13,11 @@ Two digests are compared exactly as the SSDeep reference does
    not, the score is 0.  This gate is also what makes large-scale
    comparison cheap: almost all cross-application pairs are rejected
    here without computing an edit distance;
-4. the remaining pairs are scored by a cost-weighted
-   Damerau–Levenshtein distance scaled onto 0–100
-   (:mod:`repro.distance.scoring`).
+4. the remaining pairs are scored by SSDeep's cost-weighted edit
+   distance (insert/delete 1, substitute 3, transpose 5), computed as
+   the equal indel distance by
+   :func:`~repro.distance.scoring.indel_distance`, and scaled onto
+   0–100 (:mod:`repro.distance.scoring`).
 
 The module scores single pairs; bulk scoring against many reference
 digests (with the 7-gram gate applied as a candidate index) lives in
@@ -29,13 +31,13 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..distance.damerau import weighted_edit_distance
 from ..distance.scoring import (
     COMPARABLE,
     INCOMPARABLE_BLOCK_SIZE,
     INCOMPARABLE_EMPTY,
     INCOMPARABLE_REASONS,
     INCOMPARABLE_SHORT_SIGNATURE,
+    indel_distance,
     ssdeep_score_from_distance,
 )
 from .rolling import ROLLING_WINDOW
@@ -99,7 +101,7 @@ def score_signatures(s1: str, s2: str, block_size: int,
         return 100
     if require_common_substring and not has_common_substring(s1, s2):
         return 0
-    distance = weighted_edit_distance(s1, s2)
+    distance = indel_distance(s1, s2)
     return int(ssdeep_score_from_distance(distance, len(s1), len(s2), block_size))
 
 

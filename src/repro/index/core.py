@@ -45,9 +45,11 @@ bulk seed path:
    everything else is rejected without an edit distance — note this
    *precondition* means signatures shorter than 7 characters never
    match, even when identical;
-3. surviving pairs are scored with the batched weighted edit distance
-   (insert/delete 1, substitute 3, transpose 5) mapped onto the 0–100
-   SSDeep scale, with identical signatures pinned to 100;
+3. surviving pairs are scored with SSDeep's weighted edit distance
+   (insert/delete 1, substitute 3, transpose 5), computed as the equal
+   indel distance by :func:`~repro.distance.scoring.indel_distance`,
+   and mapped onto the 0–100 SSDeep scale, with identical signatures
+   pinned to 100;
 4. a member's score is the maximum over its comparable signature pairs
    (and over feature types, when more than one is queried).
 """
@@ -64,8 +66,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..distance.batch import BatchEditDistance
-from ..distance.scoring import ssdeep_score_from_distance
+from ..distance.scoring import indel_distance, ssdeep_score_from_distance
 from ..exceptions import IndexFormatError, ValidationError
 from ..hashing.compare import normalize_repeats
 from ..hashing.rolling import ROLLING_WINDOW
@@ -85,10 +86,6 @@ __all__ = ["CandidateBatch", "IndexMatch", "PairScore", "SimilarityIndex",
            "signature_grams"]
 
 _LOG = get_logger("index.core")
-
-#: SSDeep's edit-operation costs, shared by every scoring path.
-_SSDEEP_COSTS = dict(insert_cost=1, delete_cost=1, substitute_cost=3,
-                     transpose_cost=5)
 
 #: Shared singleton for "no members excluded" — hoisted so the serving
 #: hot path (``top_k`` with no exclusions) allocates nothing per call.
@@ -132,9 +129,7 @@ def signature_grams(signature: str, ngram_length: int) -> set[str]:
 
 
 def score_signature_pairs(left: Sequence[str], right: Sequence[str],
-                          block_sizes: Sequence[int], *,
-                          engine: BatchEditDistance | None = None
-                          ) -> np.ndarray:
+                          block_sizes: Sequence[int]) -> np.ndarray:
     """SSDeep scores for same-block-size signature pairs.
 
     The 7-gram common-substring gate is the caller's responsibility;
@@ -146,11 +141,9 @@ def score_signature_pairs(left: Sequence[str], right: Sequence[str],
     n = len(left)
     if not n:
         return np.zeros(0, dtype=np.float64)
-    if engine is None:
-        engine = BatchEditDistance(**_SSDEEP_COSTS)
     # Identical signatures always score 100 (the reference's fast
     # path), even where the small-block-size cap would otherwise
-    # bite — so they never enter the edit-distance DP at all.
+    # bite — so they never reach the edit distance at all.
     scores = np.full(n, 100.0, dtype=np.float64)
     rest = np.flatnonzero(np.fromiter(
         (l != r for l, r in zip(left, right)), dtype=bool, count=n))
@@ -162,7 +155,8 @@ def score_signature_pairs(left: Sequence[str], right: Sequence[str],
         right_lens = np.fromiter(map(len, sub_right), dtype=np.float64,
                                  count=m)
         blocks = np.asarray(block_sizes, dtype=np.float64)[rest]
-        distances = engine.distances_two_lists(sub_left, sub_right)
+        distances = np.fromiter(map(indel_distance, sub_left, sub_right),
+                                dtype=np.int64, count=m)
         scores[rest] = ssdeep_score_from_distance(distances, left_lens,
                                                   right_lens, blocks)
     return scores
@@ -233,8 +227,9 @@ class CandidateBatch:
     ``vector`` carries the second hash family: per ``vector-*`` feature
     type, ``(query_index, member_index, score)`` arrays of *already
     computed* packed-Hamming scores.  Vector scoring is one vectorised
-    sweep per query — far cheaper than the DP — so it happens eagerly at
-    candidate-collection time and the consumer only scatters.
+    sweep per query — far cheaper than the edit distances — so it
+    happens eagerly at candidate-collection time and the consumer only
+    scatters.
     """
 
     left: list[str]
@@ -295,7 +290,6 @@ class SimilarityIndex:
             for ft in self._ctph_types}
         self._vstores: dict[str, PackedDigestStore] = {
             ft: PackedDigestStore() for ft in self._vector_types}
-        self._engine = BatchEditDistance(**_SSDEEP_COSTS)
 
     # ------------------------------------------------------------ properties
     @property
@@ -521,7 +515,7 @@ class SimilarityIndex:
         best = np.zeros(self.n_members, dtype=np.float64)
         if active:
             # One batched pass: candidate pairs shared between feature
-            # types de-duplicate into a single DP sweep.
+            # types de-duplicate before scoring.
             matrices = self.score_matrices(active, exclude=exclude)
             for row in matrices.values():
                 np.maximum(best, row[0], out=best)
@@ -567,8 +561,8 @@ class SimilarityIndex:
 
         Candidate pairs from every type are de-duplicated together (a
         score depends only on the signature pair and block size, not the
-        type) and scored with a single batched edit-distance sweep, so a
-        multi-type transform pays the vectorised DP's fixed costs once.
+        type) and scored once, so a pair that several types share pays
+        one edit distance.
         Returns ``{feature_type: (n_queries, n_members) matrix}``.
         """
 
@@ -581,7 +575,7 @@ class SimilarityIndex:
                     for ft in digests_by_type}
         with span("dp_scoring"):
             if batch.left:
-                pair_scores = self._score_signature_pairs(
+                pair_scores = score_signature_pairs(
                     batch.left, batch.right, batch.block_sizes)
                 _LOG.debug("scored %d unique signature pairs for %d feature "
                            "types", len(batch.left), len(digests_by_type))
@@ -626,7 +620,7 @@ class SimilarityIndex:
         # Query signatures interned per call (ids shared across types so
         # cross-type pair de-duplication stays exact); a "row class" is
         # one distinct (query signature, block size) — the left half of
-        # a DP slot.
+        # a scoring slot.
         local_ids: dict[str, int] = {}
         local_strings: list[str] = []
         class_ids: dict[tuple[int, int], int] = {}
@@ -757,7 +751,7 @@ class SimilarityIndex:
                                   n_queries=n_queries_by_type,
                                   vector=vector)
 
-        # Global slot assignment: a DP slot is one unique (query
+        # Global slot assignment: a scoring slot is one unique (query
         # signature + block, member signature) pair, shared across every
         # feature type.  Both halves are already interned ids, so the
         # dedup is one packed-code pass — through a dense slot map when
@@ -996,7 +990,7 @@ class SimilarityIndex:
                     scatter.append((pair_idx, slot))
             if not scatter:
                 continue
-            slot_scores = self._score_signature_pairs(left, right, block_sizes)
+            slot_scores = score_signature_pairs(left, right, block_sizes)
             for pair_idx, slot in scatter:
                 if slot_scores[slot] > best[pair_idx]:
                     best[pair_idx] = slot_scores[slot]
@@ -1479,17 +1473,6 @@ class SimilarityIndex:
                    signature: str) -> None:
         sig_id = self._pool.intern(signature)
         self._stores[feature_type].add_entry(member, block_size, sig_id)
-
-    def _grams(self, signature: str) -> set[str]:
-        return signature_grams(signature, self._ngram_length)
-
-    def _score_signature_pairs(self, left: Sequence[str], right: Sequence[str],
-                               block_sizes: Sequence[int]) -> np.ndarray:
-        """SSDeep scores for same-block-size signature pairs (gate applied
-        by the caller); see :func:`score_signature_pairs`."""
-
-        return score_signature_pairs(left, right, block_sizes,
-                                     engine=self._engine)
 
     def _check_feature_type(self, feature_type: str) -> None:
         if feature_type not in self._feature_types:

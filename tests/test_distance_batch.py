@@ -1,12 +1,16 @@
-"""Tests for the batched edit-distance engine."""
+"""Tests for scoring lists of signature pairs in one call.
+
+``repro.index.core.score_signature_pairs`` is the index's batch path:
+it maps the kernel (:func:`repro.distance.scoring.indel_distance`) over
+every non-identical pair and scales all distances in one vectorised
+step.  Pair by pair it must agree with the weighted-DP oracle.
+"""
 
 import random
 
-import numpy as np
-import pytest
-
-from repro.distance.batch import BatchEditDistance, batch_edit_distances
-from repro.distance.damerau import osa_distance, weighted_edit_distance
+from repro.distance.damerau import weighted_edit_distance
+from repro.distance.scoring import indel_distance, ssdeep_score_from_distance
+from repro.index.core import score_signature_pairs
 
 
 def _random_pairs(n, seed=0, alphabet="ABCDEFGH+/ab01", max_len=40):
@@ -18,80 +22,53 @@ def _random_pairs(n, seed=0, alphabet="ABCDEFGH+/ab01", max_len=40):
     ]
 
 
-def test_unit_costs_match_osa_reference():
-    pairs = _random_pairs(400, seed=1)
-    result = batch_edit_distances([a for a, _ in pairs], [b for _, b in pairs])
-    expected = [osa_distance(a, b) for a, b in pairs]
-    assert result.tolist() == expected
+def _assert_batch_matches_oracle(left, right, block_sizes):
+    """Distances and scores over the lists equal the oracle's, pair by
+    pair; identical signatures score 100 (the reference's fast path)."""
+
+    expected_distances = [weighted_edit_distance(a, b)
+                          for a, b in zip(left, right)]
+    assert list(map(indel_distance, left, right)) == expected_distances
+    expected_scores = [
+        100 if a == b else ssdeep_score_from_distance(d, len(a), len(b), bs)
+        for a, b, d, bs in zip(left, right, expected_distances, block_sizes)]
+    assert score_signature_pairs(left, right,
+                                 block_sizes).tolist() == expected_scores
 
 
 def test_ssdeep_weights_match_reference():
     pairs = _random_pairs(400, seed=2)
-    engine = BatchEditDistance(substitute_cost=3, transpose_cost=5)
-    result = engine.distances_two_lists([a for a, _ in pairs], [b for _, b in pairs])
-    expected = [weighted_edit_distance(a, b) for a, b in pairs]
-    assert result.tolist() == expected
+    rnd = random.Random(2)
+    # Small block sizes exercise the score cap, large ones the plain scale.
+    blocks = [rnd.choice((3, 6, 48, 3072, 6144)) for _ in pairs]
+    _assert_batch_matches_oracle([a for a, _ in pairs],
+                                 [b for _, b in pairs], blocks)
 
 
 def test_empty_strings_handled():
     left = ["", "abc", "", "xy"]
     right = ["", "", "abcd", "xy"]
-    result = batch_edit_distances(left, right)
-    assert result.tolist() == [0, 3, 4, 0]
+    assert list(map(indel_distance, left, right)) == [0, 3, 4, 0]
+    assert score_signature_pairs(left, right,
+                                 [3] * 4).tolist() == [100, 0, 0, 100]
+    _assert_batch_matches_oracle(left, right, [3] * 4)
 
 
 def test_all_empty_right_side():
-    result = batch_edit_distances(["abc", "de", ""], ["", "", ""])
-    assert result.tolist() == [3, 2, 0]
-
-
-def test_chunking_gives_same_result():
-    pairs = _random_pairs(97, seed=3)
-    left = [a for a, _ in pairs]
-    right = [b for _, b in pairs]
-    small_chunks = BatchEditDistance(chunk_size=8).distances_two_lists(left, right)
-    one_chunk = BatchEditDistance(chunk_size=10_000).distances_two_lists(left, right)
-    assert small_chunks.tolist() == one_chunk.tolist()
-
-
-def test_one_vs_many():
-    engine = BatchEditDistance()
-    refs = ["kitten", "mitten", "sitting", ""]
-    result = engine.one_vs_many("kitten", refs)
-    assert result.tolist() == [0, 1, 3, 6]
-
-
-def test_mismatched_lengths_rejected():
-    engine = BatchEditDistance()
-    with pytest.raises(ValueError):
-        engine.distances_two_lists(["a"], ["a", "b"])
-
-
-def test_invalid_parameters_rejected():
-    with pytest.raises(ValueError):
-        BatchEditDistance(chunk_size=0)
-    with pytest.raises(ValueError):
-        BatchEditDistance(insert_cost=-1)
-
-
-def test_returns_int64_array():
-    result = batch_edit_distances(["abc"], ["abd"])
-    assert isinstance(result, np.ndarray)
-    assert result.dtype == np.int64
+    left = ["abc", "de", ""]
+    right = ["", "", ""]
+    assert list(map(indel_distance, left, right)) == [3, 2, 0]
+    assert score_signature_pairs(left, right, [3] * 3).tolist() == [0, 0, 100]
+    _assert_batch_matches_oracle(left, right, [3] * 3)
 
 
 def test_lone_surrogates_and_astral_codepoints():
-    """The bulk UTF-32 packing path must accept every str Python can
-    hold — astral plane characters and lone surrogates (e.g. from
-    surrogateescape decoding) — and agree with the scalar reference
-    (``osa_distance``, the unit-cost restricted Damerau–Levenshtein the
-    engine's defaults implement)."""
+    """Every str Python can hold — astral plane characters and lone
+    surrogates (e.g. from surrogateescape decoding) — scores like the
+    scalar reference."""
 
     pairs = [("a\ud800b", "ab"), ("\ud800", "\ud801"),
-             ("naïve\U0001F600", "naive\U0001F601"),
+             ("naïve\U0001F600", "naive\U0001F601"),
              ("\ud800" * 3, "")]
-    engine = BatchEditDistance()
-    result = engine.distances_two_lists([a for a, _ in pairs],
-                                        [b for _, b in pairs])
-    expected = [osa_distance(a, b) for a, b in pairs]
-    assert result.tolist() == expected
+    _assert_batch_matches_oracle([a for a, _ in pairs],
+                                 [b for _, b in pairs], [3072] * len(pairs))

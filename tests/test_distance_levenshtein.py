@@ -1,8 +1,8 @@
-"""Tests for the Levenshtein distance implementations."""
+"""Tests for the Levenshtein distance reference."""
 
 import pytest
 
-from repro.distance.levenshtein import levenshtein_distance, levenshtein_distance_numpy
+from repro.distance.levenshtein import levenshtein_distance
 
 
 KNOWN_CASES = [
@@ -24,29 +24,12 @@ def test_reference_known_values(a, b, expected):
     assert levenshtein_distance(a, b) == expected
 
 
-@pytest.mark.parametrize("a, b, expected", KNOWN_CASES)
-def test_numpy_known_values(a, b, expected):
-    assert levenshtein_distance_numpy(a, b) == expected
-
-
 def test_symmetry():
     assert levenshtein_distance("abcdef", "azced") == levenshtein_distance("azced", "abcdef")
 
 
 def test_accepts_bytes():
     assert levenshtein_distance(b"abc", b"abd") == 1
-    assert levenshtein_distance_numpy(b"abc", b"abd") == 1
-
-
-def test_numpy_matches_reference_on_random_strings():
-    import random
-
-    rnd = random.Random(7)
-    alphabet = "ABCDEFab01+/"
-    for _ in range(100):
-        a = "".join(rnd.choices(alphabet, k=rnd.randint(0, 30)))
-        b = "".join(rnd.choices(alphabet, k=rnd.randint(0, 30)))
-        assert levenshtein_distance_numpy(a, b) == levenshtein_distance(a, b)
 
 
 def test_upper_bound_is_length_of_longer_string():

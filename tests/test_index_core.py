@@ -11,24 +11,32 @@ from repro.distance.damerau import weighted_edit_distance
 from repro.distance.scoring import ssdeep_score_from_distance
 from repro.exceptions import DigestFormatError, ValidationError
 from repro.hashing.compare import has_common_substring, normalize_repeats
-from repro.hashing.ssdeep import fuzzy_hash
+from repro.hashing.ssdeep import FuzzyHasher, fuzzy_hash
 from repro.index import SimilarityIndex, expand_digest
 
 
-def make_corpus(n, *, seed=0, n_families=12, feature_type="ssdeep-file"):
+def make_corpus(n, *, seed=0, n_families=12, feature_type="ssdeep-file",
+                base_size=2500, hash_fn=fuzzy_hash):
     """Synthetic digest corpus with family structure (non-trivial top-k)."""
 
     rnd = random.Random(seed)
-    bases = [bytes(rnd.randrange(256) for _ in range(2500))
+    bases = [bytes(rnd.randrange(256) for _ in range(base_size))
              for _ in range(n_families)]
     members = []
     for i in range(n):
         blob = bytearray(bases[i % n_families])
         for _ in range(rnd.randrange(1, 50)):
             blob[rnd.randrange(len(blob))] = rnd.randrange(256)
-        members.append((f"s{i:04d}", {feature_type: fuzzy_hash(bytes(blob))},
+        members.append((f"s{i:04d}", {feature_type: hash_fn(bytes(blob))},
                         f"fam{i % n_families}"))
     return members
+
+
+def adaptive_hash(data):
+    """Size-adaptive digest: inputs of 16 KiB or more get 96- or
+    128-character signatures instead of 64."""
+
+    return str(FuzzyHasher(adaptive=True).hash(data))
 
 
 def brute_force_score(query_digest, member_digest):
@@ -125,22 +133,34 @@ def test_unknown_feature_type_rejected(index300):
 # ------------------------------------------------------------------ queries
 def test_top_k_exact_agreement_with_brute_force(corpus300, index300):
     """Acceptance criterion: top_k must agree exactly with brute-force
-    scoring on a randomized 300-digest corpus."""
+    scoring on a randomized 300-digest corpus, and on an adaptive-mode
+    corpus whose signatures run past 64 characters."""
+
+    adaptive = make_corpus(60, seed=43, n_families=6, base_size=20_000,
+                           hash_fn=adaptive_hash)
+    assert max(len(sig) for _, digests, _ in adaptive
+               for _, sig in expand_digest(digests["ssdeep-file"])) > 64
+    adaptive_index = SimilarityIndex(["ssdeep-file"])
+    adaptive_index.add_many(adaptive)
 
     rnd = random.Random(7)
-    queries = [rnd.choice(corpus300)[1]["ssdeep-file"] for _ in range(12)]
-    queries += [fuzzy_hash(rnd.randbytes(4000)) for _ in range(3)]
-    for query in queries:
-        expected = {}
-        for member, (_, digests, _) in enumerate(corpus300):
-            score = brute_force_score(query, digests["ssdeep-file"])
-            if score >= 1:
-                expected[member] = score
-        got = index300.top_k(query, k=len(corpus300), min_score=1)
-        assert {m.member_index: m.score for m in got} == expected
-        # Ordering: descending score, ties by ascending member index.
-        keys = [(-m.score, m.member_index) for m in got]
-        assert keys == sorted(keys)
+    for corpus, index, hash_fn, n_queries in (
+            (corpus300, index300, fuzzy_hash, 12),
+            (adaptive, adaptive_index, adaptive_hash, 6)):
+        queries = [rnd.choice(corpus)[1]["ssdeep-file"]
+                   for _ in range(n_queries)]
+        queries += [hash_fn(rnd.randbytes(4000)) for _ in range(3)]
+        for query in queries:
+            expected = {}
+            for member, (_, digests, _) in enumerate(corpus):
+                score = brute_force_score(query, digests["ssdeep-file"])
+                if score >= 1:
+                    expected[member] = score
+            got = index.top_k(query, k=len(corpus), min_score=1)
+            assert {m.member_index: m.score for m in got} == expected
+            # Ordering: descending score, ties by ascending member index.
+            keys = [(-m.score, m.member_index) for m in got]
+            assert keys == sorted(keys)
 
 
 def test_top_k_respects_k_min_score_and_exclusions(corpus300, index300):

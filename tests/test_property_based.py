@@ -1,9 +1,11 @@
 """Property-based tests (hypothesis) for the core data structures.
 
 These pin down the invariants the rest of the pipeline silently relies
-on: metric properties of the edit distances, agreement between scalar
-and vectorised implementations, digest well-formedness, similarity
-score symmetry/boundedness, and ELF round-tripping.
+on: metric properties of the edit distances, digest well-formedness,
+similarity score symmetry/boundedness, and ELF round-tripping.  The
+per-pair oracle property of the scoring kernel lives in
+``test_distance_scoring.py``; the properties here check the kernel
+through the index's batch path, ``score_signature_pairs``.
 """
 
 import numpy as np
@@ -15,24 +17,25 @@ from repro.binfmt.reader import ElfReader
 from repro.binfmt.strings_extract import extract_strings
 from repro.binfmt.structs import SymbolSpec
 from repro.binfmt.writer import build_executable
-from repro.distance.batch import batch_edit_distances
 from repro.distance.damerau import damerau_levenshtein_distance, osa_distance, \
     weighted_edit_distance
-from repro.distance.levenshtein import levenshtein_distance, levenshtein_distance_numpy
+from repro.distance.levenshtein import levenshtein_distance
+from repro.distance.scoring import indel_distance, ssdeep_score_from_distance
 from repro.hashing.b64 import B64_ALPHABET
 from repro.hashing.compare import compare_digests, normalize_repeats
 from repro.hashing.rolling import RollingHash, rolling_hash_values
 from repro.hashing.ssdeep import SsdeepDigest, fuzzy_hash
+from repro.index.core import score_signature_pairs
 from repro.ml.class_weight import compute_sample_weight
 from repro.ml.metrics import accuracy_score, f1_score, precision_recall_fscore_support
 
 # A compact alphabet keeps the edit-distance search space interesting.
 _short_text = st.text(alphabet="ABCab01+/", max_size=24)
 _blobs = st.binary(min_size=0, max_size=4096)
-# Full-range unicode (including astral code points past int16) and raw
-# bytes; both are valid BatchEditDistance inputs.
+# Full-range unicode, astral code points included.
 _any_text = st.text(max_size=16)
-_any_bytes = st.binary(max_size=16)
+# Small block sizes bring in the score cap, large ones the plain scale.
+_block_sizes = st.sampled_from((3, 6, 48, 3072))
 
 _default_settings = settings(max_examples=60, deadline=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -52,61 +55,61 @@ def test_edit_distances_are_metrics(a, b):
 
 
 @_default_settings
+@given(_short_text, _short_text, _short_text)
+def test_levenshtein_triangle_inequality(a, b, c):
+    assert levenshtein_distance(a, c) <= \
+        levenshtein_distance(a, b) + levenshtein_distance(b, c)
+
+
+def _dp_score(a, b, block_size):
+    """One pair's score from the weighted-DP oracle; identical
+    signatures score 100 (the reference's fast path)."""
+
+    if a == b:
+        return 100
+    return ssdeep_score_from_distance(weighted_edit_distance(a, b),
+                                      len(a), len(b), block_size)
+
+
+@_default_settings
 @given(_short_text, _short_text)
 def test_vectorised_distances_agree_with_reference(a, b):
-    assert levenshtein_distance_numpy(a, b) == levenshtein_distance(a, b)
-    assert batch_edit_distances([a], [b])[0] == osa_distance(a, b)
-    assert batch_edit_distances([a], [b], substitute_cost=3, transpose_cost=5)[0] == \
-        weighted_edit_distance(a, b)
+    assert indel_distance(a, b) == weighted_edit_distance(a, b)
+    blocks = [3, 3072]
+    assert score_signature_pairs([a, a], [b, b], blocks).tolist() == \
+        [_dp_score(a, b, bs) for bs in blocks]
 
 
 @_default_settings
-@given(st.lists(st.tuples(_any_text, _any_text), max_size=10))
+@given(st.lists(st.tuples(_any_text, _any_text, _block_sizes), max_size=10))
 def test_batch_engine_matches_scalar_on_unicode_pair_lists(pairs):
-    """The batched DP must agree with the scalar reference pair by pair —
+    """The batch path must agree with the scalar reference pair by pair —
     including empty strings, identical strings and astral code points."""
 
-    left = [a for a, _ in pairs]
-    right = [b for _, b in pairs]
-    plain = batch_edit_distances(left, right)
-    weighted = batch_edit_distances(left, right, substitute_cost=3,
-                                    transpose_cost=5)
-    for i, (a, b) in enumerate(pairs):
-        assert plain[i] == osa_distance(a, b)
-        assert weighted[i] == weighted_edit_distance(a, b)
-
-
-@_default_settings
-@given(st.lists(st.tuples(_any_bytes, _any_bytes), max_size=10))
-def test_batch_engine_matches_scalar_on_byte_pair_lists(pairs):
-    left = [a for a, _ in pairs]
-    right = [b for _, b in pairs]
-    plain = batch_edit_distances(left, right)
-    weighted = batch_edit_distances(left, right, substitute_cost=3,
-                                    transpose_cost=5)
-    for i, (a, b) in enumerate(pairs):
-        assert plain[i] == osa_distance(a, b)
-        assert weighted[i] == weighted_edit_distance(a, b)
+    left = [a for a, _, _ in pairs]
+    right = [b for _, b, _ in pairs]
+    blocks = [bs for _, _, bs in pairs]
+    scores = score_signature_pairs(left, right, blocks)
+    for i, (a, b, bs) in enumerate(pairs):
+        assert indel_distance(a, b) == weighted_edit_distance(a, b)
+        assert scores[i] == _dp_score(a, b, bs)
 
 
 @_default_settings
 @given(_any_text)
 def test_batch_engine_degenerate_pairs(s):
-    """Empty and all-identical pairs are the DP's boundary rows."""
+    """Empty and all-identical pairs are the boundary cases."""
 
-    assert batch_edit_distances([s], [s])[0] == 0
-    assert batch_edit_distances([s], [""])[0] == len(s)
-    assert batch_edit_distances([""], [s])[0] == len(s)
-    assert batch_edit_distances([""], [""])[0] == 0
+    assert indel_distance(s, s) == 0
+    assert indel_distance(s, "") == len(s)
+    assert indel_distance("", s) == len(s)
+    assert indel_distance("", "") == 0
     identical = [s] * 5
-    assert batch_edit_distances(identical, identical).tolist() == [0] * 5
-
-
-@_default_settings
-@given(_short_text, _short_text, _short_text)
-def test_levenshtein_triangle_inequality(a, b, c):
-    assert levenshtein_distance(a, c) <= \
-        levenshtein_distance(a, b) + levenshtein_distance(b, c)
+    assert score_signature_pairs(identical, identical,
+                                 [3] * 5).tolist() == [100] * 5
+    if s:
+        assert score_signature_pairs([s, ""], ["", s],
+                                     [3072] * 2).tolist() == [0, 0]
 
 
 # ------------------------------------------------------------------- hashing
