@@ -27,12 +27,26 @@ probability matrix).  ``classify_stream`` applies the same
 micro-batching to an iterable of arbitrary length while yielding
 decisions in input order.
 
-The serving hot path additionally keeps an LRU digest→score cache: an
-executable whose digests were already scored (same binary resubmitted,
-a re-scanned allocation, a polling collector) skips the similarity
-transform and the forest entirely.  The cache stores
-threshold-independent ``(best class, confidence)`` pairs, so changing
-``confidence_threshold`` after load never serves stale decisions.
+The serving hot path keeps two LRU caches, both bounded by
+``cache_size`` (``0`` turns both off):
+
+* an **extraction cache**, SHA-256 of the uploaded bytes →
+  :class:`SampleFeatures`, ahead of the extraction pipeline: many HPC
+  jobs launch the same binary, and a resubmitted executable skips
+  extraction.  ``classify_bytes``, the byte items of
+  ``classify_stream`` and ``ingest_bytes`` go through it, and each
+  distinct content of a batch is extracted once.  A hit equals a fresh
+  extraction under the request's own ``sample_id``.  It is never
+  invalidated: extraction is a pure function of the bytes and the
+  service's fixed pipeline, whatever the corpus or threshold.
+* a **digest→score cache**: an executable whose digests were already
+  scored (same binary resubmitted, a re-scanned allocation, a polling
+  collector) skips the similarity transform and the forest entirely.
+  It stores threshold-independent ``(best class, confidence)`` pairs,
+  so changing ``confidence_threshold`` after load never serves stale
+  decisions, and every ingest or purge clears it.  It also serves
+  records that arrive already extracted, and binaries whose bytes
+  differ but whose digests are equal.
 """
 
 from __future__ import annotations
@@ -40,7 +54,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -50,6 +64,7 @@ from ..core.classifier import FuzzyHashClassifier
 from ..exceptions import EvaluationError, NotFittedError, ValidationError
 from ..features.pipeline import FeatureExtractionPipeline
 from ..features.records import SampleFeatures
+from ..hashing.crypto import crypto_digest
 from ..index import SimilarityIndex
 from ..logging_utils import get_logger
 from ..observability.trace import span
@@ -68,7 +83,8 @@ DECISION_UNKNOWN = "unknown-application"
 #: Default micro-batch size for ``classify_stream``.
 DEFAULT_BATCH_SIZE = 64
 
-#: Default capacity of the digest→score LRU cache (0 disables it).
+#: Default capacity of each serving LRU, the extraction cache and the
+#: digest→score cache (0 disables both).
 DEFAULT_CACHE_SIZE = 1024
 
 
@@ -149,8 +165,9 @@ class ClassificationService:
     batch_size:
         Default micro-batch size for :meth:`classify_stream`.
     cache_size:
-        Capacity of the LRU digest→score cache on the classify hot
-        path (0 disables caching).
+        Capacity of each of the two LRU caches on the classify hot
+        path, the extraction cache and the digest→score cache (0
+        disables both).
     """
 
     def __init__(self, classifier: FuzzyHashClassifier, *,
@@ -176,8 +193,11 @@ class ClassificationService:
         self.cache_hits = 0
         self.cache_misses = 0
         self._cache: OrderedDict[tuple, tuple[object, float]] = OrderedDict()
-        # The cache (and its counters) are shared by every thread of a
-        # serving process; OrderedDict mutation is not atomic, so all
+        self.extraction_hits = 0
+        self.extraction_misses = 0
+        self._extracted: OrderedDict[str, SampleFeatures] = OrderedDict()
+        # Both caches (and their counters) are shared by every thread of
+        # a serving process; OrderedDict mutation is not atomic, so all
         # lookup/insert/evict passes run under this lock.
         self._cache_lock = threading.Lock()
         # Family-aware classifiers expand their base feature types
@@ -294,6 +314,20 @@ class ClassificationService:
             return {"hits": self.cache_hits, "misses": self.cache_misses,
                     "size": len(self._cache), "capacity": self.cache_size}
 
+    def extraction_cache_info(self) -> dict:
+        """Consistent snapshot of the extraction-cache counters.
+
+        A miss is one extraction run; a duplicate of a content already
+        extracted in the same batch counts as a hit.  The serving tier
+        surfaces this under ``extraction_cache`` in ``GET /metrics``.
+        """
+
+        with self._cache_lock:
+            return {"hits": self.extraction_hits,
+                    "misses": self.extraction_misses,
+                    "size": len(self._extracted),
+                    "capacity": self.cache_size}
+
     # ------------------------------------------------------------- mutation
     @property
     def mutable(self) -> bool:
@@ -385,14 +419,12 @@ class ClassificationService:
                      ) -> list[dict]:
         """Extract and ingest ``(sample_id, data, class_name)`` triples."""
 
-        from dataclasses import replace
-
         items = list(items)
         if not items:
             return []
         self._check_mutable()
         with span("extract_features"):
-            extracted = self._pipeline.extract_bytes(
+            extracted = self._extract_bytes(
                 [(sample_id, data) for sample_id, data, _ in items])
         labelled = [replace(record, class_name=str(class_name))
                     for record, (_, _, class_name) in zip(extracted, items)]
@@ -459,7 +491,8 @@ class ClassificationService:
     def _invalidate_cache(self) -> None:
         # A corpus mutation changes similarity scores (a new anchor can
         # raise its class's max; a purge can lower it), so every cached
-        # (best class, confidence) pair is suspect.
+        # (best class, confidence) pair is suspect.  Extracted features
+        # do not depend on the corpus and stay cached.
         with self._cache_lock:
             self._cache.clear()
 
@@ -491,7 +524,7 @@ class ClassificationService:
         if not pairs:
             return []
         with span("extract_features"):
-            features = self._pipeline.extract_bytes(pairs)
+            features = self._extract_bytes(pairs)
         return self._decide(features)
 
     def classify_directory(self, directory: str | os.PathLike,
@@ -546,10 +579,65 @@ class ClassificationService:
             for (position, _), record in zip(paths, extracted):
                 features[position] = record
         if blobs:
-            extracted = self._pipeline.extract_bytes([b for _, b in blobs])
+            with span("extract_features"):
+                extracted = self._extract_bytes([b for _, b in blobs])
             for (position, _), record in zip(blobs, extracted):
                 features[position] = record
         return self._decide(features)
+
+    def _extract_bytes(self, pairs: Sequence[tuple[str, bytes]]
+                       ) -> list[SampleFeatures]:
+        """Features of ``(sample_id, bytes)`` pairs, through the
+        SHA-256 → :class:`SampleFeatures` LRU.
+
+        Each distinct uncached content is extracted once.  Every
+        position gets a copy of its content's record under its own
+        ``sample_id`` (the content's ``sha256[:16]`` when empty) and
+        ``executable``, with its own ``digests`` dict, so the result
+        equals :meth:`FeatureExtractionPipeline.extract_bytes` and
+        shares nothing mutable with the cache.  A failed extraction
+        caches nothing and raises as the pipeline would.
+        """
+
+        if not self.cache_size:
+            with self._cache_lock:
+                self.extraction_misses += len(pairs)
+            return self._pipeline.extract_bytes(pairs)
+
+        keys = [crypto_digest(data) for _, data in pairs]
+        records: dict[str, SampleFeatures] = {}
+        misses: dict[str, int] = {}      # uncached content -> first position
+        # The same two locked phases as _predict_cached: extraction runs
+        # unlocked, and concurrent misses of one content each extract it.
+        with self._cache_lock:
+            for position, key in enumerate(keys):
+                if key in records or key in misses:
+                    continue
+                entry = self._extracted.get(key)
+                if entry is None:
+                    misses[key] = position
+                else:
+                    self._extracted.move_to_end(key)
+                    records[key] = entry
+            self.extraction_hits += len(pairs) - len(misses)
+            self.extraction_misses += len(misses)
+        if misses:
+            records.update(zip(misses, self._pipeline.extract_bytes(
+                [pairs[position] for position in misses.values()])))
+            with self._cache_lock:
+                for key in misses:
+                    self._extracted[key] = records[key]
+                    self._extracted.move_to_end(key)
+                while len(self._extracted) > self.cache_size:
+                    self._extracted.popitem(last=False)
+        features = []
+        for (sample_id, _), key in zip(pairs, keys):
+            sample_id = str(sample_id)
+            features.append(replace(records[key],
+                                    sample_id=sample_id or key[:16],
+                                    executable=sample_id.rsplit("/", 1)[-1],
+                                    digests=dict(records[key].digests)))
+        return features
 
     def _decide(self, features: Sequence[SampleFeatures]) -> list[Decision]:
         known_labels, confidences = self._predict_cached(features)

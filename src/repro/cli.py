@@ -226,8 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rotate the decision log past this size "
                             "(default 32 MiB)")
     serve.add_argument("--cache-size", type=int, default=None,
-                       help="digest-cache capacity of the served model "
-                            "(default 1024; 0 disables)")
+                       help="capacity of each serving cache, the "
+                            "extraction cache and the digest cache "
+                            "(default 1024; 0 disables both)")
     serve.add_argument("--ingest", action="store_true",
                        help="enable online ingestion: POST /ingest adds "
                             "labelled samples to the live corpus and "

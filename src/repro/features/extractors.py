@@ -71,8 +71,13 @@ _MALFORMED_ELF_TOTAL = 0
 
 
 def malformed_elf_total() -> int:
-    """How many malformed ELF inputs the symbol feature has read as
-    non-ELF input in this process."""
+    """How many extractions in this process read a malformed ELF input
+    as non-ELF input for the symbol feature.
+
+    It counts extractions, not uploads: a serving process answers a
+    re-upload of the same bytes from its extraction cache without
+    parsing it again, so the re-upload is not counted again.
+    """
 
     with _MALFORMED_ELF_LOCK:
         return _MALFORMED_ELF_TOTAL

@@ -5,14 +5,19 @@ This module turns raw bytes into SSDeep digests of the canonical form
 
 * the block size starts at the smallest power-of-two multiple of
   :data:`MIN_BLOCKSIZE` such that the expected signature length is at
-  most :data:`SPAMSUM_LENGTH` characters, and is halved (and the digest
-  recomputed) while the signature turns out shorter than
+  most :data:`SPAMSUM_LENGTH` characters, and is halved (and the
+  signature recomputed) while the signature turns out shorter than
   ``SPAMSUM_LENGTH / 2`` — exactly the retry loop of the spamsum
   reference implementation;
 * the rolling-hash trigger scan is fully vectorised
   (:func:`repro.hashing.rolling.rolling_hash_values`), so re-trying a
   smaller block size only costs a cheap modulo over the precomputed
-  trigger array plus the per-chunk 6-bit FNV scan.
+  trigger array plus the per-chunk 6-bit FNV scan;
+* the double-block signature is computed once, at the final block
+  size ``B``, and not at all after a halving from ``2B``: a chunk
+  signature at ``2B`` short enough to force the halving used every
+  trigger, so it already is the half-length signature at ``2B``, the
+  double chunk at ``B``.
 
 The digest is represented by :class:`SsdeepDigest`, which also handles
 parsing and validation of digest strings (needed when loading feature
@@ -172,14 +177,21 @@ class FuzzyHasher:
 
         roll = rolling_hash_values(data)
         block_size = self._initial_block_size(len(data), min_bs, spamsum)
-
-        while True:
-            chunk, double_chunk = self._digest_at(data, roll, block_size, spamsum)
-            if block_size > min_bs and len(chunk) < spamsum // 2:
-                block_size //= 2
-                continue
-            return SsdeepDigest(block_size=block_size, chunk=chunk,
-                                double_chunk=double_chunk)
+        chunk = self._signature(data, roll, block_size, spamsum)
+        double_chunk = None
+        while block_size > min_bs and len(chunk) < spamsum // 2:
+            # A chunk this short used every trigger at this block size
+            # (fewer than spamsum / 2 of them), so it is also the
+            # half-length signature here: the double chunk one halving
+            # down.
+            double_chunk = chunk
+            block_size //= 2
+            chunk = self._signature(data, roll, block_size, spamsum)
+        if double_chunk is None:
+            double_chunk = self._signature(data, roll, block_size * 2,
+                                           spamsum // 2)
+        return SsdeepDigest(block_size=block_size, chunk=chunk,
+                            double_chunk=double_chunk)
 
     def hash_file(self, path: str | os.PathLike, *,
                   max_bytes: int | None = MAX_FILE_BYTES,
@@ -261,17 +273,6 @@ class FuzzyHasher:
         while block_size * spamsum < length:
             block_size *= 2
         return block_size
-
-    def _digest_at(self, data: bytes, roll: np.ndarray, block_size: int,
-                   spamsum_length: int | None = None) -> tuple[str, str]:
-        """Compute both signatures for a fixed block size."""
-
-        spamsum = (self.spamsum_length if spamsum_length is None
-                   else spamsum_length)
-        chunk = self._signature(data, roll, block_size, spamsum)
-        double_chunk = self._signature(data, roll, block_size * 2,
-                                       spamsum // 2)
-        return chunk, double_chunk
 
     def _signature(self, data: bytes, roll: np.ndarray, block_size: int,
                    max_length: int) -> str:

@@ -23,13 +23,14 @@ shared no-op context manager — one contextvar read and one function
 call per instrumented stage, no allocation, no clock read.
 
 **Span taxonomy.**  Top-level stages partition a request's wall time
-(``queue_wait``, ``batch_assembly``, ``extract_features``,
-``candidate_gen``, ``dp_scoring``, ``forest_predict``,
-``worker_dispatch``, ``ingest_apply``, ``wal_fsync``, ``serialize``,
-``decision_log``, ``parse``); *detail* spans carrying a ``worker=``
-label attribute the same time at finer grain (per scoring-worker pid)
-and are therefore excluded from the per-trace ``stages`` rollup so the
-rollup still sums to ≈ wall time.
+(``queue_wait``, ``batch_assembly``, ``lock_wait``,
+``extract_features``, ``candidate_gen``, ``dp_scoring``,
+``forest_predict``, ``worker_dispatch``, ``ingest_apply``,
+``wal_fsync``, ``serialize``, ``decision_log``, ``parse``);
+*detail* spans carrying a ``worker=`` label attribute the same time at
+finer grain (per scoring-worker pid) and are therefore excluded from
+the per-trace ``stages`` rollup so the rollup still sums to ≈ wall
+time.
 
 **Process boundaries.**  ``perf_counter`` readings are not comparable
 across processes, so a scoring worker records spans against its own

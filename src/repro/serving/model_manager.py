@@ -53,6 +53,7 @@ from __future__ import annotations
 import base64
 import os
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -360,6 +361,18 @@ class ModelManager:
         return None if pool is None else pool.stats()
 
     # -------------------------------------------------------------- serving
+    @contextmanager
+    def _timed_predict_lock(self):
+        """Hold the predict lock; a traced request's wait for it is its
+        ``lock_wait`` stage."""
+
+        with span("lock_wait"):
+            self._predict_lock.acquire()
+        try:
+            yield
+        finally:
+            self._predict_lock.release()
+
     def classify_items(self, items: Sequence[tuple[str, bytes]]
                        ) -> tuple[list[Decision], int]:
         """Classify ``(sample_id, bytes)`` pairs on one generation.
@@ -391,7 +404,7 @@ class ModelManager:
                     "in-process scoring", exc)
                 self._worker_pool = None
                 pool.close()
-        with self._predict_lock:
+        with self._timed_predict_lock():
             return service.classify_bytes(items), generation
 
     # ------------------------------------------------------------ ingestion
@@ -406,7 +419,7 @@ class ModelManager:
         service.
         """
 
-        with self._predict_lock:
+        with self._timed_predict_lock():
             with self._swap_lock:
                 service = self._service
                 generation = self._generation

@@ -535,14 +535,19 @@ class ClassificationServer:
         cache_info = getattr(service, "cache_info", None)
         if callable(cache_info):
             payload["service_cache"] = cache_info()
+        extraction_cache_info = getattr(service, "extraction_cache_info",
+                                        None)
+        if callable(extraction_cache_info):
+            payload["extraction_cache"] = extraction_cache_info()
         # Process-wide CTPH comparability counters: how many digest
         # comparisons were structurally impossible, by typed reason.
         from ..features.extractors import malformed_elf_total
         from ..hashing.compare import incomparable_counts
 
         payload["incomparable_comparisons"] = incomparable_counts()
-        # Process-wide count of ELF-magic uploads that did not parse and
-        # were classified as non-ELF input.
+        # Process-wide count of extractions of ELF-magic uploads that
+        # did not parse and were read as non-ELF input; a re-upload the
+        # extraction cache answers is not parsed, so not counted again.
         payload["malformed_elf_total"] = malformed_elf_total()
         load_mode = getattr(self.manager, "load_mode", None)
         if load_mode is not None:

@@ -3,9 +3,13 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import DigestFormatError, HashingError
 from repro.hashing.b64 import B64_ALPHABET, is_digest_alphabet
+from repro.hashing.fnv import FNV_INIT, fnv_update
+from repro.hashing.rolling import RollingHash
 from repro.hashing.ssdeep import (
     MIN_BLOCKSIZE,
     SPAMSUM_LENGTH,
@@ -149,3 +153,88 @@ def test_hash_file_rejects_bad_parameters(tmp_path):
         FuzzyHasher().hash_file(path, chunk_size=0)
     with pytest.raises(HashingError):
         FuzzyHasher().hash_file(path, max_bytes=-1)
+
+
+# ------------------------------------------------- whole-digest oracle
+def reference_spamsum(data: bytes, min_blocksize: int,
+                      spamsum_length: int) -> str:
+    """Byte-at-a-time spamsum, the oracle for :meth:`FuzzyHasher.hash`.
+
+    Both signatures are recomputed in full at every block size the
+    retry loop tries, with the scalar rolling hash and 32-bit FNV.
+    """
+
+    block_size = min_blocksize
+    while block_size * spamsum_length < len(data):
+        block_size *= 2
+    while True:
+        roll = RollingHash()
+        states = [FNV_INIT, FNV_INIT]
+        signatures: tuple[list, list] = ([], [])
+        caps = (spamsum_length - 1, spamsum_length // 2 - 1)
+        for byte in data:
+            value = roll.update(byte)
+            for k, size in enumerate((block_size, 2 * block_size)):
+                states[k] = fnv_update(states[k], byte)
+                if value % size == size - 1 and len(signatures[k]) < caps[k]:
+                    signatures[k].append(B64_ALPHABET[states[k] & 0x3F])
+                    states[k] = FNV_INIT
+        if roll.value != 0:
+            for k in range(2):
+                signatures[k].append(B64_ALPHABET[states[k] & 0x3F])
+        chunk, double_chunk = ("".join(s) for s in signatures)
+        if block_size > min_blocksize and len(chunk) < spamsum_length // 2:
+            block_size //= 2
+            continue
+        return f"{block_size}:{chunk}:{double_chunk}"
+
+
+def _seeded(build):
+    """Inputs built from a seeded generator.  Hypothesis draws only the
+    seed, since its own size draws lean small and short random inputs
+    never make the retry loop halve."""
+
+    return st.integers(0, 2 ** 32).map(lambda seed: build(random.Random(seed)))
+
+
+def _low_entropy(rng: random.Random) -> bytes:
+    alphabet = rng.sample(range(256), rng.randint(1, 3))
+    return bytes(rng.choices(alphabet, k=rng.randint(0, 3000)))
+
+
+def _sparse_triggers(rng: random.Random) -> bytes:
+    # A random head, then a short pattern repeated: the pattern's few
+    # rolling values rarely trigger, so the retry loop halves several
+    # times, and each halving adds triggers in the head.
+    pattern = rng.randbytes(rng.randint(1, 8))
+    return (rng.randbytes(rng.randint(0, 400))
+            + pattern * (rng.randint(0, 3000) // len(pattern)))
+
+
+def _zero_tail(rng: random.Random) -> bytes:
+    # Seven trailing zeros zero the rolling hash: no tail character.
+    return rng.randbytes(rng.randint(1, 1500)) + bytes(rng.randint(0, 16))
+
+
+_ORACLE_INPUTS = st.one_of(
+    st.binary(max_size=64),                  # short: block size at the floor
+    _seeded(lambda rng: rng.randbytes(rng.randint(0, 3000))),
+    _seeded(_low_entropy),
+    _seeded(_sparse_triggers),
+    _seeded(_zero_tail),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=_ORACLE_INPUTS,
+       config=st.sampled_from([(MIN_BLOCKSIZE, SPAMSUM_LENGTH),
+                               (6, 96), (6, 128)]))
+@example(data=b"", config=(MIN_BLOCKSIZE, SPAMSUM_LENGTH))
+@example(data=b"\x00" * 2000, config=(MIN_BLOCKSIZE, SPAMSUM_LENGTH))
+def test_digest_matches_byte_at_a_time_spamsum(data, config):
+    min_blocksize, spamsum_length = config
+    hasher = FuzzyHasher(min_blocksize=min_blocksize,
+                         spamsum_length=spamsum_length)
+    assert str(hasher.hash(data)) == reference_spamsum(
+        data, min_blocksize, spamsum_length)

@@ -1,13 +1,18 @@
 """Unit tests for generation-tracked model hot-reload
 (``repro.serving.model_manager``): atomic-publish detection, swap
-semantics, failure tolerance and the watcher thread.
+semantics, failure tolerance, the watcher thread and the traced wait
+for the predict lock.
 """
 
 import os
+import threading
+import time
 
 import pytest
 
 from repro.exceptions import ModelFormatError
+from repro.observability.trace import (RequestTrace, Tracer, activate,
+                                       deactivate)
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.model_manager import ModelManager
 
@@ -302,3 +307,59 @@ def test_watcher_thread_picks_up_a_publish(artifacts, tmp_path):
     finally:
         manager.stop()
     manager.stop()                                 # idempotent
+
+
+class ObservedLock:
+    """A lock that signals when a thread starts waiting for it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.waiting = threading.Event()
+
+    def acquire(self):
+        self.waiting.set()
+        return self._lock.acquire()
+
+    def release(self):
+        self._lock.release()
+
+    __enter__ = acquire
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+def test_predict_lock_wait_is_a_traced_stage(artifacts, tmp_path):
+    gen_a, _, _ = artifacts
+    live = tmp_path / "model.rpm"
+    publish(gen_a, live)
+    manager = ModelManager(live, poll_interval=0, cache_size=0)
+    lock = manager._predict_lock = ObservedLock()
+    trace = RequestTrace("lock-wait", "classify")
+    results = []
+
+    def traced_classify():
+        token = activate(trace)
+        try:
+            results.append(manager.classify_items(payload_batch()))
+        finally:
+            deactivate(token)
+
+    lock._lock.acquire()                  # another batch holds the lock
+    classify = threading.Thread(target=traced_classify)
+    classify.start()
+    assert lock.waiting.wait(timeout=30)
+    held_from = time.perf_counter()
+    time.sleep(0.2)
+    released_at = time.perf_counter()
+    lock.release()
+    classify.join(timeout=60)
+    assert not classify.is_alive()
+    assert len(results) == 1
+    Tracer().finish(trace, items=2)
+    payload = trace.as_dict()
+    stages = payload["stages"]
+    # Rounding to 3 decimals in ms is the only slack.
+    assert stages["lock_wait"] >= (released_at - held_from) * 1000.0 - 0.001
+    assert sum(stages.values()) <= payload["wall_ms"] + 0.001 * len(stages)
+    assert {"lock_wait", "extract_features"} <= set(stages)

@@ -154,6 +154,10 @@ def test_healthz_and_metrics_endpoints(live_server):
     assert latency["count"] >= 1
     assert latency["p50"] <= latency["p95"] <= latency["p99"]
     assert metrics["service_cache"]["capacity"] == 256
+    extraction = metrics["extraction_cache"]
+    assert set(extraction) == {"hits", "misses", "size", "capacity"}
+    assert extraction["capacity"] == 256
+    assert extraction["misses"] >= 1
 
 
 def test_shared_registry_exposes_manager_metrics(model_artifacts, tmp_path):

@@ -22,7 +22,7 @@ from test_api_artifact import make_records
 from test_serving_server import classify_item, payloads, request_json
 
 #: Stages every in-process classify trace must attribute.
-CLASSIFY_STAGES = {"parse", "queue_wait", "batch_assembly",
+CLASSIFY_STAGES = {"parse", "queue_wait", "batch_assembly", "lock_wait",
                    "extract_features", "candidate_gen", "dp_scoring",
                    "forest_predict", "serialize"}
 
@@ -235,8 +235,9 @@ def test_ingest_wal_mode_traces_fsync_and_acks_request_id(model_artifact,
     assert trace["kind"] == "ingest"
     assert trace["items"] == 1
     assert_stage_sum_approximates_wall(
-        trace, {"parse", "queue_wait", "batch_assembly", "ingest_apply",
-                "wal_fsync", "serialize"})
+        trace, {"parse", "queue_wait", "batch_assembly", "lock_wait",
+                "extract_features", "ingest_apply", "wal_fsync",
+                "serialize"})
     assert health["durability"]["wal_records"] >= 1
 
 
