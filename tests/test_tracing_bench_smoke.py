@@ -40,9 +40,10 @@ def test_quick_benchmark_identity_and_attribution(bench):
     assert set(bench.REQUIRED_STAGES) <= set(result.stages_observed)
     assert result.stage_sums_within_wall, \
         "a trace's stage sum exceeded its wall time (double counting)"
-    # The acceptance ceiling is 5% (CI benchmark job, min-of-3 rounds);
-    # the smoke bar is loose so scheduler noise on a busy runner cannot
-    # flake tier 1 — a real hot-path regression blows well past it.
+    # The acceptance ceiling is 5% (CI benchmark job, median of 10
+    # rounds); the smoke bar is loose so scheduler noise on a busy
+    # runner cannot flake tier 1 — a real hot-path regression blows
+    # well past it.
     assert result.overhead <= 0.5, \
         f"tracing overhead {result.overhead * 100:.1f}% even for smoke"
 
