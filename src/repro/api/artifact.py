@@ -10,7 +10,7 @@ Header fields::
     kind                   "repro.fuzzy-hash-classifier"
     format_version         written by the container (currently 2)
     library_version        repro.__version__ that wrote the file
-    params                 FuzzyHashClassifier hyper-parameters
+    params                 FuzzyHashClassifier hyper-parameters (not n_jobs)
     classes                {"kind": "str"|"int"|"float", "values": [...]}
     feature_names          column names of the similarity matrix
     feature_groups         feature type -> column indices
@@ -303,8 +303,12 @@ def save_model(classifier: FuzzyHashClassifier, path: str | os.PathLike, *,
         raise NotFittedError("cannot save an unfitted classifier; call fit "
                              "(or ClassificationService.train) first")
     path = Path(path)
+    # n_jobs is a run-time setting, not a model property: an artifact's
+    # bytes must not depend on how many processes trained it.  Older
+    # artifacts that carry it still load (the constructor accepts it).
     params = {key: (list(value) if isinstance(value, tuple) else value)
-              for key, value in classifier.get_params(deep=False).items()}
+              for key, value in classifier.get_params(deep=False).items()
+              if key != "n_jobs"}
     try:
         json.dumps(params)
         json.dumps(classifier.unknown_label)

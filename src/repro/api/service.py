@@ -17,9 +17,8 @@ Construction paths mirror the deployment lifecycle:
   process without retraining.
 
 Classification is batched end to end: feature extraction fans out over
-a pluggable execution backend (``executor=`` spec, see
-:mod:`repro.parallel.backend`; plain ``n_jobs`` process counts still
-work), and each batch runs the anchor index's candidate generation plus
+``n_jobs`` worker processes (:func:`repro.parallel.parallel_map`), and
+each batch runs the anchor index's candidate generation plus
 its edit-distance scoring
 (:func:`~repro.distance.scoring.indel_distance`) once, followed by a
 single forest pass (labels and confidences come from the same
@@ -155,13 +154,12 @@ class ClassificationService:
         Application classes this allocation is expected to run; ``None``
         accepts every known class and only flags unknown applications.
     n_jobs:
-        Worker processes for feature extraction (ignored when
-        ``executor`` is set).
-    executor:
-        Execution backend spec (``"serial"``, ``"thread:4"``,
-        ``"process:8"``, ...) or an
-        :class:`~repro.parallel.ExecutionBackend` instance, used for
-        feature extraction; takes precedence over ``n_jobs``.
+        Worker processes for feature extraction (and, in
+        :meth:`train`, for the forest fit).  A batch of fewer than
+        eight uncached items per worker is extracted in-process; a
+        larger one forks a process pool for that batch, so a
+        long-running server keeps the default of 1 and scales with
+        scoring workers instead (:mod:`repro.serving.workers`).
     batch_size:
         Default micro-batch size for :meth:`classify_stream`.
     cache_size:
@@ -172,7 +170,7 @@ class ClassificationService:
 
     def __init__(self, classifier: FuzzyHashClassifier, *,
                  allowed_classes: Iterable[str] | None = None,
-                 n_jobs: int = 1, executor=None,
+                 n_jobs: int = 1,
                  batch_size: int = DEFAULT_BATCH_SIZE,
                  cache_size: int = DEFAULT_CACHE_SIZE) -> None:
         if not hasattr(classifier, "model_"):
@@ -187,7 +185,6 @@ class ClassificationService:
         self.allowed_classes = (set(allowed_classes)
                                 if allowed_classes is not None else None)
         self.n_jobs = n_jobs
-        self.executor = executor
         self.batch_size = int(batch_size)
         self.cache_size = int(cache_size)
         self.cache_hits = 0
@@ -206,8 +203,7 @@ class ClassificationService:
         active_types = getattr(classifier, "active_feature_types",
                                classifier.feature_types)
         self._pipeline = FeatureExtractionPipeline(active_types,
-                                                   n_jobs=n_jobs,
-                                                   executor=executor)
+                                                   n_jobs=n_jobs)
         anchor = getattr(getattr(classifier, "builder_", None),
                          "index_", None)
         # Seal pending posting tails up front: the index merges them
@@ -220,7 +216,7 @@ class ClassificationService:
     @classmethod
     def train(cls, features: Sequence[SampleFeatures], *,
               allowed_classes: Iterable[str] | None = None,
-              n_jobs: int = 1, executor=None,
+              n_jobs: int = 1,
               batch_size: int = DEFAULT_BATCH_SIZE,
               cache_size: int = DEFAULT_CACHE_SIZE,
               index: SimilarityIndex | None = None,
@@ -236,13 +232,13 @@ class ClassificationService:
         classifier = FuzzyHashClassifier(n_jobs=n_jobs, **classifier_params)
         classifier.fit(list(features), index=index)
         return cls(classifier, allowed_classes=allowed_classes,
-                   n_jobs=n_jobs, executor=executor, batch_size=batch_size,
+                   n_jobs=n_jobs, batch_size=batch_size,
                    cache_size=cache_size)
 
     @classmethod
     def load(cls, path: str | os.PathLike, *,
              allowed_classes: Iterable[str] | None = None,
-             n_jobs: int = 1, executor=None,
+             n_jobs: int = 1,
              batch_size: int = DEFAULT_BATCH_SIZE,
              cache_size: int = DEFAULT_CACHE_SIZE,
              index: "SimilarityIndex | str | os.PathLike | None" = None,
@@ -263,8 +259,7 @@ class ClassificationService:
         return cls(load_model(path, index=index,
                               mmap_mode="r" if mmap else None),
                    allowed_classes=allowed_classes, n_jobs=n_jobs,
-                   executor=executor, batch_size=batch_size,
-                   cache_size=cache_size)
+                   batch_size=batch_size, cache_size=cache_size)
 
     def save(self, path: str | os.PathLike, *,
              include_index: bool = True,

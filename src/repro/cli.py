@@ -42,9 +42,11 @@ The sub-commands cover the library's main entry points:
     one single-file index (``merge``).  Query and stats also read such
     directories directly.
 
-Global ``--jobs N`` / ``--executor SPEC`` (before the sub-command)
-select the parallelism every sub-command fans out with: ``--executor``
-accepts ``serial``, ``thread[:N]`` or ``process[:N]``.
+Global ``--jobs N`` (before the sub-command) is the one parallelism
+knob: ``experiment``, ``train``, ``classify`` and ``index build`` hash
+executables on N worker processes, and those that train fit the forest
+on them too (``-1``: every CPU this process may run on).  ``serve``
+does not use it; it scales across processes with ``--score-workers``.
 
 Errors raised by the library (:class:`~repro.exceptions.ReproError`)
 print a one-line message to stderr and exit with status 2 — no
@@ -75,11 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="enable INFO logging")
     parser.add_argument("--jobs", type=int, default=None, dest="global_jobs",
                         metavar="N",
-                        help="default worker count for any sub-command that "
-                             "parallelises (sub-command --jobs wins)")
-    parser.add_argument("--executor", default=None, metavar="SPEC",
-                        help="execution backend: serial, thread[:N] or "
-                             "process[:N] (takes precedence over --jobs)")
+                        help="worker processes for feature extraction and "
+                             "the forest fit (default 1; -1 = every CPU "
+                             "this process may use; a sub-command --jobs "
+                             "wins; serve scales with --score-workers "
+                             "instead)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     generate = sub.add_parser("generate", help="generate a synthetic software tree")
@@ -98,8 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--no-grid-search", action="store_true",
                             help="skip hyper-parameter tuning (use defaults)")
     experiment.add_argument("--jobs", type=int, default=None,
-                            help="worker processes for extraction/training "
-                                 "(default: the global --jobs, else 1)")
+                            help="worker processes for feature extraction "
+                                 "and the forest fit (default: the global "
+                                 "--jobs, else 1)")
 
     train = sub.add_parser("train", help="train and save a model artifact "
                                          "for no-retrain classification")
@@ -124,8 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "CTPH digests, the fixed-length vector "
                             "digests, or both side by side (default ctph)")
     train.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for extraction/training "
-                            "(default: the global --jobs, else 1)")
+                       help="worker processes for feature extraction and "
+                            "the forest fit (default: the global --jobs, "
+                            "else 1)")
     train.add_argument("--no-index", action="store_true",
                        help="write a headless artifact without the anchor "
                             "index (smaller; classify will need --index)")
@@ -436,13 +440,12 @@ def _cmd_train(args) -> int:
     # Extraction must cover the family-expanded types (family="both"
     # needs the vector siblings alongside the CTPH digests).
     active_types = resolve_family_feature_types(feature_types, args.family)
-    features = _index_features(args.source, active_types,
-                               executor=args.executor)
+    jobs = _effective_jobs(args)
+    features = _index_features(args.source, active_types, n_jobs=jobs)
     service = ClassificationService.train(
         features, feature_types=feature_types, family=args.family,
         confidence_threshold=args.threshold, n_estimators=args.estimators,
-        random_state=args.seed, n_jobs=_effective_jobs(args),
-        executor=args.executor)
+        random_state=args.seed, n_jobs=jobs)
     path = service.save(args.out, include_index=not args.no_index)
     print(f"trained on {len(features)} samples "
           f"({len(service.classes_)} classes) -> {path} "
@@ -472,8 +475,7 @@ def _cmd_classify(args) -> int:
         target = args.source
         service = ClassificationService.load(args.model, index=args.index,
                                              allowed_classes=args.allowed,
-                                             n_jobs=jobs,
-                                             executor=args.executor)
+                                             n_jobs=jobs)
         if args.threshold is not None:
             from ._validation import check_probability
 
@@ -490,14 +492,12 @@ def _cmd_classify(args) -> int:
         index = load_index(args.index) if args.index else None
         family = args.family or "ctph"
         active_types = resolve_family_feature_types(FEATURE_TYPES, family)
-        features = _index_features(args.source, active_types,
-                                   executor=args.executor)
+        features = _index_features(args.source, active_types, n_jobs=jobs)
         threshold = 0.5 if args.threshold is None else args.threshold
         service = ClassificationService.train(
             features, family=family, confidence_threshold=threshold,
             n_estimators=args.estimators, random_state=args.seed,
-            allowed_classes=args.allowed, index=index, n_jobs=jobs,
-            executor=args.executor)
+            allowed_classes=args.allowed, index=index, n_jobs=jobs)
         if args.save_model:
             print(f"model artifact saved to {service.save(args.save_model)}")
     if args.save_index:
@@ -574,8 +574,6 @@ def _cmd_serve(args) -> int:
                            poll_interval=args.reload_interval,
                            metrics=registry,
                            allowed_classes=args.allowed,
-                           n_jobs=_effective_jobs(args),
-                           executor=args.executor,
                            mutable=args.ingest,
                            score_workers=args.score_workers,
                            wal_dir=args.wal_dir,
@@ -761,8 +759,8 @@ def _cmd_model(args) -> int:
     return handler(args)
 
 
-def _index_features(source: str, feature_types, *, executor=None):
-    """Feature records for ``index build``: software tree or features JSON."""
+def _index_features(source: str, feature_types, *, n_jobs: int = 1):
+    """Feature records from a software tree or an exported features JSON."""
 
     from pathlib import Path
 
@@ -774,7 +772,7 @@ def _index_features(source: str, feature_types, *, executor=None):
     path = Path(source)
     if path.is_dir():
         scan = CorpusScanner(path).scan()
-        pipeline = FeatureExtractionPipeline(feature_types, executor=executor)
+        pipeline = FeatureExtractionPipeline(feature_types, n_jobs=n_jobs)
         return pipeline.extract_dataset(scan.dataset)
     if path.is_file():
         try:
@@ -796,7 +794,7 @@ def _cmd_index_build(args) -> int:
     feature_types = resolve_family_feature_types(
         tuple(args.types) if args.types else FEATURE_TYPES, args.family)
     features = _index_features(args.source, feature_types,
-                               executor=args.executor)
+                               n_jobs=_effective_jobs(args))
     if features:
         available = set()
         for record in features:

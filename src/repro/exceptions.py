@@ -58,9 +58,9 @@ class CorpusLayoutError(CorpusError):
 
 
 class ParallelExecutionError(ReproError):
-    """Raised when an execution backend cannot run a parallel workload
-    and the caller asked for strict behaviour instead of the serial
-    fallback."""
+    """Raised when a process pool cannot run a parallel workload and
+    its owner asked for strict behaviour
+    (``ProcessBackend(strict=True)``) instead of the serial fallback."""
 
 
 class SimilarityIndexError(ReproError):

@@ -77,22 +77,18 @@ class FeatureExtractionPipeline:
     feature_types:
         Which digests to compute (defaults to all three).
     n_jobs:
-        Worker processes (1 = serial); ignored when ``executor`` is set.
-    executor:
-        Execution backend spec (``"serial"``, ``"thread:4"``,
-        ``"process:8"``, ...) or an
-        :class:`~repro.parallel.ExecutionBackend` instance; takes
-        precedence over ``n_jobs``.
+        Worker processes (1 = serial; see
+        :func:`~repro.parallel.parallel_map`).  Batches of fewer than
+        eight items per worker run serially.
     include_symbol_addresses:
         Forwarded to :class:`~repro.features.extractors.FeatureExtractor`.
     """
 
     def __init__(self, feature_types: Sequence[str] = FEATURE_TYPES, *,
-                 n_jobs: int = 1, executor=None,
+                 n_jobs: int = 1,
                  include_symbol_addresses: bool = False) -> None:
         self.feature_types = tuple(feature_types)
         self.n_jobs = n_jobs
-        self.executor = executor
         self.include_symbol_addresses = bool(include_symbol_addresses)
         self.last_timings: dict[str, float] = {}
 
@@ -164,7 +160,6 @@ class FeatureExtractionPipeline:
             raise FeatureExtractionError("no samples to extract features from")
         watch = Stopwatch().start("feature-extraction")
         results = parallel_map(_run_task, tasks, n_jobs=self.n_jobs,
-                               executor=self.executor,
                                min_items_per_worker=8)
         watch.stop()
         self.last_timings = watch.laps

@@ -8,20 +8,9 @@ import numpy as np
 
 from ..exceptions import ValidationError
 
-__all__ = ["chunk_indices", "partition_evenly"]
+__all__ = ["partition_evenly"]
 
 T = TypeVar("T")
-
-
-def chunk_indices(n_items: int, chunk_size: int) -> list[tuple[int, int]]:
-    """Split ``range(n_items)`` into consecutive ``(start, stop)`` chunks."""
-
-    if chunk_size < 1:
-        raise ValidationError("chunk_size must be >= 1")
-    if n_items < 0:
-        raise ValidationError("n_items must be >= 0")
-    return [(start, min(start + chunk_size, n_items))
-            for start in range(0, n_items, chunk_size)]
 
 
 def partition_evenly(items: Sequence[T], n_parts: int) -> list[list[T]]:

@@ -1,12 +1,11 @@
-"""Lightweight timing / throughput helpers used by benchmarks and the
-workflow stage reporting."""
+"""Lightweight named-lap timer behind the extraction pipeline's and the
+experiment's stage timings."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
-__all__ = ["Stopwatch", "ThroughputReport"]
+__all__ = ["Stopwatch"]
 
 
 class Stopwatch:
@@ -48,21 +47,3 @@ class Stopwatch:
                  for name, seconds in self._laps.items()]
         lines.append(f"  {'total':<28s} {self.total():8.3f} s")
         return "\n".join(lines)
-
-
-@dataclass
-class ThroughputReport:
-    """Items-per-second summary for a processing stage."""
-
-    stage: str
-    n_items: int
-    seconds: float
-    n_workers: int = 1
-
-    @property
-    def items_per_second(self) -> float:
-        return self.n_items / self.seconds if self.seconds > 0 else float("inf")
-
-    def __str__(self) -> str:
-        return (f"{self.stage}: {self.n_items} items in {self.seconds:.2f} s "
-                f"({self.items_per_second:.1f}/s, {self.n_workers} worker(s))")

@@ -123,8 +123,10 @@ class ModelManager:
         worse than refusing to start.
     load_kwargs:
         Forwarded to :meth:`ClassificationService.load` on every load
-        (``allowed_classes``, ``cache_size``, ``executor``, ``mmap``,
-        ...).
+        (``allowed_classes``, ``cache_size``, ``mmap``, ...).  The
+        server passes no ``n_jobs``: a threaded server would fork a
+        process pool per large batch, and ``score_workers`` is its
+        multi-process path.
     """
 
     def __init__(self, model_path: str | os.PathLike, *,

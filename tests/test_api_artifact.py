@@ -227,6 +227,22 @@ def test_tampered_feature_names_raise(saved, tmp_path):
         load_model(path)
 
 
+def test_params_omit_n_jobs_and_artifacts_carrying_it_still_load(
+        fitted, saved, tmp_path):
+    clf, records = fitted
+    written = {}
+
+    def mutate(header):
+        written.update(header["params"])
+        header["params"]["n_jobs"] = 4      # as older builds wrote it
+
+    path = _rewrite_header(saved, tmp_path, mutate)
+    assert "n_jobs" not in written          # a run-time setting, not saved
+    restored = load_model(path)
+    assert np.array_equal(restored.predict_proba(records),
+                          clf.predict_proba(records))
+
+
 def test_all_artifact_errors_are_repro_errors():
     assert issubclass(ModelFormatError, ModelArtifactError)
     assert issubclass(ModelArtifactError, ReproError)

@@ -1,5 +1,5 @@
 """Tests for the serving-path LRU digest→score cache and the service's
-execution-backend plumbing."""
+``n_jobs`` plumbing."""
 
 import threading
 
@@ -120,10 +120,9 @@ def test_cache_size_must_be_non_negative():
         ClassificationService(CountingClassifier(), cache_size=-1)
 
 
-def test_service_executor_is_forwarded_to_the_pipeline():
-    service = ClassificationService(CountingClassifier(),
-                                    executor="thread:2")
-    assert service._pipeline.executor == "thread:2"
+def test_service_n_jobs_is_forwarded_to_the_pipeline():
+    service = ClassificationService(CountingClassifier(), n_jobs=2)
+    assert service._pipeline.n_jobs == 2
 
 
 def test_cache_info_reports_consistent_counters():

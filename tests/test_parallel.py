@@ -1,13 +1,12 @@
 """Tests for the parallel execution helpers."""
 
-import os
-
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.parallel.partition import chunk_indices, partition_evenly
+from repro.parallel.backend import available_cpus
+from repro.parallel.partition import partition_evenly
 from repro.parallel.pool import effective_n_jobs, parallel_map
-from repro.parallel.timing import Stopwatch, ThroughputReport
+from repro.parallel.timing import Stopwatch
 
 
 def _square(x):
@@ -15,7 +14,7 @@ def _square(x):
 
 
 def test_effective_n_jobs_semantics():
-    cpus = os.cpu_count() or 1
+    cpus = available_cpus()
     assert effective_n_jobs(None) == 1
     assert effective_n_jobs(1) == 1
     assert effective_n_jobs(0) == 1
@@ -46,16 +45,6 @@ def test_parallel_map_empty_input():
     assert parallel_map(_square, [], n_jobs=4) == []
 
 
-def test_chunk_indices_cover_range():
-    chunks = chunk_indices(10, 3)
-    assert chunks == [(0, 3), (3, 6), (6, 9), (9, 10)]
-    assert chunk_indices(0, 5) == []
-    with pytest.raises(ValidationError):
-        chunk_indices(10, 0)
-    with pytest.raises(ValidationError):
-        chunk_indices(-1, 1)
-
-
 def test_partition_evenly():
     parts = partition_evenly(list(range(10)), 3)
     assert len(parts) == 3
@@ -83,11 +72,3 @@ def test_stopwatch_accumulates_laps():
     assert all(v >= 0 for v in laps.values())
     assert watch.total() == pytest.approx(sum(laps.values()))
     assert "total" in watch.report()
-
-
-def test_throughput_report():
-    report = ThroughputReport(stage="hashing", n_items=100, seconds=2.0, n_workers=2)
-    assert report.items_per_second == pytest.approx(50.0)
-    assert "hashing" in str(report)
-    instant = ThroughputReport(stage="x", n_items=5, seconds=0.0)
-    assert instant.items_per_second == float("inf")

@@ -1,6 +1,5 @@
 """Tests for the index CLI on legacy sharded directories, the streaming
-``classify --jsonl`` path and the global ``--jobs``/``--executor``
-options.
+``classify --jsonl`` path and the global ``--jobs`` option.
 
 ``index query`` and ``index stats`` read a legacy sharded directory as
 one index over its survivors; ``index merge OLD.rpsd -o NEW.rpsi`` is
@@ -27,7 +26,10 @@ def corpus():
 def test_parser_lists_new_subcommands_and_flags():
     parser = build_parser()
     text = parser.format_help()
-    assert "--jobs" in text and "--executor" in text
+    assert "--jobs" in text and "--executor" not in text
+    assert parser.parse_args(["--jobs", "2", "info"]).global_jobs == 2
+    with pytest.raises(SystemExit):
+        parser.parse_args(["--executor", "process:2", "info"])
     args = parser.parse_args(["index", "merge", "x", "-o", "y"])
     assert (args.index_command, args.source, args.output) == \
         ("merge", "x", "y")
@@ -80,9 +82,10 @@ def test_index_merge_sharded_to_single_and_back(tmp_path, capsys):
             SimilarityIndex.load(single_path, mmap_mode=mmap_mode))
 
 
-def test_bad_executor_spec_exits_two(tiny_tree, tmp_path, capsys):
-    code = main(["--executor", "warp:9", "index", "build", tiny_tree,
-                 "-o", str(tmp_path / "x.rpsi")])
+def test_library_error_with_global_jobs_exits_two(tmp_path, capsys):
+    # Neither a software tree nor a features file: a library error.
+    code = main(["--jobs", "2", "index", "build",
+                 str(tmp_path / "missing"), "-o", str(tmp_path / "x.rpsi")])
     captured = capsys.readouterr()
     assert code == 2
     assert "error:" in captured.err
