@@ -15,9 +15,10 @@ that claim and guards the packed kNN sweep's speed:
   applies) is measured against held-out variants.  The tripwire is the
   ISSUE's acceptance rule: **dual-family recall >= CTPH-only recall in
   every scenario**, enforced unconditionally;
-* **kNN throughput** — :meth:`repro.index.knn.VectorKNNIndex.top_k`
-  (one XOR + popcount-LUT sweep over the packed ``(n, 4)`` ``uint64``
-  matrix) against :func:`repro.index.knn.brute_force_top_k` (the
+* **kNN throughput** — :meth:`repro.index.SimilarityIndex.top_k` over
+  a vector digest (one XOR + popcount-LUT sweep over the vector store's
+  packed ``(n, 4)`` ``uint64`` matrix, the path ``serve`` and ``index
+  query`` take) against :func:`repro.index.knn.brute_force_top_k` (the
   per-pair Python loop).  Results must be bit-identical; the speedup
   floor is 5x by default (the packed sweep is typically two orders of
   magnitude faster — the floor is a tripwire, not a target).
@@ -45,7 +46,7 @@ import numpy as np
 
 from repro.hashing.ssdeep import fuzzy_hash
 from repro.hashing.vector import vector_hash
-from repro.index import SimilarityIndex, VectorKNNIndex, brute_force_top_k
+from repro.index import SimilarityIndex, brute_force_top_k
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 
@@ -203,8 +204,9 @@ def measure_knn(n_members: int, n_queries: int, *, k: int = 10
     queries = [members[rnd.randrange(n_members)][2]
                for _ in range(n_queries)]
 
-    index = VectorKNNIndex()
-    index.add_many(members)
+    index = SimilarityIndex([VECTOR_TYPE])
+    for sample_id, class_name, digest in members:
+        index.add(sample_id, {VECTOR_TYPE: digest}, class_name=class_name)
 
     results_match = all(
         index.top_k(q, k, min_score=0) ==

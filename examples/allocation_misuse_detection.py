@@ -12,7 +12,7 @@ cryptominer).  This example simulates that situation:
 * the monitored "job executables" mix legitimate binaries from those
   classes with binaries from other classes and from classes the model
   has never seen,
-* the classification workflow flags everything outside the allocation.
+* the classification service flags everything outside the allocation.
 
 Run with::
 
@@ -25,14 +25,14 @@ import tempfile
 from pathlib import Path
 
 from repro import (
-    ClassificationWorkflow,
+    ClassificationService,
     CorpusBuilder,
     CorpusScanner,
     FeatureExtractionPipeline,
     FuzzyHashClassifier,
     default_config,
 )
-from repro.core.workflow import DECISION_EXPECTED
+from repro.api.service import DECISION_EXPECTED, render_report
 from repro.logging_utils import configure_logging
 
 
@@ -64,8 +64,8 @@ def main() -> int:
         # The allocation is only supposed to run the first known class.
         allocation_classes = [known_to_site[0]]
         print(f"\nallocation 'proj-042' is approved for: {allocation_classes}")
-        workflow = ClassificationWorkflow(classifier,
-                                          allowed_classes=allocation_classes)
+        service = ClassificationService(classifier,
+                                        allowed_classes=allocation_classes)
 
         # Executables observed in the allocation's jobs: a mix of approved
         # software, another preinstalled application, and unknown software.
@@ -76,15 +76,15 @@ def main() -> int:
             observed.extend(str(p) for p in sorted(version_dir.iterdir())[:3])
 
         print(f"\nclassifying {len(observed)} executables observed in jobs ...\n")
-        results = workflow.classify_paths(observed)
-        print(workflow.report(results))
+        results = service.classify_paths(observed)
+        print(render_report(results))
 
         flagged = [r for r in results if r.is_suspicious()]
         ok = [r for r in results if r.decision == DECISION_EXPECTED]
         print(f"\n{len(ok)} executables within the allocation purpose, "
               f"{len(flagged)} flagged for review")
         for item in flagged:
-            print(f"  -> {item.path}")
+            print(f"  -> {item.sample_id}")
             print(f"     predicted: {item.predicted_class} "
                   f"(confidence {item.confidence:.2f}, decision: {item.decision})")
     return 0

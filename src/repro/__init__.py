@@ -12,8 +12,8 @@ binary, its embedded strings and its global symbols with a Random
 Forest trained on similarity scores.  All substrates — the SSDeep/CTPH
 implementation, the edit-distance scoring kernel, a minimal ELF toolkit
 (``strings``/``nm``/``strip`` equivalents), the synthetic sciCORE-like
-corpus and the Random-Forest / metrics / model-selection stack — are
-implemented in this package; the only runtime dependency is NumPy.
+corpus and the Random-Forest / metrics stack — are implemented in this
+package; the only runtime dependency is NumPy.
 
 Quick start
 -----------
@@ -103,12 +103,10 @@ from .ml import (
     RandomForestClassifier,
     classification_report,
     f1_score,
-    train_test_split,
 )
 
 # Core contribution
 from .core import (
-    ClassificationWorkflow,
     ExperimentResult,
     ExperimentRunner,
     FuzzyHashClassifier,
@@ -184,14 +182,12 @@ __all__ = [
     "LinearSVMClassifier",
     "classification_report",
     "f1_score",
-    "train_test_split",
     # core
     "FuzzyHashClassifier",
     "ThresholdRandomForest",
     "FuzzyHashGridSearch",
     "ExperimentRunner",
     "ExperimentResult",
-    "ClassificationWorkflow",
     "TwoPhaseSplit",
     "two_phase_split",
     "run_baseline_comparison",

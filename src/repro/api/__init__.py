@@ -14,11 +14,8 @@ stable surface that deployment programs against:
 * :mod:`repro.api.service` — :class:`ClassificationService`, the
   batched classification facade: ``train`` / ``load`` / ``save`` plus
   ``classify_paths`` / ``classify_bytes`` / ``classify_stream``, all
-  returning typed :class:`Decision` records.
-
-The old hand-wired path (hasher → pipeline → builder → classifier →
-workflow) keeps working; :class:`~repro.core.workflow.ClassificationWorkflow`
-is now a thin wrapper over the service.
+  returning typed :class:`Decision` records, and ``render_report``, the
+  operator-facing summary of a batch of them.
 """
 
 from .artifact import (

@@ -8,7 +8,7 @@ raw little-endian array payloads.
 Header fields::
 
     kind                   "repro.fuzzy-hash-classifier"
-    format_version         written by the container (currently 2)
+    format_version         written by the container (currently 4)
     library_version        repro.__version__ that wrote the file
     params                 FuzzyHashClassifier hyper-parameters (not n_jobs)
     classes                {"kind": "str"|"int"|"float", "values": [...]}

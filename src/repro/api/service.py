@@ -126,20 +126,15 @@ def render_report(items: Sequence) -> str:
     """Multi-line operator-facing summary of classification outcomes.
 
     Accepts :class:`Decision` records or any objects exposing
-    ``predicted_class`` / ``confidence`` / ``decision`` and a
-    ``sample_id`` (or legacy ``path``) identifier — the single formatter
-    behind both the CLI report and
-    :meth:`repro.core.workflow.ClassificationWorkflow.report`.
+    ``sample_id`` / ``predicted_class`` / ``confidence`` / ``decision``
+    — the formatter behind the CLI report.
     """
 
     lines = [f"{'decision':<24} {'class':<24} {'conf':>5}  path"]
     for item in sorted(items,
                        key=lambda i: (i.decision, str(i.predicted_class))):
-        ident = getattr(item, "sample_id", None)
-        if ident is None:
-            ident = getattr(item, "path", "")
         lines.append(f"{item.decision:<24} {str(item.predicted_class):<24} "
-                     f"{item.confidence:>5.2f}  {ident}")
+                     f"{item.confidence:>5.2f}  {item.sample_id}")
     return "\n".join(lines)
 
 

@@ -13,9 +13,10 @@
   the paper's tables and figures end to end,
 * :mod:`repro.core.baselines` — cryptographic-hash, executable-name,
   KNN and linear-SVM baselines,
-* :mod:`repro.core.workflow` — the envisioned production workflow
-  (Figure 1): collect → hash → classify → decide,
 * :mod:`repro.core.reporting` — text renderings of the paper's tables.
+
+The envisioned production workflow (Figure 1: collect → hash →
+classify → decide) is :class:`repro.api.ClassificationService`.
 """
 
 from .splits import TwoPhaseSplit, two_phase_split
@@ -29,7 +30,6 @@ from .baselines import (
     ExecutableNameBaseline,
     run_baseline_comparison,
 )
-from .workflow import ClassificationWorkflow, JobClassification
 
 __all__ = [
     "TwoPhaseSplit",
@@ -48,6 +48,4 @@ __all__ = [
     "CryptoHashBaseline",
     "ExecutableNameBaseline",
     "run_baseline_comparison",
-    "ClassificationWorkflow",
-    "JobClassification",
 ]

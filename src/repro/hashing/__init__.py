@@ -30,7 +30,8 @@ distance over a 256-bit rank-quartile body (:func:`vector_hash`,
 :class:`VectorHasher`, :func:`compare_vector_digests`).  Unlike CTPH,
 every pair of vector digests is comparable — there is no block-size
 gate — and corpus-scale scoring packs digests into ``uint64`` matrices
-(:class:`repro.index.knn.VectorKNNIndex`).
+(:class:`repro.index.knn.PackedDigestStore`, which
+:class:`repro.index.SimilarityIndex` embeds per ``vector-*`` type).
 """
 
 from .rolling import ROLLING_WINDOW, RollingHash, rolling_hash_values

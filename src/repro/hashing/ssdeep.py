@@ -119,15 +119,6 @@ class SsdeepDigest:
         return not self.chunk and not self.double_chunk
 
 
-def _initial_block_size(length: int) -> int:
-    """Smallest admissible block size for an input of ``length`` bytes."""
-
-    block_size = MIN_BLOCKSIZE
-    while block_size * SPAMSUM_LENGTH < length:
-        block_size *= 2
-    return block_size
-
-
 class FuzzyHasher:
     """Compute SSDeep digests of byte strings and files.
 
@@ -263,14 +254,11 @@ class FuzzyHasher:
                 return min_bs, spamsum
         return self.min_blocksize, self.spamsum_length  # pragma: no cover
 
-    def _initial_block_size(self, length: int,
-                            min_blocksize: int | None = None,
-                            spamsum_length: int | None = None) -> int:
-        block_size = (self.min_blocksize if min_blocksize is None
-                      else min_blocksize)
-        spamsum = (self.spamsum_length if spamsum_length is None
-                   else spamsum_length)
-        while block_size * spamsum < length:
+    @staticmethod
+    def _initial_block_size(length: int, min_blocksize: int,
+                            spamsum_length: int) -> int:
+        block_size = min_blocksize
+        while block_size * spamsum_length < length:
             block_size *= 2
         return block_size
 

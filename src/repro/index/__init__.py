@@ -62,23 +62,22 @@ Feature types named ``vector-*`` hold fixed-length ``vr1:`` digests
 the posting machinery entirely: each vector store keeps one packed
 ``uint64`` row per member and candidates are scored by a vectorised
 XOR + popcount Hamming sweep — every pair is comparable, no block-size
-or 7-gram gate applies.  :class:`~repro.index.knn.VectorKNNIndex` is
-the standalone top-k structure over one such packed matrix.
+or 7-gram gate applies.  :mod:`~repro.index.knn` holds that packed
+store and :func:`~repro.index.knn.brute_force_top_k`, the per-pair
+reference that ``top_k`` over a vector digest must equal.
 """
 
 from .core import (IndexMatch, PairScore, SimilarityIndex, expand_digest,
                    load_index)
-from .knn import KNNMatch, PackedDigestStore, VectorKNNIndex, brute_force_top_k
+from .knn import PackedDigestStore, brute_force_top_k
 from .storage import FORMAT_VERSION
 
 __all__ = [
     "FORMAT_VERSION",
     "IndexMatch",
-    "KNNMatch",
     "PackedDigestStore",
     "PairScore",
     "SimilarityIndex",
-    "VectorKNNIndex",
     "brute_force_top_k",
     "expand_digest",
     "load_index",

@@ -1,35 +1,27 @@
-"""Packed-Hamming kNN over fixed-length vector digests.
+"""Packed-Hamming storage for fixed-length vector digests.
 
-Two layers live here:
-
-* :class:`PackedDigestStore` — the storage engine: one member = one row
-  of :data:`~repro.hashing.vector.VECTOR_WORDS` ``uint64`` words (plus a
-  presence flag and the 2-byte digest header), kept as a single packed
-  ``(n, words)`` matrix so a query is answered by one vectorised
-  ``XOR`` + popcount sweep.  :class:`~repro.index.core.SimilarityIndex`
-  embeds one store per ``vector-*`` feature type, which is how the
-  vector family rides the existing tombstones, persistence, ingestion
-  and hot-reload machinery.
-* :class:`VectorKNNIndex` — a standalone index over one digest per
-  member, mirroring the :class:`~repro.index.core.SimilarityIndex`
-  contract (``add`` / ``remove`` tombstones / ``compact`` / ``top_k`` /
-  ``stats`` / ``get_state`` / ``from_state`` / ``save`` / ``load``).
-  Benchmarks and property tests drive this class directly.
+:class:`PackedDigestStore` is the storage engine: one member = one row
+of :data:`~repro.hashing.vector.VECTOR_WORDS` ``uint64`` words (plus a
+presence flag and the 2-byte digest header), kept as a single packed
+``(n, words)`` matrix so a query is answered by one vectorised
+``XOR`` + popcount sweep.  :class:`~repro.index.core.SimilarityIndex`
+embeds one store per ``vector-*`` feature type, which is how the vector
+family rides the index's tombstones, persistence, ingestion and
+hot-reload machinery.
 
 :func:`brute_force_top_k` is the deliberately unvectorised reference
 implementation the property tests and the benchmark compare against:
-packed top-k must be bit-identical to it.
+:meth:`SimilarityIndex.top_k <repro.index.core.SimilarityIndex.top_k>`
+over a vector digest must be bit-identical to it.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..exceptions import SimilarityIndexError, ValidationError
+from ..exceptions import ValidationError
 from ..hashing.vector import (
     VECTOR_WORDS,
     VectorDigest,
@@ -37,20 +29,8 @@ from ..hashing.vector import (
     packed_hamming,
     score_from_distance,
 )
-from .storage import INDEX_FORMAT, read_container, write_container
 
-__all__ = ["PackedDigestStore", "VectorKNNIndex", "KNNMatch",
-           "brute_force_top_k"]
-
-
-@dataclass(frozen=True)
-class KNNMatch:
-    """One top-k neighbour: member, class, Hamming distance and score."""
-
-    sample_id: str
-    class_name: str
-    distance: int
-    score: int
+__all__ = ["PackedDigestStore", "brute_force_top_k"]
 
 
 class PackedDigestStore:
@@ -257,204 +237,29 @@ class PackedDigestStore:
         return store
 
 
-class VectorKNNIndex:
-    """Standalone kNN index over one vector digest per member.
-
-    Mirrors the :class:`~repro.index.core.SimilarityIndex` lifecycle:
-    ``add`` appends, ``remove`` tombstones (queries skip dead members
-    without rebuilding the matrix), ``compact`` rebuilds densely, and
-    ``get_state``/``from_state``/``save``/``load`` round-trip through
-    the shared container format.
-    """
-
-    def __init__(self) -> None:
-        self._store = PackedDigestStore()
-        self._sample_ids: list[str] = []
-        self._classes: list[str] = []
-        self._by_id: dict[str, int] = {}
-        self._dead: set[int] = set()
-
-    # ------------------------------------------------------------- updates
-    def add(self, sample_id: str, class_name: str,
-            digest: "VectorDigest | str") -> None:
-        sample_id = str(sample_id)
-        if sample_id in self._by_id:
-            raise SimilarityIndexError(
-                f"sample {sample_id!r} is already indexed")
-        # Parse before mutating so a malformed digest cannot leave a
-        # half-added member behind.
-        parsed = digest if isinstance(digest, VectorDigest) \
-            else VectorDigest.parse(digest)
-        self._by_id[sample_id] = len(self._sample_ids)
-        self._sample_ids.append(sample_id)
-        self._classes.append(str(class_name))
-        self._store.append(parsed)
-
-    def add_many(self, items: Iterable[tuple[str, str, "VectorDigest | str"]]
-                 ) -> None:
-        for sample_id, class_name, digest in items:
-            self.add(sample_id, class_name, digest)
-
-    def remove(self, sample_id: str) -> None:
-        """Tombstone one member; queries stop returning it immediately."""
-
-        row = self._by_id.get(str(sample_id))
-        if row is None or row in self._dead:
-            raise SimilarityIndexError(f"sample {sample_id!r} is not indexed")
-        self._dead.add(row)
-
-    def compact(self) -> int:
-        """Drop tombstoned rows; returns the number of rows reclaimed."""
-
-        if not self._dead:
-            return 0
-        survivors = [i for i in range(len(self._sample_ids))
-                     if i not in self._dead]
-        reclaimed = len(self._sample_ids) - len(survivors)
-        self._store = self._store.subset(survivors)
-        self._sample_ids = [self._sample_ids[i] for i in survivors]
-        self._classes = [self._classes[i] for i in survivors]
-        self._by_id = {sid: row for row, sid in enumerate(self._sample_ids)}
-        self._dead = set()
-        return reclaimed
-
-    # ------------------------------------------------------------- queries
-    def __len__(self) -> int:
-        return len(self._sample_ids) - len(self._dead)
-
-    def __contains__(self, sample_id: str) -> bool:
-        row = self._by_id.get(str(sample_id))
-        return row is not None and row not in self._dead
-
-    def top_k(self, digest: "VectorDigest | str", k: int = 10, *,
-              min_score: int = 1,
-              exclude: "set[str] | None" = None) -> list[KNNMatch]:
-        """Best ``k`` members by Hamming distance, one packed sweep.
-
-        Ties break by (distance, member order) so results are stable and
-        bit-identical to :func:`brute_force_top_k`.
-        """
-
-        if k < 1:
-            raise ValidationError("k must be >= 1")
-        n = len(self._sample_ids)
-        if n == 0:
-            return []
-        dist = self._store.distances(digest)
-        scores = np.asarray(score_from_distance(dist), dtype=np.int64)
-        alive = np.ones(n, dtype=bool)
-        if self._dead:
-            alive[list(self._dead)] = False
-        if exclude:
-            for sid in exclude:
-                row = self._by_id.get(str(sid))
-                if row is not None:
-                    alive[row] = False
-        eligible = alive & (scores >= min_score)
-        rows = np.flatnonzero(eligible)
-        if not len(rows):
-            return []
-        order = rows[np.argsort(dist[rows], kind="stable")][:k]
-        return [KNNMatch(sample_id=self._sample_ids[row],
-                         class_name=self._classes[row],
-                         distance=int(dist[row]),
-                         score=int(scores[row]))
-                for row in order]
-
-    def stats(self) -> dict:
-        """Operator-facing summary (family breakdown lives here)."""
-
-        present = self._store.present
-        alive = np.ones(len(self._sample_ids), dtype=bool)
-        if self._dead:
-            alive[list(self._dead)] = False
-        return {
-            "members": int(len(self)),
-            "tombstones": int(len(self._dead)),
-            "digest_bits": 8 * VECTOR_WORDS * 8,
-            "words_per_digest": VECTOR_WORDS,
-            "packed_matrix_bytes": int(self._store.nbytes),
-            "members_with_digest": int((present & alive).sum()) if len(alive) else 0,
-            "classes": sorted({self._classes[i]
-                               for i in range(len(self._classes))
-                               if alive[i]}),
-        }
-
-    # --------------------------------------------------------- persistence
-    def get_state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        header = {
-            "kind": "vector-knn",
-            "sample_ids": list(self._sample_ids),
-            "class_names": list(self._classes),
-            "dead": sorted(self._dead),
-        }
-        arrays = {f"v0.{name}": arr
-                  for name, arr in self._store.get_arrays().items()}
-        return header, arrays
-
-    @classmethod
-    def from_state(cls, header: Mapping, arrays: Mapping[str, np.ndarray], *,
-                   copy: bool = True) -> "VectorKNNIndex":
-        if header.get("kind") != "vector-knn":
-            raise ValidationError(
-                f"not a vector-knn state (kind={header.get('kind')!r})")
-        index = cls()
-        index._sample_ids = [str(s) for s in header.get("sample_ids", [])]
-        index._classes = [str(c) for c in header.get("class_names", [])]
-        if len(index._sample_ids) != len(index._classes):
-            raise ValidationError(
-                "vector-knn state: sample_ids and class_names disagree")
-        index._by_id = {sid: row for row, sid in enumerate(index._sample_ids)}
-        if len(index._by_id) != len(index._sample_ids):
-            raise ValidationError("vector-knn state: duplicate sample ids")
-        index._store = PackedDigestStore.adopt_arrays(
-            {name.split(".", 1)[1]: arr for name, arr in arrays.items()
-             if name.startswith("v0.")}, copy=copy)
-        if len(index._store) != len(index._sample_ids):
-            raise ValidationError(
-                "vector-knn state: digest rows and sample_ids disagree")
-        dead = {int(d) for d in header.get("dead", [])}
-        if any(d < 0 or d >= len(index._sample_ids) for d in dead):
-            raise ValidationError("vector-knn state: tombstone out of range")
-        index._dead = dead
-        return index
-
-    def save(self, path: str | os.PathLike) -> None:
-        header, arrays = self.get_state()
-        write_container(path, header, arrays, fmt=INDEX_FORMAT)
-
-    @classmethod
-    def load(cls, path: str | os.PathLike, *,
-             mmap_mode: str | None = None) -> "VectorKNNIndex":
-        """Load a saved index; ``mmap_mode="r"`` adopts zero-copy views."""
-
-        header, arrays = read_container(path, fmt=INDEX_FORMAT,
-                                        mmap_mode=mmap_mode)
-        header.pop("format_version", None)
-        header.pop("payload_alignment", None)
-        header.pop("arrays", None)
-        # A freshly-read container is exclusively owned (eager) or an
-        # immutable mapped view (mmap): adopting without copies is safe.
-        return cls.from_state(header, arrays, copy=False)
-
-
 def brute_force_top_k(members: Sequence[tuple[str, str, str]],
                       digest: "VectorDigest | str", k: int = 10, *,
-                      min_score: int = 1) -> list[KNNMatch]:
+                      min_score: int = 1) -> list["IndexMatch"]:
     """Reference top-k: per-pair Hamming loop, no packing, no NumPy sweep.
 
     ``members`` is ``(sample_id, class_name, digest_string)`` in index
-    order.  Property tests and the benchmark assert the packed sweep of
-    :meth:`VectorKNNIndex.top_k` is bit-identical to this.
+    order.  Results follow :meth:`SimilarityIndex.top_k
+    <repro.index.core.SimilarityIndex.top_k>`: descending score, ties
+    broken by member index (the position in ``members``).  Property
+    tests and the benchmark assert the index's packed sweep over a
+    vector digest is bit-identical to this.
     """
+
+    # core imports this module for PackedDigestStore.
+    from .core import IndexMatch
 
     scored = []
     for order, (sample_id, class_name, member_digest) in enumerate(members):
-        dist = hamming_distance(digest, member_digest)
-        score = int(score_from_distance(dist))
+        score = int(score_from_distance(hamming_distance(digest,
+                                                         member_digest)))
         if score >= min_score:
-            scored.append((dist, order, sample_id, class_name, score))
-    scored.sort(key=lambda item: (item[0], item[1]))
-    return [KNNMatch(sample_id=sid, class_name=cls_name, distance=dist,
-                     score=score)
-            for dist, _, sid, cls_name, score in scored[:k]]
+            scored.append((-score, order, sample_id, class_name))
+    scored.sort()
+    return [IndexMatch(member_index=order, sample_id=sid,
+                       class_name=cls_name, score=-neg_score)
+            for neg_score, order, sid, cls_name in scored[:k]]

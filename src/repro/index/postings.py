@@ -231,12 +231,6 @@ class SignaturePool:
             self._strings.append(signature)
         return sig_id
 
-    def local_id(self, signature: str) -> int | None:
-        """The pool id of ``signature``, or ``None`` if never interned."""
-
-        self._materialise()
-        return self._ids.get(signature)
-
     def windows(self, sig_id: int) -> np.ndarray:
         cached = self._windows.get(sig_id)
         if cached is None:

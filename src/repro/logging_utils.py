@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import logging
 import sys
-import time
-from contextlib import contextmanager
-from typing import Iterator
 
 _PACKAGE_LOGGER_NAME = "repro"
 
@@ -73,16 +70,3 @@ def configure_logging(level: int | str = logging.INFO,
     handler.setFormatter(logging.Formatter(fmt))
     logger.addHandler(handler)
     return logger
-
-
-@contextmanager
-def log_duration(logger: logging.Logger, message: str,
-                 level: int = logging.INFO) -> Iterator[None]:
-    """Log ``message`` together with the wall-clock duration of the block."""
-
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        elapsed = time.perf_counter() - start
-        logger.log(level, "%s (%.3f s)", message, elapsed)

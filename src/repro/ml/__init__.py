@@ -15,13 +15,15 @@ code in :mod:`repro.core` reads like the paper's description:
   linear-SVM comparators named as future work in the paper,
 * :mod:`repro.ml.metrics` — precision/recall/f1 with micro, macro and
   weighted averaging plus the classification report,
-* :mod:`repro.ml.model_selection` — stratified splits, K-fold CV,
-  parameter grids and a (optionally process-parallel) grid search,
 * :mod:`repro.ml.class_weight`, :mod:`repro.ml.encoding`,
   :mod:`repro.ml.base` — the supporting plumbing.
+
+The paper's stratified two-phase split and its joint forest/threshold
+grid search are built on this substrate in :mod:`repro.core.splits`
+and :mod:`repro.core.gridsearch`.
 """
 
-from .base import BaseEstimator, ClassifierMixin, clone
+from .base import BaseEstimator, ClassifierMixin
 from .encoding import LabelEncoder
 from .class_weight import compute_class_weight, compute_sample_weight
 from .tree import DecisionTreeClassifier
@@ -37,17 +39,10 @@ from .metrics import (
     precision_score,
     recall_score,
 )
-from .model_selection import (
-    GridSearchCV,
-    ParameterGrid,
-    StratifiedKFold,
-    train_test_split,
-)
 
 __all__ = [
     "BaseEstimator",
     "ClassifierMixin",
-    "clone",
     "LabelEncoder",
     "compute_class_weight",
     "compute_sample_weight",
@@ -62,8 +57,4 @@ __all__ = [
     "precision_recall_fscore_support",
     "precision_score",
     "recall_score",
-    "GridSearchCV",
-    "ParameterGrid",
-    "StratifiedKFold",
-    "train_test_split",
 ]

@@ -2,9 +2,9 @@
 
 A small re-implementation of scikit-learn's estimator protocol:
 ``get_params``/``set_params`` driven by the constructor signature,
-:func:`clone` to build unfitted copies, and a ``ClassifierMixin`` that
-provides ``score``.  Grid search and the Fuzzy Hash Classifier rely on
-these to treat every model generically.
+and a ``ClassifierMixin`` that provides ``score``.  Every estimator in
+the package builds on these, and the model artifact records a fitted
+classifier's ``get_params``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from ..exceptions import NotFittedError, ValidationError
 
-__all__ = ["BaseEstimator", "ClassifierMixin", "clone", "check_is_fitted"]
+__all__ = ["BaseEstimator", "ClassifierMixin", "check_is_fitted"]
 
 
 class BaseEstimator:
@@ -92,21 +92,6 @@ class ClassifierMixin:
         from .metrics import accuracy_score
 
         return accuracy_score(y, self.predict(X))
-
-
-def clone(estimator: BaseEstimator) -> BaseEstimator:
-    """Return an unfitted copy of ``estimator`` with the same parameters."""
-
-    if not isinstance(estimator, BaseEstimator):
-        raise ValidationError(
-            f"clone expects a BaseEstimator, got {type(estimator).__name__}"
-        )
-    params = estimator.get_params(deep=False)
-    cloned_params = {
-        key: clone(value) if isinstance(value, BaseEstimator) else value
-        for key, value in params.items()
-    }
-    return type(estimator)(**cloned_params)
 
 
 def check_is_fitted(estimator: Any, attribute: str) -> None:

@@ -1,5 +1,5 @@
-"""Tests for the batched classification service (``repro.api.service``)
-and the decision logic shared with ``ClassificationWorkflow``.
+"""Tests for the batched classification service (``repro.api.service``):
+its decision logic, report rendering and model persistence.
 
 The decision-path tests use a stub classifier whose predictions are
 scripted, so each of the three decisions (within-allocation /
@@ -16,9 +16,9 @@ from repro.api.service import (
     DECISION_UNKNOWN,
     ClassificationService,
     Decision,
+    render_report,
 )
 from repro.core.classifier import FuzzyHashClassifier
-from repro.core.workflow import ClassificationWorkflow, JobClassification
 from repro.exceptions import (
     EvaluationError,
     NotFittedError,
@@ -86,24 +86,17 @@ def test_no_allowed_classes_means_every_known_class_is_expected():
 
 
 def test_workflow_decision_paths_match_service(scripted_service):
-    service, script = scripted_service
-    workflow = ClassificationWorkflow(ScriptedClassifier(script),
-                                      allowed_classes=["GROMACS"])
-    results = workflow.classify_features(
+    service, _ = scripted_service
+    results = service.classify_features(
         [record("job-a"), record("job-b"), record("job-c")])
-    assert all(isinstance(r, JobClassification) for r in results)
+    assert all(isinstance(r, Decision) for r in results)
     assert [r.decision for r in results] == \
         [DECISION_EXPECTED, DECISION_UNEXPECTED, DECISION_UNKNOWN]
-    # The workflow's report renders every decision row.
-    report = workflow.report(results)
+    # The report renders every decision row.
+    report = render_report(results)
     for token in (DECISION_EXPECTED, DECISION_UNEXPECTED, DECISION_UNKNOWN,
                   "job-a", "job-b", "job-c"):
         assert token in report
-
-
-def test_workflow_requires_fitted_classifier_with_evaluation_error():
-    with pytest.raises(EvaluationError):
-        ClassificationWorkflow(FuzzyHashClassifier())
 
 
 def test_service_requires_fitted_classifier():
@@ -194,11 +187,11 @@ def test_workflow_save_model_round_trips(tmp_path):
     records = make_records(24, seed=8, n_families=3)
     clf = FuzzyHashClassifier(feature_types=["ssdeep-file"], n_estimators=8,
                               random_state=3).fit(records)
-    workflow = ClassificationWorkflow(clf)
-    path = workflow.save_model(tmp_path / "wf.rpm")
+    service = ClassificationService(clf)
+    path = service.save(tmp_path / "wf.rpm")
     loaded = ClassificationService.load(path)
     assert [d.predicted_class for d in loaded.classify_features(records)] == \
-        [r.predicted_class for r in workflow.classify_features(records)]
+        [r.predicted_class for r in service.classify_features(records)]
 
 
 def test_train_rejects_unlabelled_records():

@@ -1,8 +1,19 @@
-"""Tests for the production workflow (Figure 1) and report rendering."""
+"""Tests for the production workflow (Figure 1) and report rendering.
+
+The workflow is :class:`~repro.api.service.ClassificationService`:
+collect → hash → classify → decide, summarised by ``render_report``.
+"""
 
 import numpy as np
 import pytest
 
+from repro.api.service import (
+    DECISION_EXPECTED,
+    DECISION_UNEXPECTED,
+    DECISION_UNKNOWN,
+    ClassificationService,
+    render_report,
+)
 from repro.core.classifier import FuzzyHashClassifier
 from repro.core.reporting import (
     class_size_table,
@@ -16,12 +27,6 @@ from repro.core.reporting import (
 )
 from repro.core.splits import two_phase_split
 from repro.core.thresholds import ThresholdPoint, ThresholdSweep
-from repro.core.workflow import (
-    DECISION_EXPECTED,
-    DECISION_UNEXPECTED,
-    DECISION_UNKNOWN,
-    ClassificationWorkflow,
-)
 from repro.exceptions import EvaluationError
 from repro.ml.metrics import classification_report
 
@@ -38,17 +43,12 @@ def workflow_setup(tiny_features, tiny_labels, disk_tree):
     return clf, split
 
 
-def test_workflow_requires_fitted_classifier():
-    with pytest.raises(EvaluationError):
-        ClassificationWorkflow(FuzzyHashClassifier())
-
-
 def test_workflow_classifies_directory(workflow_setup, disk_tree):
     clf, split = workflow_setup
     root, dataset = disk_tree
     known_class = split.known_classes[0]
-    workflow = ClassificationWorkflow(clf)
-    results = workflow.classify_directory(root / known_class)
+    service = ClassificationService(clf)
+    results = service.classify_directory(root / known_class)
     assert results
     # Most executables of a known class are recognised as that class.
     recognised = sum(1 for r in results if r.predicted_class == known_class)
@@ -62,8 +62,8 @@ def test_workflow_flags_out_of_allocation_software(workflow_setup, disk_tree):
     root, _ = disk_tree
     known_class = split.known_classes[0]
     other_known = split.known_classes[1]
-    workflow = ClassificationWorkflow(clf, allowed_classes=[other_known])
-    results = workflow.classify_directory(root / known_class)
+    service = ClassificationService(clf, allowed_classes=[other_known])
+    results = service.classify_directory(root / known_class)
     # The allocation only allows a different application, so anything
     # recognised as `known_class` must be flagged as unexpected.
     flagged = [r for r in results if r.decision == DECISION_UNEXPECTED]
@@ -75,26 +75,26 @@ def test_workflow_marks_unknown_applications(workflow_setup, disk_tree):
     clf, split = workflow_setup
     root, _ = disk_tree
     unknown_class = split.unknown_classes[0]
-    workflow = ClassificationWorkflow(clf)
-    results = workflow.classify_directory(root / unknown_class)
+    service = ClassificationService(clf)
+    results = service.classify_directory(root / unknown_class)
     unknown_decisions = [r for r in results if r.decision == DECISION_UNKNOWN]
     assert len(unknown_decisions) / len(results) > 0.5
 
 
 def test_workflow_report_and_empty_paths(workflow_setup):
     clf, _ = workflow_setup
-    workflow = ClassificationWorkflow(clf)
-    assert workflow.classify_paths([]) == []
+    service = ClassificationService(clf)
+    assert service.classify_paths([]) == []
     with pytest.raises(EvaluationError):
-        workflow.classify_directory("/definitely/not/a/directory")
+        service.classify_directory("/definitely/not/a/directory")
 
 
 def test_workflow_classify_features_directly(workflow_setup, tiny_features):
     clf, _ = workflow_setup
-    workflow = ClassificationWorkflow(clf)
-    results = workflow.classify_features(tiny_features[:5])
+    service = ClassificationService(clf)
+    results = service.classify_features(tiny_features[:5])
     assert len(results) == 5
-    report = workflow.report(results)
+    report = render_report(results)
     assert "decision" in report
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import (
-    ClassificationWorkflow,
+    ClassificationService,
     CorpusScanner,
     FeatureExtractionPipeline,
     FuzzyHashClassifier,
@@ -110,15 +110,15 @@ def test_workflow_end_to_end_with_allocation_policy(disk_tree, tiny_features,
                               random_state=2).fit(train)
 
     allocation_app = split.known_classes[0]
-    workflow = ClassificationWorkflow(clf, allowed_classes=[allocation_app])
-    all_results = workflow.classify_directory(root)
+    service = ClassificationService(clf, allowed_classes=[allocation_app])
+    all_results = service.classify_directory(root)
     assert len(all_results) == sum(1 for _ in root.rglob("*") if _.is_file())
     suspicious = [r for r in all_results if r.is_suspicious()]
     expected_ok = [r for r in all_results if not r.is_suspicious()]
     # Executables of the allowed application are mostly accepted, the rest
     # is mostly flagged.
     assert suspicious and expected_ok
-    accepted_paths = {r.path for r in expected_ok}
+    accepted_paths = {r.sample_id for r in expected_ok}
     assert any(f"/{allocation_app}/" in path for path in accepted_paths)
 
 

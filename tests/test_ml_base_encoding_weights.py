@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import NotFittedError, ValidationError
-from repro.ml.base import BaseEstimator, check_is_fitted, clone
+from repro.ml.base import BaseEstimator
 from repro.ml.class_weight import compute_class_weight, compute_sample_weight
 from repro.ml.encoding import LabelEncoder
-from repro.ml.tree import DecisionTreeClassifier
 
 
 class _Toy(BaseEstimator):
@@ -36,17 +35,6 @@ def test_nested_params():
     assert params["nested__alpha"] == 5
     toy.set_params(nested__alpha=7)
     assert toy.nested.alpha == 7
-
-
-def test_clone_returns_unfitted_copy():
-    tree = DecisionTreeClassifier(max_depth=4)
-    tree.fit([[0.0], [1.0]], [0, 1])
-    copy = clone(tree)
-    assert copy.max_depth == 4
-    with pytest.raises(NotFittedError):
-        check_is_fitted(copy, "classes_")
-    with pytest.raises(ValidationError):
-        clone("not an estimator")
 
 
 def test_repr_contains_params():
