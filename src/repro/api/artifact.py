@@ -17,9 +17,10 @@ Header fields::
     forest                 {"classes", "n_features_in", "n_trees"}
     index                  {"included": bool, "header": ... | null}
 
-Array payloads hold the flattened forest (per-tree node tables
-concatenated, with offset arrays) and, when ``include_index`` is left
-on, the anchor index under ``index.*`` names.
+Array payloads hold the forest's node table, the arrays the forest
+predicts from (:meth:`repro.ml.forest.RandomForestClassifier.get_state`),
+under ``forest.*`` names, and, when ``include_index`` is left on, the
+anchor index under ``index.*`` names.
 
 Format version 2 additionally allowed the embedded anchor index to be
 sharded: its header (under ``index.header``) carries ``"sharded": true``
@@ -40,8 +41,10 @@ materialising path) and predict identically; readers accept any
 version up to the current one.
 
 Validation on load is strict: bad magic, truncation, a future format
-version, unknown feature types, or a feature layout that does not match
-the embedded (or supplied) anchor index all raise
+version, unknown feature types, a forest node table that is
+inconsistent or that a walk could loop in (every internal node's
+children must point forward inside its own tree), or a feature layout
+that does not match the embedded (or supplied) anchor index all raise
 :class:`~repro.exceptions.ModelFormatError` — the CLI turns that into a
 one-line message and exit status 2.  A model restored by
 :func:`load_model` predicts **bit-identically** to the instance passed
@@ -149,134 +152,6 @@ def _decode_labels(payload: Mapping, *, source: str) -> np.ndarray:
         f"{source} declares unknown class-label kind {kind!r}")
 
 
-# ------------------------------------------------------------ forest codec
-def _flatten_forest(forest_state: Mapping) -> tuple[dict, dict[str, np.ndarray]]:
-    """Flatten a forest ``get_state`` snapshot into header + arrays."""
-
-    trees = forest_state["trees"]
-    node_offsets = np.zeros(len(trees) + 1, dtype=np.int64)
-    class_offsets = np.zeros(len(trees) + 1, dtype=np.int64)
-    feature, left, right, samples = [], [], [], []
-    threshold, values, tree_classes, tree_importances = [], [], [], []
-    for i, tree in enumerate(trees):
-        classes = np.asarray(tree["classes"])
-        if not np.issubdtype(classes.dtype, np.integer):
-            raise ModelArtifactError(
-                "forest trees must carry integer-encoded class indices")
-        node_offsets[i + 1] = node_offsets[i] + len(tree["feature"])
-        class_offsets[i + 1] = class_offsets[i] + len(classes)
-        feature.append(tree["feature"])
-        left.append(tree["left"])
-        right.append(tree["right"])
-        samples.append(tree["n_node_samples"])
-        threshold.append(tree["threshold"])
-        values.append(np.asarray(tree["values"], dtype=np.float64).ravel())
-        tree_classes.append(classes.astype(np.int64))
-        tree_importances.append(tree["feature_importances"])
-
-    def _cat(parts, dtype):
-        return (np.concatenate(parts).astype(dtype) if parts
-                else np.zeros(0, dtype=dtype))
-
-    header = {
-        "classes": _encode_labels(forest_state["classes"]),
-        "n_features_in": int(forest_state["n_features_in"]),
-        "n_trees": len(trees),
-    }
-    arrays = {
-        "forest.tree_node_offsets": node_offsets,
-        "forest.tree_class_offsets": class_offsets,
-        "forest.node_feature": _cat(feature, np.int64),
-        "forest.node_left": _cat(left, np.int64),
-        "forest.node_right": _cat(right, np.int64),
-        "forest.node_samples": _cat(samples, np.int64),
-        "forest.node_threshold": _cat(threshold, np.float64),
-        "forest.node_values": _cat(values, np.float64),
-        "forest.tree_classes": _cat(tree_classes, np.int64),
-        "forest.tree_importances": np.stack(tree_importances).astype(np.float64),
-        "forest.importances": np.asarray(forest_state["feature_importances"],
-                                         dtype=np.float64),
-    }
-    return header, arrays
-
-
-def _unflatten_forest(forest_header: Mapping, arrays: Mapping[str, np.ndarray],
-                      *, source: str) -> dict:
-    """Rebuild a forest ``set_state`` snapshot from header + arrays."""
-
-    try:
-        n_trees = int(forest_header["n_trees"])
-        n_features = int(forest_header["n_features_in"])
-        classes = _decode_labels(forest_header["classes"], source=source)
-        node_offsets = arrays["forest.tree_node_offsets"]
-        class_offsets = arrays["forest.tree_class_offsets"]
-        node_feature = arrays["forest.node_feature"]
-        node_left = arrays["forest.node_left"]
-        node_right = arrays["forest.node_right"]
-        node_samples = arrays["forest.node_samples"]
-        node_threshold = arrays["forest.node_threshold"]
-        node_values = arrays["forest.node_values"]
-        tree_classes = arrays["forest.tree_classes"]
-        tree_importances = arrays["forest.tree_importances"]
-        forest_importances = arrays["forest.importances"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(
-            f"{source} is missing forest payload fields: {exc}") from exc
-
-    if len(node_offsets) != n_trees + 1 or len(class_offsets) != n_trees + 1:
-        raise ModelFormatError(f"{source} has inconsistent forest offsets")
-    if np.any(np.diff(node_offsets) < 0) or np.any(np.diff(class_offsets) < 0):
-        raise ModelFormatError(f"{source} has decreasing forest offsets")
-    n_nodes_total = int(node_offsets[-1]) if n_trees else 0
-    for name, array in (("node_feature", node_feature),
-                        ("node_left", node_left),
-                        ("node_right", node_right),
-                        ("node_samples", node_samples),
-                        ("node_threshold", node_threshold)):
-        if len(array) != n_nodes_total:
-            raise ModelFormatError(
-                f"{source} has a forest array {name!r} of length "
-                f"{len(array)}, expected {n_nodes_total}")
-    if n_trees and (len(tree_classes) != int(class_offsets[-1])
-                    or tree_importances.shape != (n_trees, n_features)):
-        raise ModelFormatError(f"{source} has inconsistent per-tree arrays")
-
-    trees = []
-    value_offset = 0
-    for t in range(n_trees):
-        node_lo, node_hi = int(node_offsets[t]), int(node_offsets[t + 1])
-        class_lo, class_hi = int(class_offsets[t]), int(class_offsets[t + 1])
-        n_nodes = node_hi - node_lo
-        n_classes = class_hi - class_lo
-        n_values = n_nodes * n_classes
-        if value_offset + n_values > len(node_values):
-            raise ModelFormatError(
-                f"{source} has a truncated forest value table")
-        values = node_values[value_offset:value_offset + n_values]
-        value_offset += n_values
-        trees.append({
-            "feature": node_feature[node_lo:node_hi],
-            "threshold": node_threshold[node_lo:node_hi],
-            "left": node_left[node_lo:node_hi],
-            "right": node_right[node_lo:node_hi],
-            "values": values.reshape(n_nodes, n_classes),
-            "n_node_samples": node_samples[node_lo:node_hi],
-            "classes": tree_classes[class_lo:class_hi],
-            "n_features_in": n_features,
-            "feature_importances": tree_importances[t],
-        })
-    if value_offset != len(node_values):
-        raise ModelFormatError(
-            f"{source} has {len(node_values) - value_offset} trailing "
-            "forest values")
-    return {
-        "classes": classes,
-        "n_features_in": n_features,
-        "feature_importances": forest_importances,
-        "trees": trees,
-    }
-
-
 # ------------------------------------------------------------------- save
 def save_model(classifier: FuzzyHashClassifier, path: str | os.PathLike, *,
                include_index: bool = True,
@@ -316,8 +191,14 @@ def save_model(classifier: FuzzyHashClassifier, path: str | os.PathLike, *,
         raise ModelArtifactError(
             f"classifier parameters are not JSON-serialisable: {exc}") from exc
 
-    forest_header, arrays = _flatten_forest(
-        classifier.model_.get_state()["forest"])
+    forest = classifier.model_.get_state()["forest"]
+    arrays = {f"forest.{name}": array
+              for name, array in forest["table"].items()}
+    forest_header = {
+        "classes": _encode_labels(forest["classes"]),
+        "n_features_in": forest["n_features_in"],
+        "n_trees": len(forest["table"]["tree_node_offsets"]) - 1,
+    }
     header = {
         "kind": MODEL_KIND,
         "library_version": __version__,
@@ -454,7 +335,21 @@ def _restore(path: Path,
             builder_state = {"index_header": index_header,
                              "index_arrays": index_arrays}
 
-    forest_state = _unflatten_forest(forest_header, arrays, source=source)
+    try:
+        n_trees = int(forest_header["n_trees"])
+        forest_state = {
+            "classes": _decode_labels(forest_header["classes"], source=source),
+            "n_features_in": int(forest_header["n_features_in"]),
+            "table": {name.split(".", 1)[1]: array
+                      for name, array in arrays.items()
+                      if name.startswith("forest.")},
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(
+            f"{source} is missing forest payload fields: {exc}") from exc
+    offsets = forest_state["table"].get("tree_node_offsets")
+    if offsets is not None and offsets.shape != (n_trees + 1,):
+        raise ModelFormatError(f"{source} has inconsistent forest offsets")
     try:
         classifier.set_state({
             "builder": builder_state,

@@ -197,10 +197,6 @@ class ElfSection:
     header: SectionHeader
     data: bytes = b""
 
-    @property
-    def is_symtab(self) -> bool:
-        return self.header.sh_type == C.SHT_SYMTAB
-
 
 @dataclass
 class SymbolSpec:

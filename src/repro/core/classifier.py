@@ -333,29 +333,16 @@ class FuzzyHashClassifier(BaseEstimator, ClassifierMixin):
         return self.model_.confidence(matrix.X)
 
     # ---------------------------------------------------------- persistence
-    def get_state(self) -> dict:
-        """Serialisable snapshot of the fitted classifier.
-
-        Bundles the feature builder (anchor index), the thresholded
-        forest and the feature layout; :func:`repro.api.save_model` is
-        the on-disk form of exactly this snapshot.
-        """
-
-        check_is_fitted(self, "model_")
-        return {
-            "builder": self.builder_.get_state(),
-            "model": self.model_.get_state(),
-            "feature_names": list(self.feature_names_),
-            "feature_groups": {k: list(v)
-                               for k, v in self.feature_groups_.items()},
-        }
-
     def set_state(self, state: dict) -> "FuzzyHashClassifier":
-        """Restore a snapshot produced by :meth:`get_state`.
+        """Restore a fitted classifier from its parts.
 
+        ``state`` holds ``"builder"`` (a
+        :meth:`~repro.features.similarity.SimilarityFeatureBuilder.set_state`
+        snapshot), ``"model"`` (a :meth:`ThresholdRandomForest.get_state`
+        snapshot), ``"feature_names"`` and ``"feature_groups"``;
+        :func:`repro.api.load_model` assembles it from an artifact.
         Constructor hyper-parameters come from ``self`` (they are stored
-        alongside the state in a model artifact); the state carries the
-        fitted builder/forest payloads.
+        alongside the state in a model artifact).
         """
 
         try:

@@ -297,14 +297,6 @@ class SimilarityIndex:
         return self._feature_types
 
     @property
-    def ctph_feature_types(self) -> tuple[str, ...]:
-        return self._ctph_types
-
-    @property
-    def vector_feature_types(self) -> tuple[str, ...]:
-        return self._vector_types
-
-    @property
     def ngram_length(self) -> int:
         return self._ngram_length
 

@@ -139,11 +139,6 @@ class _IntVec:
         self._buf[self._n:self._n + len(values)] = values
         self._n += len(values)
 
-    def extend_repeat(self, value: int, count: int) -> None:
-        self._reserve(count)
-        self._buf[self._n:self._n + count] = value
-        self._n += count
-
     def array(self) -> np.ndarray:
         """A zero-copy view of the live region (do not mutate)."""
 
@@ -372,10 +367,6 @@ class ArrayPostings:
         return entry_id
 
     # --------------------------------------------------------------- merge
-    @property
-    def tail_size(self) -> int:
-        return len(self._t_keys)
-
     def merge(self) -> None:
         """Fold the mutable tail into the sorted CSR arrays (idempotent).
 

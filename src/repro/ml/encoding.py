@@ -39,23 +39,6 @@ class LabelEncoder:
         except KeyError as exc:
             raise ValidationError(f"y contains previously unseen label {exc.args[0]!r}") from exc
 
-    def get_state(self) -> dict:
-        """Serialisable snapshot of the fitted encoder (model artifacts)."""
-
-        if self.classes_ is None:
-            raise NotFittedError("LabelEncoder is not fitted")
-        return {"classes": self.classes_.tolist()}
-
-    def set_state(self, state: dict) -> "LabelEncoder":
-        """Restore a snapshot produced by :meth:`get_state`."""
-
-        try:
-            classes = list(state["classes"])
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"invalid LabelEncoder state: {exc}") from exc
-        self.classes_ = np.array(classes)
-        return self
-
     def inverse_transform(self, encoded) -> np.ndarray:
         if self.classes_ is None:
             raise NotFittedError("LabelEncoder is not fitted")

@@ -11,6 +11,14 @@ the choice with two properties (Section 3), both reproduced here:
   and exposed as ``feature_importances_`` (Table 5 of the paper is the
   per-hash-type aggregation of these).
 
+A fitted forest is one **node table** (:data:`_TABLE_DTYPES`): the
+trees' node arrays concatenated tree after tree, with offset arrays,
+plus each tree's class indices and importances.  These are the arrays a
+model artifact stores under ``forest.*`` names
+(:mod:`repro.api.artifact`).  ``fit`` builds the table once from the
+grown trees; ``set_state`` validates a saved one and adopts it; both
+then derive, once, the view ``predict_proba`` walks.
+
 Trees can be fitted in parallel worker processes (``n_jobs``); each
 worker receives a batch of tree seeds to amortise the cost of shipping
 the training matrix.
@@ -18,7 +26,7 @@ the training matrix.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -34,9 +42,118 @@ from ..parallel import effective_n_jobs, parallel_map, partition_evenly
 from .base import BaseEstimator, ClassifierMixin, check_is_fitted
 from .class_weight import compute_sample_weight
 from .encoding import LabelEncoder
-from .tree import DecisionTreeClassifier, encode_columns
+from .tree import (
+    DecisionTreeClassifier,
+    class_distributions,
+    encode_columns,
+    walk,
+)
 
 __all__ = ["RandomForestClassifier"]
+
+#: The node table's arrays and their dtypes, in the order a model
+#: artifact stores them.  Tree ``t`` owns nodes ``tree_node_offsets[t]``
+#: up to ``tree_node_offsets[t + 1]``, numbered from 0 inside the tree
+#: (child pointers are tree-local; leaves have feature ``-2`` and
+#: children ``-1``), and its classes are the forest class indices
+#: ``tree_classes[tree_class_offsets[t]:tree_class_offsets[t + 1]]``.
+#: ``node_values`` holds each tree's (nodes x classes) class masses,
+#: row by row, tree after tree.
+_TABLE_DTYPES = {
+    "tree_node_offsets": np.int64,
+    "tree_class_offsets": np.int64,
+    "node_feature": np.int64,
+    "node_left": np.int64,
+    "node_right": np.int64,
+    "node_samples": np.int64,
+    "node_threshold": np.float64,
+    "node_values": np.float64,
+    "tree_classes": np.int64,
+    "tree_importances": np.float64,
+    "importances": np.float64,
+}
+
+
+def _offsets(counts: list[int]) -> np.ndarray:
+    """Start offsets of consecutive blocks of ``counts``, plus the end."""
+
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _checked_table(table: Mapping, n_classes: int, n_features: int) -> dict:
+    """``table``'s arrays in their table dtypes, once they are shown to
+    describe a forest of ``n_classes`` classes over ``n_features``.
+
+    An array that already has its dtype is not copied, so mapped views
+    stay views.  Every internal node's children must point forward
+    inside its own tree, which is how ``fit`` numbers them; this also
+    makes every walk end.  Raises :class:`ValidationError` on the first
+    inconsistency.
+    """
+
+    missing = [name for name in _TABLE_DTYPES if name not in table]
+    if missing:
+        raise ValidationError(f"forest node table is missing {missing}")
+    if not np.issubdtype(np.asarray(table["tree_classes"]).dtype, np.integer):
+        raise ValidationError("forest node table has tree classes that are "
+                              "not integer indices into the class table")
+    try:
+        arrays = {name: np.asarray(table[name], dtype=dtype)
+                  for name, dtype in _TABLE_DTYPES.items()}
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"invalid forest node table: {exc}") from exc
+
+    node_offsets = arrays["tree_node_offsets"]
+    class_offsets = arrays["tree_class_offsets"]
+    if node_offsets.ndim != 1 or class_offsets.shape != node_offsets.shape:
+        raise ValidationError("forest node table has inconsistent tree offsets")
+    if len(node_offsets) < 2:
+        raise ValidationError("forest node table holds no trees")
+    if node_offsets[0] != 0 or class_offsets[0] != 0:
+        raise ValidationError("forest node table has tree offsets that do "
+                              "not start at 0")
+    sizes, class_counts = np.diff(node_offsets), np.diff(class_offsets)
+    if np.any(sizes < 0) or np.any(class_counts < 0):
+        raise ValidationError("forest node table has decreasing tree offsets")
+    if np.any(sizes == 0):
+        raise ValidationError("forest node table has a tree with no nodes")
+    n_trees, n_nodes = len(sizes), int(node_offsets[-1])
+    expected_shapes = {
+        "node_feature": (n_nodes,),
+        "node_left": (n_nodes,),
+        "node_right": (n_nodes,),
+        "node_samples": (n_nodes,),
+        "node_threshold": (n_nodes,),
+        "node_values": (int(np.dot(sizes, class_counts)),),
+        "tree_classes": (int(class_offsets[-1]),),
+        "tree_importances": (n_trees, n_features),
+        "importances": (n_features,),
+    }
+    for name, shape in expected_shapes.items():
+        if arrays[name].shape != shape:
+            raise ValidationError(
+                f"forest node table array {name!r} has shape "
+                f"{arrays[name].shape}, expected {shape}")
+    tree_classes = arrays["tree_classes"]
+    if tree_classes.size and (tree_classes.min() < 0
+                              or tree_classes.max() >= n_classes):
+        raise ValidationError("forest node table has tree classes outside "
+                              "the forest's class table")
+    feature = arrays["node_feature"]
+    if feature.min() < -2 or feature.max() >= n_features:
+        raise ValidationError("forest node table references an invalid "
+                              "feature")
+    local = np.arange(n_nodes) - np.repeat(node_offsets[:-1], sizes)
+    size = np.repeat(sizes, sizes)
+    internal = feature >= 0
+    for child in (arrays["node_left"], arrays["node_right"]):
+        if np.any(internal & ((child <= local) | (child >= size))):
+            raise ValidationError(
+                "forest node table has a child pointer that does not point "
+                "forward inside its own tree")
+    return arrays
 
 
 def _fit_tree_batch(args) -> list[DecisionTreeClassifier]:
@@ -101,7 +218,6 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         encoder = LabelEncoder()
         y_encoded = encoder.fit_transform(y)
         self.classes_ = encoder.classes_
-        self._encoder = encoder
         self.n_features_in_ = X.shape[1]
 
         weights = None
@@ -139,82 +255,51 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
                                    chunksize=1, min_items_per_worker=1)
             self.estimators_ = [tree for batch in results for tree in batch]
 
-        self.feature_importances_ = self._aggregate_importances()
-        self.__dict__.pop("_stacked_nodes", None)   # rebuilt lazily on predict
+        trees = self.estimators_
+        self._install({
+            "tree_node_offsets": _offsets([tree.node_count for tree in trees]),
+            "tree_class_offsets": _offsets([len(tree.classes_)
+                                            for tree in trees]),
+            "node_feature": np.concatenate([t._node_feature for t in trees]),
+            "node_left": np.concatenate([t._node_left for t in trees]),
+            "node_right": np.concatenate([t._node_right for t in trees]),
+            "node_samples": np.concatenate([t._node_samples for t in trees]),
+            "node_threshold": np.concatenate([t._node_threshold
+                                              for t in trees]),
+            "node_values": np.concatenate([t._node_values.ravel()
+                                           for t in trees]),
+            "tree_classes": np.concatenate([t.classes_ for t in trees]
+                                           ).astype(np.int64),
+            "tree_importances": np.stack([t.feature_importances_
+                                          for t in trees]),
+            "importances": self._aggregate_importances(),
+        })
         return self
 
     # ------------------------------------------------------------- predict
     def predict_proba(self, X) -> np.ndarray:
-        check_is_fitted(self, "estimators_")
+        check_is_fitted(self, "_table")
         X = check_array_2d(X, "X")
         if X.shape[1] != self.n_features_in_:
             raise ValidationError(
                 f"X has {X.shape[1]} features, expected {self.n_features_in_}")
-        if not hasattr(self, "_stacked_nodes"):
-            self._stack_estimators()
-        feature, threshold, left, right, roots, leaf_proba = self._stacked_nodes
-        n_trees = len(self.estimators_)
-        n_samples = X.shape[0]
-
-        # Advance every (tree, sample) walker together: the loop runs
+        table = self._table
+        # One walker per (tree, sample), advanced together: the loop runs
         # max-tree-depth times on one big array instead of per tree, so
-        # NumPy dispatch overhead no longer scales with forest size.
-        nodes = np.broadcast_to(roots[:, None], (n_trees, n_samples)).copy()
-        sample_idx = np.broadcast_to(np.arange(n_samples, dtype=np.int64),
-                                     (n_trees, n_samples))
-        active = feature[nodes] >= 0
-        while np.any(active):
-            current = nodes[active]
-            go_left = X[sample_idx[active], feature[current]] <= threshold[current]
-            nodes[active] = np.where(go_left, left[current], right[current])
-            active = feature[nodes] >= 0
+        # NumPy dispatch overhead does not scale with forest size.
+        leaves = walk(X, table["tree_node_offsets"][:-1], table["node_feature"],
+                      table["node_threshold"], self._left, self._right)
 
         # Summing the per-tree leaf distributions in tree order keeps the
         # result bit-identical to the per-tree accumulation loop (absent
         # classes contribute exact zeros).  Accumulating tree by tree
         # caps the transient at one (n_samples, n_classes) gather instead
         # of materialising the full (n_trees, n_samples, n_classes) cube.
-        total = np.zeros((n_samples, len(self.classes_)), dtype=np.float64)
-        for t in range(n_trees):
-            total += leaf_proba[nodes[t]]
-        total /= n_trees
+        total = np.zeros((X.shape[0], len(self.classes_)), dtype=np.float64)
+        for tree_leaves in leaves:
+            total += self._leaf_proba[tree_leaves]
+        total /= len(leaves)
         return total
-
-    def _stack_estimators(self) -> None:
-        """Concatenate all tree node tables for the batched predict.
-
-        Child pointers are rebased to global node ids (leaf sentinels
-        stay negative); each node's class distribution is scattered into
-        the forest's class columns so leaves from different trees sum
-        directly.
-        """
-
-        n_classes = len(self.classes_)
-        features, thresholds, lefts, rights, probas = [], [], [], [], []
-        roots = np.zeros(len(self.estimators_), dtype=np.int64)
-        offset = 0
-        for t, tree in enumerate(self.estimators_):
-            n_nodes = len(tree._node_feature)
-            roots[t] = offset
-            features.append(tree._node_feature)
-            thresholds.append(tree._node_threshold)
-            # Rebase internal children; keep -1 leaf sentinels as-is.
-            lefts.append(np.where(tree._node_left >= 0,
-                                  tree._node_left + offset, tree._node_left))
-            rights.append(np.where(tree._node_right >= 0,
-                                   tree._node_right + offset, tree._node_right))
-            padded = np.zeros((n_nodes, n_classes), dtype=np.float64)
-            padded[:, tree.classes_.astype(np.int64)] = tree._leaf_proba
-            probas.append(padded)
-            offset += n_nodes
-        self._stacked_nodes = (
-            np.concatenate(features),
-            np.concatenate(thresholds),
-            np.concatenate(lefts),
-            np.concatenate(rights),
-            roots,
-            np.vstack(probas),
-        )
 
     def predict(self, X) -> np.ndarray:
         probabilities = self.predict_proba(X)
@@ -223,71 +308,75 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
 
     # ---------------------------------------------------------- persistence
     def get_state(self) -> dict:
-        """Serialisable snapshot of the fitted forest (model artifacts).
+        """The fitted forest: ``{"classes", "n_features_in", "table"}``.
 
-        Tree node tables are exported through
-        :meth:`~repro.ml.tree.DecisionTreeClassifier.get_state`; the
-        forest adds its class index and aggregated importances.  A forest
-        restored with :meth:`set_state` predicts bit-identically.
+        ``table`` maps the names of :data:`_TABLE_DTYPES`, in that
+        order, to the arrays the forest predicts from (not copies); a
+        model artifact writes them as they are, under ``forest.*``
+        names.  A forest restored with :meth:`set_state` predicts
+        bit-identically.
         """
 
-        check_is_fitted(self, "estimators_")
+        check_is_fitted(self, "_table")
         return {
-            "classes": np.asarray(self.classes_).copy(),
+            "classes": self.classes_,
             "n_features_in": int(self.n_features_in_),
-            "feature_importances": np.asarray(self.feature_importances_,
-                                              dtype=np.float64).copy(),
-            "trees": [tree.get_state() for tree in self.estimators_],
+            "table": dict(self._table),
         }
 
     def set_state(self, state: dict) -> "RandomForestClassifier":
-        """Restore a snapshot produced by :meth:`get_state`."""
+        """Adopt a snapshot produced by :meth:`get_state`.
+
+        The table is validated once and its arrays are adopted, copied
+        only where they need a dtype conversion: a model loaded with
+        ``mmap_mode="r"`` predicts from views of the file.  The restored
+        forest has no ``estimators_``; nothing after a load needs tree
+        objects.  Raises :class:`ValidationError` on an inconsistent
+        table.
+        """
 
         try:
             classes = np.asarray(state["classes"])
             n_features_in = int(state["n_features_in"])
-            importances = np.asarray(state["feature_importances"],
-                                     dtype=np.float64)
-            tree_states = list(state["trees"])
+            table = dict(state["table"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"invalid random-forest state: {exc}") from exc
-        if not tree_states:
-            raise ValidationError("random-forest state holds no trees")
-        tree_params = dict(
-            criterion=self.criterion,
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=self.max_features,
-        )
-        estimators = []
-        n_classes = len(classes)
-        for tree_state in tree_states:
-            tree = DecisionTreeClassifier(**tree_params).set_state(tree_state)
-            # Trees carry integer-encoded class indices into the forest's
-            # class table; reject pointers outside it.
-            tree_classes = np.asarray(tree.classes_)
-            if tree_classes.size and (not np.issubdtype(tree_classes.dtype,
-                                                        np.integer)
-                                      or tree_classes.min() < 0
-                                      or tree_classes.max() >= n_classes):
-                raise ValidationError(
-                    "random-forest state has a tree whose classes fall "
-                    "outside the forest's class table")
-            if tree.n_features_in_ != n_features_in:
-                raise ValidationError(
-                    "random-forest state has a tree with a mismatched "
-                    "feature count")
-            estimators.append(tree)
-        self.estimators_ = estimators
+        table = _checked_table(table, len(classes), n_features_in)
+        vars(self).pop("estimators_", None)
         self.classes_ = classes
         self.n_features_in_ = n_features_in
-        self.feature_importances_ = importances
-        self._encoder = LabelEncoder().set_state({"classes": classes.tolist()})
-        self.__dict__.pop("_stacked_nodes", None)   # rebuilt lazily on predict
+        self._install(table)
         return self
 
     # ----------------------------------------------------------- internals
+    def _install(self, table: dict) -> None:
+        """Adopt ``table`` and derive the view ``predict_proba`` walks.
+
+        Child pointers are rebased from tree-local to table-wide node
+        ids (leaf sentinels stay ``-1``), and each tree's class masses
+        are normalised per node and spread over the forest's class
+        columns, so the leaves of different trees add up directly.
+        """
+
+        offsets = table["tree_node_offsets"]
+        class_offsets = table["tree_class_offsets"]
+        sizes = np.diff(offsets)
+        first_node = np.repeat(offsets[:-1], sizes)
+        left, right = table["node_left"], table["node_right"]
+        self._left = np.where(left >= 0, left + first_node, left)
+        self._right = np.where(right >= 0, right + first_node, right)
+        tree_classes = np.split(table["tree_classes"], class_offsets[1:-1])
+        tree_values = np.split(table["node_values"],
+                               np.cumsum(sizes * np.diff(class_offsets))[:-1])
+        self._leaf_proba = np.zeros((len(first_node), len(self.classes_)),
+                                    dtype=np.float64)
+        for lo, hi, classes, values in zip(offsets[:-1], offsets[1:],
+                                           tree_classes, tree_values):
+            self._leaf_proba[lo:hi, classes] = class_distributions(
+                values.reshape(hi - lo, len(classes)))
+        self._table = table
+        self.feature_importances_ = table["importances"]
+
     def _aggregate_importances(self) -> np.ndarray:
         importances = np.zeros(self.n_features_in_, dtype=np.float64)
         for tree in self.estimators_:

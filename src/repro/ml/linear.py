@@ -67,7 +67,6 @@ class LinearSVMClassifier(BaseEstimator, ClassifierMixin):
         encoder = LabelEncoder()
         y_encoded = encoder.fit_transform(y)
         self.classes_ = encoder.classes_
-        self._encoder = encoder
         self.n_features_in_ = X.shape[1]
 
         n_samples, n_features = X.shape

@@ -186,6 +186,44 @@ def split_gains(left_counts: np.ndarray, node: _Node, criterion: str
     return node.impurity - (weighted[0] + weighted[1]) / max(node.weight, 1e-12)
 
 
+def walk(X: np.ndarray, roots: np.ndarray, feature: np.ndarray,
+         threshold: np.ndarray, left: np.ndarray, right: np.ndarray
+         ) -> np.ndarray:
+    """The leaf each (root, sample) pair reaches: ``(len(roots), len(X))``.
+
+    One walker per root and sample starts at its root and moves one
+    level per step: left when ``X[sample, feature[node]] <=
+    threshold[node]``, else right.  A walker stops at a leaf (a node
+    with a negative feature; its children are ``-1``), so the loop runs
+    as many steps as the deepest path any walker takes, and each step
+    moves only the walkers that have not stopped.  Child pointers index
+    the same node arrays as ``roots``; a tree walks from root 0, a
+    forest from the first node of each of its trees.  Every walk ends
+    because a child's id is greater than its parent's: ``fit`` numbers
+    nodes that way, and a forest checks it on a loaded node table.
+    """
+
+    n_samples = X.shape[0]
+    nodes = np.broadcast_to(roots[:, None], (len(roots), n_samples)).copy()
+    samples = np.broadcast_to(np.arange(n_samples, dtype=np.int64),
+                              nodes.shape)
+    active = feature[nodes] >= 0
+    while np.any(active):
+        current = nodes[active]
+        go_left = X[samples[active], feature[current]] <= threshold[current]
+        nodes[active] = np.where(go_left, left[current], right[current])
+        active = feature[nodes] >= 0
+    return nodes
+
+
+def class_distributions(values: np.ndarray) -> np.ndarray:
+    """Rows of class masses scaled to sum to one (all-zero rows stay 0)."""
+
+    sums = values.sum(axis=1, keepdims=True)
+    sums[sums == 0] = 1.0
+    return values / sums
+
+
 class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
     """Classification tree with the scikit-learn-style interface.
 
@@ -252,7 +290,6 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         encoder = LabelEncoder()
         y_encoded = encoder.fit_transform(y)
         self.classes_ = encoder.classes_
-        self._encoder = encoder
         n_samples, n_features = ranks.shape
         n_classes = len(self.classes_)
         self.n_features_in_ = n_features
@@ -276,7 +313,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
                             weight_table=weight_table,
                             max_features=self._resolve_max_features(n_features))
 
-        # Flat node storage (grown dynamically).
+        # Growth lists, frozen into the node arrays once the tree is grown.
         self._feature: list[int] = []
         self._threshold: list[float] = []
         self._left: list[int] = []
@@ -288,7 +325,6 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         self._build(data, np.arange(n_samples), depth=0, rng=rng)
 
         self.feature_importances_ = self._normalized_importances()
-        self.tree_node_count_ = len(self._feature)
         self._finalize_nodes()
         return self
 
@@ -299,12 +335,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         if X.shape[1] != self.n_features_in_:
             raise ValidationError(
                 f"X has {X.shape[1]} features, expected {self.n_features_in_}")
-        return self._predict_proba_raw(X)
-
-    def _predict_proba_raw(self, X: np.ndarray) -> np.ndarray:
-        """Probabilities for pre-validated input (forest hot path)."""
-
-        return self._leaf_proba[self._apply(X)]
+        return class_distributions(self._node_values[self._apply(X)])
 
     def predict(self, X) -> np.ndarray:
         probabilities = self.predict_proba(X)
@@ -322,99 +353,19 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         """Total number of nodes in the fitted tree."""
 
         check_is_fitted(self, "classes_")
-        return len(self._feature)
+        return len(self._node_feature)
 
     def get_depth(self) -> int:
         """Depth of the fitted tree (root = depth 0)."""
 
         check_is_fitted(self, "classes_")
-        depths = {0: 0}
-        max_depth = 0
-        for node in range(len(self._feature)):
-            depth = depths[node]
-            left, right = self._left[node], self._right[node]
-            if left >= 0:
-                depths[left] = depth + 1
-                depths[right] = depth + 1
-                max_depth = max(max_depth, depth + 1)
-        return max_depth
-
-    # ---------------------------------------------------------- persistence
-    def get_state(self) -> dict:
-        """Arrays describing the fitted tree (for model artifacts).
-
-        The snapshot holds exactly what prediction needs — the flat node
-        arrays, the class index and the per-feature importances — so a
-        tree restored with :meth:`set_state` predicts bit-identically.
-        """
-
-        check_is_fitted(self, "classes_")
-        n_classes = len(self.classes_)
-        values = (np.vstack(self._value) if self._value
-                  else np.zeros((0, n_classes), dtype=np.float64))
-        return {
-            "feature": np.asarray(self._feature, dtype=np.int64),
-            "threshold": np.asarray(self._threshold, dtype=np.float64),
-            "left": np.asarray(self._left, dtype=np.int64),
-            "right": np.asarray(self._right, dtype=np.int64),
-            "values": values.astype(np.float64, copy=True),
-            "n_node_samples": np.asarray(self._n_node_samples, dtype=np.int64),
-            "classes": np.asarray(self.classes_).copy(),
-            "n_features_in": int(self.n_features_in_),
-            "feature_importances": np.asarray(self.feature_importances_,
-                                              dtype=np.float64).copy(),
-        }
-
-    def set_state(self, state: dict) -> "DecisionTreeClassifier":
-        """Restore a snapshot produced by :meth:`get_state`."""
-
-        try:
-            feature = np.asarray(state["feature"], dtype=np.int64)
-            threshold = np.asarray(state["threshold"], dtype=np.float64)
-            left = np.asarray(state["left"], dtype=np.int64)
-            right = np.asarray(state["right"], dtype=np.int64)
-            values = np.asarray(state["values"], dtype=np.float64)
-            n_node_samples = np.asarray(state["n_node_samples"], dtype=np.int64)
-            classes = np.asarray(state["classes"])
-            n_features_in = int(state["n_features_in"])
-            importances = np.asarray(state["feature_importances"],
-                                     dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"invalid decision-tree state: {exc}") from exc
-        n_nodes = len(feature)
-        if not (len(threshold) == len(left) == len(right)
-                == len(n_node_samples) == n_nodes) \
-                or values.ndim != 2 or values.shape[0] != n_nodes \
-                or values.shape[1] != len(classes):
-            raise ValidationError("decision-tree state arrays are inconsistent")
-        if n_nodes == 0:
-            raise ValidationError("decision-tree state has no nodes")
-        # Child pointers must stay inside the node table (leaves use -1,
-        # leaf feature slots use -2): a corrupt artifact must fail here,
-        # not crash inside the vectorised predict loop.
-        internal = feature >= 0
-        if np.any(feature >= n_features_in) or np.any(feature < -2):
-            raise ValidationError("decision-tree state references an invalid feature")
-        for child in (left[internal], right[internal]):
-            if child.size and (child.min() < 0 or child.max() >= n_nodes):
-                raise ValidationError(
-                    "decision-tree state has out-of-range child pointers")
-        self._feature = feature.tolist()
-        self._threshold = threshold.tolist()
-        self._left = left.tolist()
-        self._right = right.tolist()
-        self._value = [values[i] for i in range(n_nodes)]
-        self._n_node_samples = n_node_samples.tolist()
-        self.classes_ = classes
-        self.n_features_in_ = n_features_in
-        self.feature_importances_ = importances
-        self._importances = importances.copy()
-        self.tree_node_count_ = n_nodes
-        encoder = LabelEncoder()
-        encoder.set_state({"classes": classes.tolist()})
-        self._encoder = encoder
-        self._finalize_nodes()
-        return self
+        # Children are numbered after their parent, so one pass in node
+        # order sees every parent's depth before its children's.
+        depths = np.zeros(self.node_count, dtype=np.int64)
+        for node in np.flatnonzero(self._node_left >= 0):
+            depths[self._node_left[node]] = depths[node] + 1
+            depths[self._node_right[node]] = depths[node] + 1
+        return int(depths.max())
 
     # ----------------------------------------------------------- internals
     def _resolve_max_features(self, n_features: int) -> int:
@@ -585,40 +536,34 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
                       impurity_decrease=node.weight * float(gains[best]))
 
     def _finalize_nodes(self) -> None:
-        """Freeze the grown node lists into the arrays prediction uses.
+        """Freeze the grown node lists into the tree's node arrays.
 
-        Called once at the end of ``fit``/``set_state``; prediction then
-        never converts Python lists again.  ``_leaf_proba`` holds each
-        node's normalised class distribution, so ``predict_proba`` is a
-        single fancy-index after the leaf walk.
+        Called once at the end of ``fit``, which then drops the lists: a
+        fitted tree holds one row per node in ``_node_feature``,
+        ``_node_threshold``, ``_node_left``, ``_node_right``,
+        ``_node_samples`` and ``_node_values`` (the node's weighted
+        class mass over ``classes_``).  Nodes are numbered in the order
+        ``_build`` made them, a node before its subtrees, so a child's
+        id is always greater than its parent's.  Leaves have feature
+        ``-2`` and children ``-1``.  A forest concatenates these arrays
+        into its node table.
         """
 
         self._node_feature = np.array(self._feature, dtype=np.int64)
         self._node_threshold = np.array(self._threshold, dtype=np.float64)
         self._node_left = np.array(self._left, dtype=np.int64)
         self._node_right = np.array(self._right, dtype=np.int64)
-        values = np.vstack(self._value)
-        sums = values.sum(axis=1, keepdims=True)
-        sums[sums == 0] = 1.0
-        self._leaf_proba = values / sums
+        self._node_samples = np.array(self._n_node_samples, dtype=np.int64)
+        self._node_values = np.vstack(self._value)
+        del (self._feature, self._threshold, self._left, self._right,
+             self._value, self._n_node_samples)
 
     def _apply(self, X: np.ndarray) -> np.ndarray:
-        """Vectorised leaf lookup: advance all samples one level at a time."""
+        """The leaf each row of ``X`` reaches."""
 
-        feature = self._node_feature
-        threshold = self._node_threshold
-        left = self._node_left
-        right = self._node_right
-
-        nodes = np.zeros(X.shape[0], dtype=np.int64)
-        active = feature[nodes] >= 0
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            current = nodes[idx]
-            go_left = X[idx, feature[current]] <= threshold[current]
-            nodes[idx] = np.where(go_left, left[current], right[current])
-            active = feature[nodes] >= 0
-        return nodes
+        return walk(X, np.zeros(1, dtype=np.int64), self._node_feature,
+                    self._node_threshold, self._node_left,
+                    self._node_right)[0]
 
     def _normalized_importances(self) -> np.ndarray:
         total = self._importances.sum()

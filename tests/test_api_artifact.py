@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api.artifact import (
+    MODEL_CONTAINER,
     MODEL_FORMAT_VERSION,
     MODEL_MAGIC,
     inspect_model,
@@ -34,6 +35,7 @@ from repro.exceptions import (
 from repro.features.records import SampleFeatures
 from repro.hashing.ssdeep import fuzzy_hash
 from repro.index import SimilarityIndex
+from repro.index.storage import read_container, write_container
 
 from test_index_core import make_corpus
 
@@ -243,6 +245,105 @@ def test_params_omit_n_jobs_and_artifacts_carrying_it_still_load(
                           clf.predict_proba(records))
 
 
+# --------------------------------------------------------- forest payload
+def _forest_table(path):
+    """The ``forest.*`` arrays of an artifact file, prefix stripped."""
+
+    _header, arrays = read_container(path, fmt=MODEL_CONTAINER)
+    return {name.split(".", 1)[1]: array for name, array in arrays.items()
+            if name.startswith("forest.")}
+
+
+def test_forest_table_is_the_files_forest_arrays(fitted, saved):
+    clf, _records = fitted
+    file_table = _forest_table(saved)
+    loaded = {mode: load_model(saved, mmap_mode=mode) for mode in (None, "r")}
+    for model in (clf, *loaded.values()):
+        table = model.model_.forest_.get_state()["table"]
+        assert list(table) == list(file_table)
+        for name, array in table.items():
+            assert array.dtype == file_table[name].dtype, name
+            assert array.shape == file_table[name].shape, name
+            assert array.tobytes() == file_table[name].tobytes(), name
+    # A mapped load predicts from read-only views of the file, not copies,
+    # and a loaded forest rebuilds no tree objects.
+    mapped = loaded["r"].model_.forest_
+    assert not any(array.flags.writeable
+                   for array in mapped.get_state()["table"].values())
+    assert not hasattr(mapped, "estimators_")
+    assert len(clf.model_.forest_.estimators_) == 12
+
+
+def _tamper(header, arrays, case):
+    """Apply one named corruption to an artifact's header and arrays."""
+
+    offsets = arrays["forest.tree_node_offsets"]
+    if case == "decreasing-node-offsets":
+        offsets[1], offsets[2] = offsets[2], offsets[1]
+    elif case == "empty-tree":
+        offsets[1] = offsets[0]
+    elif case == "short-node-threshold":
+        arrays["forest.node_threshold"] = arrays["forest.node_threshold"][:-1]
+    elif case == "trailing-node-value":
+        arrays["forest.node_values"] = np.append(arrays["forest.node_values"],
+                                                 0.0)
+    elif case == "class-index-past-class-table":
+        arrays["forest.tree_classes"][0] = len(header["forest"]["classes"]
+                                               ["values"])
+    elif case == "float-tree-classes":
+        arrays["forest.tree_classes"] = \
+            arrays["forest.tree_classes"].astype(np.float64)
+    elif case == "feature-past-n-features":
+        arrays["forest.node_feature"][0] = header["forest"]["n_features_in"]
+    elif case == "child-past-tree-end":
+        # Tree 0's root (an internal node) points just past tree 0.
+        assert arrays["forest.node_feature"][0] >= 0
+        arrays["forest.node_left"][0] = offsets[1]
+    elif case == "backward-child-pointer":
+        # Tree 0's root points at itself: a walk would never end.
+        assert arrays["forest.node_feature"][0] >= 0
+        arrays["forest.node_left"][0] = 0
+    elif case == "short-importances":
+        arrays["forest.importances"] = arrays["forest.importances"][:-1]
+    elif case == "n-trees-off-by-one":
+        header["forest"]["n_trees"] += 1
+    else:
+        raise AssertionError(case)
+
+
+#: Each corruption ``_tamper`` applies, and what the error must say.
+TAMPERED_FOREST = {
+    "decreasing-node-offsets": "decreasing",
+    "empty-tree": "no nodes",
+    "short-node-threshold": "'node_threshold'",
+    "trailing-node-value": "'node_values'",
+    "class-index-past-class-table": "class table",
+    "float-tree-classes": "integer",
+    "feature-past-n-features": "invalid feature",
+    "child-past-tree-end": "child pointer",
+    "backward-child-pointer": "child pointer",
+    "short-importances": "'importances'",
+    "n-trees-off-by-one": "offsets",
+}
+
+
+@pytest.mark.parametrize("case", TAMPERED_FOREST)
+def test_tampered_forest_payload_raises(saved, tmp_path, case):
+    """Every forest-table check fails the load and the validation, naming
+    the file.  Neither call predicts, so a table that would make a walk
+    loop forever fails here instead of hanging."""
+
+    header, arrays = read_container(saved, fmt=MODEL_CONTAINER)
+    _tamper(header, arrays, case)
+    path = write_container(tmp_path / f"{case}.rpm", header, arrays,
+                           fmt=MODEL_CONTAINER)
+    for load in (load_model, validate_model):
+        with pytest.raises(ModelFormatError,
+                           match=TAMPERED_FOREST[case]) as excinfo:
+            load(path)
+        assert str(path) in str(excinfo.value)
+
+
 def test_all_artifact_errors_are_repro_errors():
     assert issubclass(ModelFormatError, ModelArtifactError)
     assert issubclass(ModelArtifactError, ReproError)
@@ -258,8 +359,9 @@ _seeds = st.integers(min_value=0, max_value=2**16)
        n_estimators=st.integers(min_value=3, max_value=12))
 def test_roundtrip_predicts_bit_identically(tmp_path_factory, seed, threshold,
                                             n_estimators):
-    """``load_model(save_model(m))`` predicts bit-identically to ``m``
-    over random corpora, thresholds and forest sizes."""
+    """``load_model(save_model(m))``, eager or mapped, predicts
+    bit-identically to ``m`` over random corpora, thresholds and forest
+    sizes, and saves back to the same bytes."""
 
     rnd = random.Random(seed)
     n = rnd.randrange(12, 30)
@@ -270,11 +372,16 @@ def test_roundtrip_predicts_bit_identically(tmp_path_factory, seed, threshold,
                               confidence_threshold=threshold,
                               random_state=seed)
     clf.fit(records)
-    path = tmp_path_factory.mktemp("hyp") / "model.rpm"
-    restored = load_model(save_model(clf, path))
-    for batch in (records, queries):
-        assert np.array_equal(restored.predict_proba(batch),
-                              clf.predict_proba(batch))
-        assert list(restored.predict(batch)) == list(clf.predict(batch))
-        assert np.array_equal(restored.confidence(batch),
-                              clf.confidence(batch))
+    path = save_model(clf, tmp_path_factory.mktemp("hyp") / "model.rpm")
+    for mode in (None, "r"):
+        restored = load_model(path, mmap_mode=mode)
+        for batch in (records, queries):
+            assert np.array_equal(restored.predict_proba(batch),
+                                  clf.predict_proba(batch))
+            assert list(restored.predict(batch)) == list(clf.predict(batch))
+            assert np.array_equal(restored.confidence(batch),
+                                  clf.confidence(batch))
+        # A loaded model re-saves to the same bytes: the serving tier
+        # re-exports loaded models when it publishes.
+        resaved = save_model(restored, path.with_name(f"resaved-{mode}.rpm"))
+        assert resaved.read_bytes() == path.read_bytes()

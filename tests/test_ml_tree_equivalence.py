@@ -76,17 +76,28 @@ def sort_search(estimator, *args, **kwargs):
         return estimator.fit(*args, **kwargs)
 
 
+#: A fitted tree's node arrays, its class index and its importances.
+TREE_ARRAYS = ("_node_feature", "_node_threshold", "_node_left",
+               "_node_right", "_node_samples", "_node_values", "classes_",
+               "feature_importances_")
+
+
+def assert_same_arrays(a, b):
+    """Two name -> array mappings hold equal arrays: names, order, dtype,
+    shape and bytes."""
+
+    assert list(a) == list(b)
+    for name, value in a.items():
+        other = b[name]
+        assert value.dtype == other.dtype, name
+        assert value.shape == other.shape, name
+        assert value.tobytes() == other.tobytes(), name
+
+
 def assert_same_tree(a, b):
-    state_a, state_b = a.get_state(), b.get_state()
-    assert state_a.keys() == state_b.keys()
-    for key, value in state_a.items():
-        other = state_b[key]
-        if isinstance(value, np.ndarray) and value.dtype.kind == "f":
-            assert value.tobytes() == other.tobytes(), key
-        elif isinstance(value, np.ndarray):
-            assert np.array_equal(value, other), key
-        else:
-            assert value == other, key
+    assert a.n_features_in_ == b.n_features_in_
+    assert_same_arrays({name: getattr(a, name) for name in TREE_ARRAYS},
+                       {name: getattr(b, name) for name in TREE_ARRAYS})
 
 
 def assert_same_proba(a, b, X):
@@ -175,6 +186,8 @@ def test_forest_matches_sort_search(data, params, seed, bootstrap):
         assert_same_tree(a, b)
     assert (kernel.feature_importances_.tobytes()
             == reference.feature_importances_.tobytes())
+    assert_same_arrays(kernel.get_state()["table"],
+                       reference.get_state()["table"])
     assert_same_proba(kernel, reference, X)
 
 
@@ -191,8 +204,8 @@ def test_constant_block_falls_back_to_first_useful_draw():
     kernel = DecisionTreeClassifier(max_features=2, random_state=seed).fit(X, y)
     reference = sort_search(
         DecisionTreeClassifier(max_features=2, random_state=seed), X, y)
-    assert kernel.get_state()["feature"][0] == 3
-    assert kernel.get_state()["threshold"][0] == 20.0
+    assert kernel._node_feature[0] == 3
+    assert kernel._node_threshold[0] == 20.0
     assert_same_tree(kernel, reference)
 
 
