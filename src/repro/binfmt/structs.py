@@ -9,7 +9,7 @@ stay symmetric and easy to audit.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..exceptions import TruncatedBinaryError
 from . import constants as C

@@ -20,7 +20,7 @@ standard ELF tool, can parse the result.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..exceptions import BinaryFormatError

@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .._validation import check_array_2d, check_probability
-from ..exceptions import NotFittedError, ValidationError
+from .._validation import check_probability
+from ..exceptions import ValidationError
 from ..features.extractors import FEATURE_TYPES, resolve_family_feature_types
 from ..features.records import SampleFeatures
 from ..features.similarity import SimilarityFeatureBuilder, SimilarityMatrix

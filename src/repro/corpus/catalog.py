@@ -23,8 +23,7 @@ inject shared symbols.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from ..exceptions import CorpusError

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ..exceptions import CorpusError

@@ -22,7 +22,7 @@ index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

@@ -23,13 +23,12 @@ and hashed by whichever families the requested feature types cover.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..binfmt.dynamic import ldd_output
 from ..binfmt.reader import ElfReader, is_elf
-from ..binfmt.strings_extract import extract_strings, strings_output
-from ..binfmt.symbols import extract_global_symbols, nm_output
+from ..binfmt.strings_extract import strings_output
+from ..binfmt.symbols import nm_output
 from ..exceptions import (BinaryFormatError, FeatureExtractionError,
                           SymbolTableError)
 from ..hashing.crypto import crypto_digest

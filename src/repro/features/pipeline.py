@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..corpus.builder import GeneratedSample
-from ..corpus.dataset import CorpusDataset, SampleRecord
+from ..corpus.dataset import CorpusDataset
 from ..exceptions import FeatureExtractionError
 from ..logging_utils import get_logger
 from ..parallel import parallel_map

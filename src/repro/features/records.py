@@ -11,8 +11,8 @@ accessing raw content of users' files" and keeps storage small.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterable, Mapping
 
 from ..exceptions import FeatureExtractionError
 

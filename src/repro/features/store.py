@@ -10,7 +10,6 @@ different cache file is used.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from pathlib import Path
 from typing import Iterable, Sequence

@@ -12,8 +12,6 @@ from __future__ import annotations
 import inspect
 from typing import Any
 
-import numpy as np
-
 from ..exceptions import NotFittedError, ValidationError
 
 __all__ = ["BaseEstimator", "ClassifierMixin", "check_is_fitted"]

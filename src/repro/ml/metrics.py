@@ -19,7 +19,6 @@ samples) contribute 0, matching scikit-learn's ``zero_division=0``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 

@@ -11,8 +11,8 @@ periodically republishes the grown corpus as an atomic artifact.
 
 Layers (each independently testable):
 
-* :mod:`repro.serving.protocol` — the JSON wire format and payload caps;
-* :mod:`repro.serving.ingest` — the ingestion/purge wire format;
+* :mod:`repro.serving.protocol` — the JSON wire format of classify,
+  ingest and purge, and the payload caps;
 * :mod:`repro.serving.metrics` — counters / gauges / quantile histograms;
 * :mod:`repro.serving.batcher` — the bounded-queue request coalescer;
 * :mod:`repro.serving.model_manager` — generation-tracked hot reload
@@ -38,11 +38,10 @@ coalescer workers (``GET /debug/profile``, behind
 
 from .batcher import RequestCoalescer
 from .decision_log import DecisionLog
-from .ingest import IngestItem, parse_ingest_request, parse_purge_path
 from .lifecycle import LifecycleConfig, LifecycleManager
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .model_manager import ModelManager
-from .protocol import WorkItem, decision_to_dict, parse_classify_request
+from .protocol import WorkItem, decision_to_dict, parse_items, parse_purge_path
 from .server import ClassificationServer, ServerConfig
 from .wal import WALRecord, WALRecovery, WriteAheadLog
 from .workers import ScoringWorkerPool
@@ -50,9 +49,6 @@ from .workers import ScoringWorkerPool
 __all__ = [
     "RequestCoalescer",
     "DecisionLog",
-    "IngestItem",
-    "parse_ingest_request",
-    "parse_purge_path",
     "LifecycleConfig",
     "LifecycleManager",
     "Counter",
@@ -62,7 +58,8 @@ __all__ = [
     "ModelManager",
     "WorkItem",
     "decision_to_dict",
-    "parse_classify_request",
+    "parse_items",
+    "parse_purge_path",
     "ClassificationServer",
     "ServerConfig",
     "WALRecord",

@@ -28,6 +28,14 @@ it is admission-controlled by the same 503 instead of starving
 classification through a private unbounded path.  Requests are drained
 FIFO; a batch only ever coalesces consecutive requests of one kind, so
 every handler still sees homogeneous work.
+
+A pass that raises fails every request in its batch, except that a
+:class:`~repro.exceptions.ValidationError` (bad input, e.g. an unknown
+ingest class) over several requests re-runs each request alone, once:
+bad input is refused before anything changes, so a bad item fails only
+its own request.  Any other failure may follow a mutation (a WAL fsync
+after the apply) that a re-run would repeat, so it still fails the
+whole batch.  ``batches_total`` and ``batch_size`` count re-runs.
 """
 
 from __future__ import annotations
@@ -36,12 +44,17 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
+from contextlib import nullcontext
 from typing import Callable, Mapping, Sequence
 
-from ..exceptions import ServerClosedError, ServerOverloadedError
+from ..exceptions import (
+    ServerClosedError,
+    ServerOverloadedError,
+    ValidationError,
+)
 from ..logging_utils import get_logger
 from ..observability import trace as trace_mod
-from .metrics import DEFAULT_BATCH_BUCKETS
+from .metrics import DEFAULT_BATCH_BUCKETS, MetricsRegistry
 
 __all__ = ["RequestCoalescer"]
 
@@ -112,16 +125,15 @@ class RequestCoalescer:
         self._queue: deque[_PendingRequest] = deque()
         self._queued_items = 0
         self._closing = False
-        self._metrics = metrics
         # Optional WorkerProfiler: wraps each handler call so one
         # /debug/profile window captures every coalescer worker.
         self._profiler = profiler
-        if metrics is not None:
-            self._queue_gauge = metrics.gauge("queue_items")
-            self._batches = metrics.counter("batches_total")
-            self._batch_sizes = metrics.histogram(
-                "batch_size", buckets=DEFAULT_BATCH_BUCKETS)
-            self._coalesced = metrics.counter("coalesced_requests_total")
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self._queue_gauge = metrics.gauge("queue_items")
+        self._batches = metrics.counter("batches_total")
+        self._batch_sizes = metrics.histogram(
+            "batch_size", buckets=DEFAULT_BATCH_BUCKETS)
+        self._coalesced = metrics.counter("coalesced_requests_total")
         self._workers = [
             threading.Thread(target=self._worker_loop,
                              name=f"repro-batch-{i}", daemon=True)
@@ -157,8 +169,7 @@ class RequestCoalescer:
                     f"pending, depth {self.queue_depth})")
             self._queue.append(request)
             self._queued_items += len(request.items)
-            if self._metrics is not None:
-                self._queue_gauge.set(self._queued_items)
+            self._queue_gauge.set(self._queued_items)
             self._nonempty.notify()
         return request.future
 
@@ -178,8 +189,7 @@ class RequestCoalescer:
                 abandoned = list(self._queue)
                 self._queue.clear()
                 self._queued_items = 0
-                if self._metrics is not None:
-                    self._queue_gauge.set(0)
+                self._queue_gauge.set(0)
             self._nonempty.notify_all()
         if not drain:
             for request in abandoned:
@@ -207,8 +217,7 @@ class RequestCoalescer:
                 taken += len(request.items)
                 batch.append(request)
             self._queued_items -= taken
-            if self._metrics is not None:
-                self._queue_gauge.set(self._queued_items)
+            self._queue_gauge.set(self._queued_items)
             return batch
 
     def _worker_loop(self) -> None:
@@ -217,60 +226,72 @@ class RequestCoalescer:
             if batch is None:
                 return
             drained = time.perf_counter()
-            traced = [request for request in batch
-                      if request.trace is not None]
-            for request in traced:
-                request.trace.add("queue_wait", request.submitted,
-                                  drained - request.submitted)
-            items = [item for request in batch for item in request.items]
-            if self._metrics is not None:
-                self._batches.inc()
-                self._batch_sizes.observe(len(items))
-                if len(batch) > 1:
-                    self._coalesced.inc(len(batch))
-            handler = self._handlers[batch[0].kind]
-            # Batch-stage spans are shared across the batch's requests:
-            # every member waited for the whole pass, so the shared
-            # durations are each member's honest attribution.  The
-            # collector doubles as the contextvar sink the model pass
-            # records its stages (candidate_gen, dp_scoring, ...) into.
-            collector = trace_mod.SpanCollector() if traced else None
-            token = (trace_mod.activate(collector)
-                     if collector is not None else None)
-            try:
-                if collector is not None:
-                    collector.add("batch_assembly", drained,
-                                  time.perf_counter() - drained,
-                                  {"batch_items": len(items),
-                                   "batch_requests": len(batch)})
-                profile = (self._profiler.profile()
-                           if self._profiler is not None else None)
-                if profile is not None:
-                    with profile:
-                        results, generation = handler(items)
-                else:
-                    results, generation = handler(items)
-                if len(results) != len(items):
-                    raise ServerClosedError(
-                        f"{batch[0].kind} pass returned {len(results)} "
-                        f"results for {len(items)} items")
-            except BaseException as exc:  # noqa: BLE001 — fan the failure out
-                _LOG.warning("batch of %d items failed: %s", len(items), exc)
-                if token is not None:
-                    trace_mod.deactivate(token)
-                for request in batch:
-                    if request.trace is not None:
-                        request.trace.extend(collector.spans)
-                    if not request.future.cancelled():
-                        request.future.set_exception(exc)
-                continue
+            for request in batch:
+                if request.trace is not None:
+                    request.trace.add("queue_wait", request.submitted,
+                                      drained - request.submitted)
+            failure = self._run(batch, drained)
+            if isinstance(failure, ValidationError) and len(batch) > 1:
+                # Bad input is refused before the handler changes
+                # anything, so each request runs again alone and a bad
+                # item fails only its own request.
+                outcomes = [(request, self._run([request],
+                                                time.perf_counter()))
+                            for request in batch]
+            else:
+                outcomes = [(request, failure) for request in batch]
+            for request, exc in outcomes:
+                if exc is not None and not request.future.cancelled():
+                    request.future.set_exception(exc)
+
+    def _run(self, batch: list[_PendingRequest],
+             started: float) -> BaseException | None:
+        """One handler pass over ``batch``: resolve each future with its
+        slice of the results, or leave them pending and return the
+        failure.  Traces get the pass's spans before any future
+        resolves, so no handler reads a span list while it is written.
+        """
+
+        items = [item for request in batch for item in request.items]
+        self._batches.inc()
+        self._batch_sizes.observe(len(items))
+        if len(batch) > 1:
+            self._coalesced.inc(len(batch))
+        # Batch-stage spans are shared across the batch's requests:
+        # every member waited for the whole pass, so the shared
+        # durations are each member's honest attribution.  The
+        # collector doubles as the contextvar sink the model pass
+        # records its stages (candidate_gen, dp_scoring, ...) into.
+        traced = any(request.trace is not None for request in batch)
+        collector = trace_mod.SpanCollector() if traced else None
+        token = trace_mod.activate(collector) if traced else None
+        failure = None
+        try:
+            if collector is not None:
+                collector.add("batch_assembly", started,
+                              time.perf_counter() - started,
+                              {"batch_items": len(items),
+                               "batch_requests": len(batch)})
+            with (self._profiler.profile() if self._profiler is not None
+                  else nullcontext()):
+                results, generation = self._handlers[batch[0].kind](items)
+            if len(results) != len(items):
+                raise ServerClosedError(
+                    f"{batch[0].kind} pass returned {len(results)} "
+                    f"results for {len(items)} items")
+        except BaseException as exc:  # noqa: BLE001 — handed to the caller
+            _LOG.warning("batch of %d items failed: %s", len(items), exc)
+            failure = exc
+        finally:
             if token is not None:
                 trace_mod.deactivate(token)
-            offset = 0
-            for request in batch:
-                span = results[offset:offset + len(request.items)]
-                offset += len(request.items)
-                if request.trace is not None:
-                    request.trace.extend(collector.spans)
-                if not request.future.cancelled():
-                    request.future.set_result((span, generation))
+        offset = 0
+        for request in batch:
+            if request.trace is not None:
+                request.trace.extend(collector.spans)
+            if failure is None and not request.future.cancelled():
+                request.future.set_result(
+                    (results[offset:offset + len(request.items)],
+                     generation))
+            offset += len(request.items)
+        return failure

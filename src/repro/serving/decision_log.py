@@ -34,6 +34,7 @@ from pathlib import Path
 
 from ..exceptions import ValidationError
 from ..logging_utils import get_logger
+from .metrics import MetricsRegistry
 
 __all__ = ["DecisionLog", "decode_decision_line", "encode_decision_line"]
 
@@ -114,10 +115,9 @@ class DecisionLog:
         self.truncated_bytes = self._truncate_torn_tail()
         self._handle = open(self.path, "ab")
         self._size = self._handle.tell()
-        self._rotations = (metrics.counter("decision_log_rotations_total")
-                           if metrics is not None else None)
-        self._lines = (metrics.counter("decision_log_lines_total")
-                       if metrics is not None else None)
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self._rotations = metrics.counter("decision_log_rotations_total")
+        self._lines = metrics.counter("decision_log_lines_total")
 
     # ------------------------------------------------------------- recovery
     def _truncate_torn_tail(self) -> int:
@@ -183,8 +183,7 @@ class DecisionLog:
                 self._rotate_locked()
             self._handle.write(line)
             self._size += len(line)
-            if self._lines is not None:
-                self._lines.inc()
+            self._lines.inc()
 
     def flush(self, *, sync: bool = False) -> None:
         """Flush buffered lines; ``sync=True`` also fsyncs to disk."""
@@ -226,6 +225,5 @@ class DecisionLog:
             os.unlink(self.path)
         self._handle = open(self.path, "ab")
         self._size = 0
-        if self._rotations is not None:
-            self._rotations.inc()
+        self._rotations.inc()
         _LOG.info("rotated decision log %s", self.path)

@@ -36,6 +36,7 @@ from pathlib import Path
 
 from ..exceptions import ReproError, ValidationError
 from ..logging_utils import get_logger
+from .metrics import Counter, MetricsRegistry
 
 __all__ = ["LifecycleConfig", "LifecycleManager"]
 
@@ -97,7 +98,8 @@ class LifecycleManager:
     config:
         The policy knobs.
     metrics:
-        Optional :class:`~repro.serving.metrics.MetricsRegistry`.
+        The :class:`~repro.serving.metrics.MetricsRegistry` the policy
+        counters go to; a private one by default.
     time_source:
         Injectable clock (tests advance a fake one instead of
         sleeping).
@@ -120,14 +122,13 @@ class LifecycleManager:
         self._publish_retry_at = 0.0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self._metrics = metrics
-        if metrics is not None:
-            self._aged_off = metrics.counter("lifecycle_aged_off_total")
-            self._cap_evicted = metrics.counter("lifecycle_cap_evicted_total")
-            self._compactions = metrics.counter("lifecycle_compactions_total")
-            self._publishes = metrics.counter("lifecycle_publishes_total")
-            self._republish_failures = metrics.counter(
-                "lifecycle_republish_failures")
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self._aged_off = metrics.counter("lifecycle_aged_off_total")
+        self._cap_evicted = metrics.counter("lifecycle_cap_evicted_total")
+        self._compactions = metrics.counter("lifecycle_compactions_total")
+        self._publishes = metrics.counter("lifecycle_publishes_total")
+        self._republish_failures = metrics.counter(
+            "lifecycle_republish_failures")
 
     @property
     def tracked_count(self) -> int:
@@ -170,7 +171,7 @@ class LifecycleManager:
                        for sample_id, (when, _) in self._tracked.items()
                        if now - when >= horizon]
         return [sample_id for sample_id in expired
-                if self._purge_tracked(sample_id, self._aged_off_inc)]
+                if self._purge_tracked(sample_id, self._aged_off)]
 
     def _enforce_caps(self) -> list[str]:
         cap = self.config.max_members_per_class
@@ -191,9 +192,9 @@ class LifecycleManager:
                     victims.append(sample_id)
                     over[class_name] = excess - 1
         return [sample_id for sample_id in victims
-                if self._purge_tracked(sample_id, self._cap_evicted_inc)]
+                if self._purge_tracked(sample_id, self._cap_evicted)]
 
-    def _purge_tracked(self, sample_id: str, count) -> bool:
+    def _purge_tracked(self, sample_id: str, counter: Counter) -> bool:
         try:
             removed, _ = self.manager.purge(sample_id)
         except ReproError as exc:
@@ -204,7 +205,7 @@ class LifecycleManager:
         with self._lock:
             self._tracked.pop(sample_id, None)
         if removed:
-            count(removed)
+            counter.inc(removed)
             return True
         return False
 
@@ -217,7 +218,7 @@ class LifecycleManager:
             return 0
         dropped = self.manager.compact()
         if dropped:
-            self._compactions_inc()
+            self._compactions.inc()
             _LOG.info("lifecycle compaction dropped %d members", dropped)
         return dropped
 
@@ -240,7 +241,7 @@ class LifecycleManager:
                 self.config.sweep_interval * (2 ** self._publish_failures),
                 self.config.republish_backoff_max)
             self._publish_retry_at = now + delay
-            self._republish_failures_inc()
+            self._republish_failures.inc()
             _LOG.warning(
                 "lifecycle republish failed (attempt %d): %s; retrying in "
                 "%.1fs", self._publish_failures, exc, delay)
@@ -249,29 +250,8 @@ class LifecycleManager:
             return None
         self._publish_failures = 0
         self._last_publish = now
-        self._publishes_inc()
+        self._publishes.inc()
         return str(path)
-
-    # ------------------------------------------------------- metrics helpers
-    def _aged_off_inc(self, n: int) -> None:
-        if self._metrics is not None:
-            self._aged_off.inc(n)
-
-    def _cap_evicted_inc(self, n: int) -> None:
-        if self._metrics is not None:
-            self._cap_evicted.inc(n)
-
-    def _compactions_inc(self) -> None:
-        if self._metrics is not None:
-            self._compactions.inc()
-
-    def _publishes_inc(self) -> None:
-        if self._metrics is not None:
-            self._publishes.inc()
-
-    def _republish_failures_inc(self) -> None:
-        if self._metrics is not None:
-            self._republish_failures.inc()
 
     # ------------------------------------------------------------ the thread
     def start(self) -> None:

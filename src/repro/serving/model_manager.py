@@ -24,10 +24,11 @@ and therefore one response — can never mix generations.
 With ``mutable=True`` the manager additionally owns **online corpus
 mutation**: :meth:`ingest_items` / :meth:`purge` / :meth:`compact`
 mutate the live service's anchor index, and :meth:`publish`
-re-exports the grown corpus as an atomic artifact.  Mutations run under
-the predict lock, so they are serialised against model passes *and*
-against hot-reload swaps (the swap takes the predict lock too) — a
-mutation can never land on a service that was just swapped out.
+re-exports the grown corpus as an atomic artifact.  All three take one
+path, ``_mutate``, which runs under the predict lock, so mutations are
+serialised against model passes *and* against hot-reload swaps (the
+swap takes the predict lock too) — a mutation can never land on a
+service that was just swapped out.
 
 With ``wal_dir`` set (mutable mode only) every mutation is made
 **durable** through a :class:`~repro.serving.wal.WriteAheadLog` before
@@ -68,6 +69,7 @@ from ..exceptions import (
 from ..logging_utils import get_logger
 from ..observability.trace import span
 from ..testing import faults
+from .metrics import MetricsRegistry
 from .wal import WriteAheadLog
 from .workers import ScoringWorkerPool
 
@@ -96,9 +98,9 @@ class ModelManager:
         Seconds between artifact stat polls once :meth:`start_watching`
         runs; ``0`` disables watching entirely.
     metrics:
-        Optional :class:`~repro.serving.metrics.MetricsRegistry`;
-        reload counts, the live generation and (in mutable mode) corpus
-        membership are published to it.
+        The :class:`~repro.serving.metrics.MetricsRegistry` that reload
+        counts, the live generation and (in mutable mode) corpus
+        membership are published to; a private one by default.
     mutable:
         Enable online corpus mutation on every loaded service
         (:meth:`ClassificationService.enable_mutation`).
@@ -154,6 +156,7 @@ class ModelManager:
                 "records corpus mutations, which immutable serving never "
                 "performs")
         self._load_kwargs = dict(load_kwargs)
+        metrics = metrics if metrics is not None else MetricsRegistry()
         self._metrics = metrics
         self._swap_lock = threading.Lock()
         # Model passes share mutable per-index memo caches and, under
@@ -174,20 +177,18 @@ class ModelManager:
         self._stop = threading.Event()
         self._watcher: threading.Thread | None = None
         self._worker_pool: ScoringWorkerPool | None = None
-        if metrics is not None:
-            self._generation_gauge = metrics.gauge("model_generation")
-            self._reloads = metrics.counter("model_reloads_total")
-            self._reload_failures = metrics.counter(
-                "model_reload_failures_total")
-            if self.mutable:
-                self._members_gauge = metrics.gauge("corpus_members")
-                self._tombstones_gauge = metrics.gauge("corpus_tombstones")
-                self._ingested = metrics.counter("ingested_samples_total")
-                self._purged = metrics.counter("purged_samples_total")
-            if wal_dir is not None:
-                self._wal_replayed = metrics.counter("wal_replayed_records")
-                self._checkpoint_gauge = metrics.gauge(
-                    "last_checkpoint_generation")
+        self._generation_gauge = metrics.gauge("model_generation")
+        self._reloads = metrics.counter("model_reloads_total")
+        self._reload_failures = metrics.counter("model_reload_failures_total")
+        if self.mutable:
+            self._members_gauge = metrics.gauge("corpus_members")
+            self._tombstones_gauge = metrics.gauge("corpus_tombstones")
+            self._ingested = metrics.counter("ingested_samples_total")
+            self._purged = metrics.counter("purged_samples_total")
+        if wal_dir is not None:
+            self._wal_replayed = metrics.counter("wal_replayed_records")
+            self._checkpoint_gauge = metrics.gauge(
+                "last_checkpoint_generation")
         self._wal: WriteAheadLog | None = None
         self._checkpoint: dict | None = None
         self._replayed_at_boot = 0
@@ -224,8 +225,7 @@ class ModelManager:
         self._service = service
         self._signature = signature
         self._generation = 1
-        if self._metrics is not None:
-            self._generation_gauge.set(1)
+        self._generation_gauge.set(1)
         self._update_corpus_gauges()
         _LOG.info("loaded model generation 1 from %s", self.model_path)
 
@@ -274,11 +274,9 @@ class ModelManager:
         self._wal = wal
         self._checkpoint = checkpoint
         self._replayed_at_boot = replayed
-        if self._metrics is not None:
-            if replayed:
-                self._wal_replayed.inc(replayed)
-            self._checkpoint_gauge.set(
-                0 if checkpoint is None else int(checkpoint["generation"]))
+        self._wal_replayed.inc(replayed)
+        self._checkpoint_gauge.set(
+            0 if checkpoint is None else int(checkpoint["generation"]))
         self._update_corpus_gauges()
         if replayed or skipped:
             _LOG.info(
@@ -410,96 +408,71 @@ class ModelManager:
             return service.classify_bytes(items), generation
 
     # ------------------------------------------------------------ ingestion
-    def ingest_items(self, items: Sequence[tuple[str, bytes, str]]
-                     ) -> tuple[list[dict], int]:
-        """Ingest ``(sample_id, bytes, class_name)`` triples online.
+    def _mutate(self, op: str, payload: dict | None, apply):
+        """Run ``apply(service)`` as one corpus mutation on the live
+        service; returns ``(result, generation)``.
 
-        Returns ``(reports, generation)`` — the generation whose corpus
-        absorbed the batch.  Holding the predict lock across snapshot
-        and mutation means a concurrent hot reload (which swaps under
-        the predict lock) can never strand the batch on a swapped-out
-        service.
+        The predict lock is held across snapshot and apply, so a hot
+        reload (which swaps under it) cannot strand the mutation on a
+        swapped-out service.  With a WAL: append → apply → group-commit
+        fsync, one record per coalesced micro-batch.  An apply that
+        raises or changes nothing (an empty result) rolls its record
+        back before anything was made durable.
         """
 
         with self._timed_predict_lock():
             with self._swap_lock:
                 service = self._service
                 generation = self._generation
-            if self._wal is not None:
-                # append → apply → group-commit fsync.  One record (and
-                # one fsync) covers the whole coalesced micro-batch; an
-                # apply that fails validation rolls its record back
-                # before anything was made durable.
+            if self._wal is None:
+                result = apply(service)
+            else:
                 mark = self._wal.mark()
-                self._wal.append(
-                    "ingest",
-                    {"items": [[sid, base64.b64encode(data).decode("ascii"),
-                                cls] for sid, data, cls in items]},
-                    sync=False)
+                self._wal.append(op, payload, sync=False)
                 try:
-                    reports = service.ingest_bytes(items)
+                    result = apply(service)
                 except BaseException:
                     self._wal.rollback(mark)
                     raise
-                self._wal.sync()
-            else:
-                reports = service.ingest_bytes(items)
-        if self._metrics is not None and self.mutable:
-            self._ingested.inc(len(reports))
+                if result:
+                    self._wal.sync()
+                else:
+                    self._wal.rollback(mark)
         self._update_corpus_gauges()
+        return result, generation
+
+    def ingest_items(self, items: Sequence[tuple[str, bytes, str]]
+                     ) -> tuple[list[dict], int]:
+        """Ingest ``(sample_id, bytes, class_name)`` triples online.
+
+        Returns ``(reports, generation)`` — the generation whose corpus
+        absorbed the batch.
+        """
+
+        items = list(items)
+        # The base64 record is only built when a WAL will carry it.
+        payload = None if self._wal is None else {"items": [
+            [sid, base64.b64encode(data).decode("ascii"), cls]
+            for sid, data, cls in items]}
+        reports, generation = self._mutate(
+            "ingest", payload, lambda service: service.ingest_bytes(items))
+        self._ingested.inc(len(reports))
         return reports, generation
 
     def purge(self, sample_id: str) -> tuple[int, int]:
         """Tombstone a sample id; returns ``(removed, generation)``."""
 
-        with self._predict_lock:
-            with self._swap_lock:
-                service = self._service
-                generation = self._generation
-            if self._wal is not None:
-                mark = self._wal.mark()
-                self._wal.append("purge", {"sample_id": sample_id},
-                                 sync=False)
-                try:
-                    removed = service.purge(sample_id)
-                except BaseException:
-                    self._wal.rollback(mark)
-                    raise
-                if removed:
-                    self._wal.sync()
-                else:
-                    # A no-op purge (unknown id) mutated nothing; keep
-                    # the log free of records that replay cannot match.
-                    self._wal.rollback(mark)
-            else:
-                removed = service.purge(sample_id)
-        if removed and self._metrics is not None and self.mutable:
-            self._purged.inc(removed)
-        self._update_corpus_gauges()
+        removed, generation = self._mutate(
+            "purge", {"sample_id": sample_id},
+            lambda service: service.purge(sample_id))
+        self._purged.inc(removed)
         return removed, generation
 
     def compact(self) -> int:
         """Physically drop tombstoned members; returns how many."""
 
-        with self._predict_lock:
-            with self._swap_lock:
-                service = self._service
-            if self._wal is not None:
-                mark = self._wal.mark()
-                self._wal.append("compact", {}, sync=False)
-                try:
-                    dropped = service.compact()
-                except BaseException:
-                    self._wal.rollback(mark)
-                    raise
-                if dropped:
-                    self._wal.sync()
-                else:
-                    self._wal.rollback(mark)
-            else:
-                dropped = service.compact()
-        self._update_corpus_gauges()
-        return dropped
+        return self._mutate("compact", {},
+                            lambda service: service.compact())[0]
 
     def corpus_info(self) -> dict:
         """Live corpus statistics (see
@@ -589,8 +562,7 @@ class ModelManager:
                         sequence=checkpoint["sequence"],
                         generation=checkpoint["generation"])
                     self._checkpoint = checkpoint
-                    if self._metrics is not None:
-                        self._checkpoint_gauge.set(checkpoint["generation"])
+                    self._checkpoint_gauge.set(checkpoint["generation"])
             if target == self.model_path:
                 with self._swap_lock:
                     self._signature = signature
@@ -631,8 +603,7 @@ class ModelManager:
                 service, signature = self._load_converged(signature)
             except (ReproError, OSError) as exc:
                 self._failed_signature = signature
-                if self._metrics is not None:
-                    self._reload_failures.inc()
+                self._reload_failures.inc()
                 _LOG.warning("hot reload of %s failed (%s); keeping "
                              "generation %d", self.model_path, exc,
                              self.generation)
@@ -643,9 +614,8 @@ class ModelManager:
                 self._generation += 1
                 generation = self._generation
             self._failed_signature = None
-        if self._metrics is not None:
-            self._reloads.inc()
-            self._generation_gauge.set(generation)
+        self._reloads.inc()
+        self._generation_gauge.set(generation)
         self._update_corpus_gauges()
         _LOG.info("hot-reloaded %s as model generation %d",
                   self.model_path, generation)
@@ -684,7 +654,7 @@ class ModelManager:
                 _LOG.exception("model watcher poll failed; continuing")
 
     def _update_corpus_gauges(self) -> None:
-        if self._metrics is None or not self.mutable:
+        if not self.mutable:
             return
         info = self.corpus_info()
         self._members_gauge.set(info["members"])

@@ -4,7 +4,7 @@
 continuous-monitoring deployment needs: load the model artifact once
 (the expensive cold start PR 2 optimised), keep the sealed index hot in
 memory, and answer classification requests over plain HTTP until told
-to stop.  Three endpoints:
+to stop.  Its endpoints:
 
 ``POST /classify``
     Classify executables (JSON protocol, see
@@ -43,7 +43,7 @@ the server into a live metastore:
 
 ``POST /ingest``
     Add labelled samples to the in-process corpus (JSON protocol, see
-    :mod:`repro.serving.ingest`).  Ingest requests flow through the
+    :mod:`repro.serving.protocol`).  Ingest requests flow through the
     *same* bounded coalescer queue as classification — an ingest burst
     is admission-controlled by the same 503/Retry-After backpressure
     and can never starve classification through a private path.
@@ -65,6 +65,7 @@ import signal
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from contextlib import contextmanager
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
@@ -82,7 +83,6 @@ from ..observability import promtext
 from ..observability import trace as trace_mod
 from ..observability.profiler import ProfilerBusyError, WorkerProfiler
 from ..observability.trace import REQUEST_ID_HEADER, Tracer, span
-from . import ingest as ingest_protocol
 from . import protocol
 from .batcher import RequestCoalescer
 from .metrics import MetricsRegistry
@@ -107,7 +107,7 @@ class ServerConfig:
     retry_after_seconds: float = 1.0      # hint sent with every 503
     request_timeout_seconds: float = 120.0
     enable_ingest: bool = False           # POST /ingest + DELETE /samples
-    max_ingest_items: int = ingest_protocol.DEFAULT_MAX_INGEST_ITEMS
+    max_ingest_items: int = protocol.DEFAULT_MAX_INGEST_ITEMS
     trace_sample: float = 1.0             # fraction of requests traced
     slow_request_ms: float = 1000.0       # slow-ring + warn threshold
     trace_ring: int = trace_mod.DEFAULT_RING_SIZE
@@ -181,10 +181,7 @@ class ClassificationServer:
         self._draining = threading.Event()
         self._stopped = threading.Event()
         self._started_at = time.monotonic()
-        # Classify requests currently inside handle_classify.  Handler
-        # threads are daemonic and never joined (see _HTTPServer), so
-        # shutdown waits on this counter before closing the decision
-        # log out from under a handler mid-append.
+        # Requests inside _request(), which shutdown waits out.
         self._inflight = 0
         self._idle = threading.Condition()
 
@@ -280,6 +277,28 @@ class ClassificationServer:
         return 0
 
     # ------------------------------------------------------------- requests
+    @contextmanager
+    def _request(self):
+        """Count one request in flight, issue its ``X-Request-Id`` and
+        yield the response headers.  Handler threads are never joined
+        (see :class:`_HTTPServer`), so shutdown waits on this count
+        before it closes the decision log."""
+
+        with self._idle:
+            self._inflight += 1
+        try:
+            self._requests.inc()
+            yield {REQUEST_ID_HEADER: trace_mod.new_request_id()}
+        finally:
+            with self._idle:
+                self._inflight -= 1
+                self._idle.notify_all()
+
+    def _ingest_disabled(self, headers: dict) -> tuple[int, dict, bytes]:
+        self._bad.inc()
+        return 403, headers, _error_body(
+            "ingestion is disabled on this server (start it with --ingest)")
+
     def _classify_batch(self, items):
         start = time.perf_counter()
         decisions, generation = self.manager.classify_items(
@@ -287,42 +306,49 @@ class ClassificationServer:
         self._batch_latency.observe(time.perf_counter() - start)
         return decisions, generation
 
-    def handle_classify(self, body: bytes) -> tuple[int, dict, bytes]:
-        """Run one ``/classify`` body; ``(status, headers, response)``."""
+    def _ingest_batch(self, items):
+        reports, generation = self.manager.ingest_items(
+            [(item.sample_id, item.data, item.class_name) for item in items])
+        if self.lifecycle is not None:
+            self.lifecycle.note_ingested(reports)
+        return reports, generation
 
-        with self._idle:
-            self._inflight += 1
-        try:
-            return self._handle_classify(body)
-        finally:
-            with self._idle:
-                self._inflight -= 1
-                self._idle.notify_all()
+    def handle(self, kind: str, body: bytes) -> tuple[int, dict, bytes]:
+        """Run one ``/classify`` or ``/ingest`` body (``kind`` is
+        ``"classify"`` or ``"ingest"``); ``(status, headers, response)``.
+        """
 
-    def _handle_classify(self, body: bytes) -> tuple[int, dict, bytes]:
+        with self._request() as headers:
+            if kind == "ingest" and not self.config.enable_ingest:
+                return self._ingest_disabled(headers)
+            return self._handle(kind, body, headers)
+
+    def _handle(self, kind: str, body: bytes,
+                headers: dict) -> tuple[int, dict, bytes]:
         started = time.perf_counter()
-        self._requests.inc()
-        # The request id is issued at the server edge for *every*
-        # request (sampled or not); the trace only exists for sampled
-        # ones.  Activating the trace as the contextvar sink lets the
-        # handler-thread stages (parse, serialize, decision_log)
-        # record without plumbing.
-        request_id = trace_mod.new_request_id()
-        trace = self.tracer.begin(request_id, "classify")
-        headers = {REQUEST_ID_HEADER: request_id}
+        request_id = headers[REQUEST_ID_HEADER]
+        trace = self.tracer.begin(request_id, kind)
+        # Activating the trace as the contextvar sink lets the
+        # handler-thread stages (parse, serialize, decision_log) record
+        # without plumbing.
         token = trace_mod.activate(trace) if trace is not None else None
+        labelled = kind == "ingest"
         items = ()
         status = 500
         try:
             try:
                 with span("parse"):
-                    items = protocol.parse_classify_request(
-                        body, max_items=self.config.max_items_per_request,
+                    items = protocol.parse_items(
+                        body, labelled=labelled,
+                        max_items=(self.config.max_ingest_items if labelled
+                                   else self.config.max_items_per_request),
                         max_item_bytes=self.config.max_item_bytes)
-                future = self._coalescer.submit(items, trace=trace)
-                decisions, generation = future.result(
+                future = self._coalescer.submit(items, kind=kind, trace=trace)
+                results, generation = future.result(
                     timeout=self.config.request_timeout_seconds)
-            except ProtocolError as exc:
+            except (ProtocolError, ValidationError) as exc:
+                # ValidationError is the library's bad-input error: an
+                # unknown class or unlabelled sample in an ingest pass.
                 self._bad.inc()
                 status = 400
                 return 400, headers, _error_body(str(exc))
@@ -335,99 +361,31 @@ class ClassificationServer:
                 return 503, headers, _error_body(str(exc))
             except Exception as exc:  # noqa: BLE001 — must answer the client
                 self._errors.inc()
-                _LOG.exception("classification request failed")
+                _LOG.exception("%s request failed", kind)
                 return 500, headers, _error_body(f"internal error: {exc}")
             self._ok.inc()
             status = 200
-            self._items.inc(len(decisions))
             self._latency.observe(time.perf_counter() - started)
+            if labelled:
+                self._items_ingested.inc(len(results))
+                members = self.manager.corpus_info()["members"]
+                with span("serialize"):
+                    response = protocol.encode_ingest_report(
+                        results, generation, members,
+                        durable=self._wal_active(), request_id=request_id)
+                return 200, headers, response
+            self._items.inc(len(results))
             if self.decision_log is not None:
                 with span("decision_log"):
                     now = time.time()
-                    for decision in decisions:
+                    for decision in results:
                         record = protocol.decision_to_dict(decision)
                         record["model_generation"] = generation
                         record["unix_time"] = round(now, 3)
                         record["request_id"] = request_id
                         self.decision_log.append(record)
             with span("serialize"):
-                response = protocol.encode_decisions(decisions, generation)
-            return 200, headers, response
-        finally:
-            if token is not None:
-                trace_mod.deactivate(token)
-            self.tracer.finish(trace, items=len(items), status=status)
-
-    # ------------------------------------------------------------- ingestion
-    def _ingest_batch(self, items):
-        reports, generation = self.manager.ingest_items(
-            [item.as_triple() for item in items])
-        if self.lifecycle is not None:
-            self.lifecycle.note_ingested(reports)
-        return reports, generation
-
-    def handle_ingest(self, body: bytes) -> tuple[int, dict, bytes]:
-        """Run one ``/ingest`` body; ``(status, headers, response)``."""
-
-        with self._idle:
-            self._inflight += 1
-        try:
-            return self._handle_ingest(body)
-        finally:
-            with self._idle:
-                self._inflight -= 1
-                self._idle.notify_all()
-
-    def _handle_ingest(self, body: bytes) -> tuple[int, dict, bytes]:
-        started = time.perf_counter()
-        self._requests.inc()
-        request_id = trace_mod.new_request_id()
-        headers = {REQUEST_ID_HEADER: request_id}
-        if not self.config.enable_ingest:
-            self._bad.inc()
-            return 403, headers, _error_body(
-                "ingestion is disabled on this server (start it with "
-                "--ingest)")
-        trace = self.tracer.begin(request_id, "ingest")
-        token = trace_mod.activate(trace) if trace is not None else None
-        items = ()
-        status = 500
-        try:
-            try:
-                with span("parse"):
-                    items = ingest_protocol.parse_ingest_request(
-                        body, max_items=self.config.max_ingest_items,
-                        max_item_bytes=self.config.max_item_bytes)
-                future = self._coalescer.submit(items, kind="ingest",
-                                                trace=trace)
-                reports, generation = future.result(
-                    timeout=self.config.request_timeout_seconds)
-            except (ProtocolError, ValidationError) as exc:
-                # ValidationError covers corpus-level rejections (unknown
-                # class, unlabelled sample) raised inside the ingest pass.
-                self._bad.inc()
-                status = 400
-                return 400, headers, _error_body(str(exc))
-            except (ServerOverloadedError, ServerClosedError, TimeoutError,
-                    FutureTimeoutError) as exc:
-                self._overloaded.inc()
-                status = 503
-                headers["Retry-After"] = str(
-                    max(1, round(self.config.retry_after_seconds)))
-                return 503, headers, _error_body(str(exc))
-            except Exception as exc:  # noqa: BLE001 — must answer the client
-                self._errors.inc()
-                _LOG.exception("ingest request failed")
-                return 500, headers, _error_body(f"internal error: {exc}")
-            self._ok.inc()
-            status = 200
-            self._items_ingested.inc(len(reports))
-            self._latency.observe(time.perf_counter() - started)
-            members = self.manager.corpus_info()["members"]
-            with span("serialize"):
-                response = ingest_protocol.encode_ingest_report(
-                    reports, generation, members,
-                    durable=self._wal_active(), request_id=request_id)
+                response = protocol.encode_decisions(results, generation)
             return 200, headers, response
         finally:
             if token is not None:
@@ -442,48 +400,34 @@ class ClassificationServer:
         them against model passes anyway.
         """
 
-        with self._idle:
-            self._inflight += 1
-        try:
-            return self._handle_purge(path)
-        finally:
-            with self._idle:
-                self._inflight -= 1
-                self._idle.notify_all()
-
-    def _handle_purge(self, path: str) -> tuple[int, dict, bytes]:
-        self._requests.inc()
-        headers = {REQUEST_ID_HEADER: trace_mod.new_request_id()}
-        if not self.config.enable_ingest:
-            self._bad.inc()
-            return 403, headers, _error_body(
-                "ingestion is disabled on this server (start it with "
-                "--ingest)")
-        try:
-            sample_id = ingest_protocol.parse_purge_path(path)
-            removed, generation = self.manager.purge(sample_id)
-        except ProtocolError as exc:
-            self._bad.inc()
-            return 400, headers, _error_body(str(exc))
-        except ValidationError as exc:
-            # Refused because the purge would strand a class without
-            # anchors: a conflict with the corpus state, not a bad
-            # request shape.
-            self._bad.inc()
-            return 409, headers, _error_body(str(exc))
-        except Exception as exc:  # noqa: BLE001 — must answer the client
-            self._errors.inc()
-            _LOG.exception("purge request failed")
-            return 500, headers, _error_body(f"internal error: {exc}")
-        if not removed:
-            self._bad.inc()
-            return 404, headers, _error_body(
-                f"no corpus member is registered under {sample_id!r}")
-        self._ok.inc()
-        return 200, headers, json.dumps({
-            "purged": int(removed), "sample_id": sample_id,
-            "model_generation": int(generation),
-        }, sort_keys=True).encode("utf-8")
+        with self._request() as headers:
+            if not self.config.enable_ingest:
+                return self._ingest_disabled(headers)
+            try:
+                sample_id = protocol.parse_purge_path(path)
+                removed, generation = self.manager.purge(sample_id)
+            except ProtocolError as exc:
+                self._bad.inc()
+                return 400, headers, _error_body(str(exc))
+            except ValidationError as exc:
+                # Refused because the purge would strand a class without
+                # anchors: a conflict with the corpus state, not a bad
+                # request shape.
+                self._bad.inc()
+                return 409, headers, _error_body(str(exc))
+            except Exception as exc:  # noqa: BLE001 — must answer the client
+                self._errors.inc()
+                _LOG.exception("purge request failed")
+                return 500, headers, _error_body(f"internal error: {exc}")
+            if not removed:
+                self._bad.inc()
+                return 404, headers, _error_body(
+                    f"no corpus member is registered under {sample_id!r}")
+            self._ok.inc()
+            return 200, headers, json.dumps({
+                "purged": int(removed), "sample_id": sample_id,
+                "model_generation": int(generation),
+            }, sort_keys=True).encode("utf-8")
 
     def _wal_active(self) -> bool:
         """Whether the manager acks mutations through a write-ahead log."""
@@ -676,14 +620,11 @@ class _Handler(BaseHTTPRequestHandler):
         body = self._read_body()
         if body is None:
             return
-        if self.path == "/classify":
-            status, headers, response = self.app.handle_classify(body)
-        else:
-            status, headers, response = self.app.handle_ingest(body)
+        status, headers, response = self.app.handle(self.path[1:], body)
         self._send_json(status, response, headers)
 
     def do_DELETE(self) -> None:  # noqa: N802 — stdlib naming
-        if not self.path.startswith(ingest_protocol.PURGE_PREFIX):
+        if not self.path.startswith(protocol.PURGE_PREFIX):
             self._send_json(404, _error_body(f"no such endpoint: "
                                              f"{self.path}"))
             return

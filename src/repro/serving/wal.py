@@ -68,6 +68,7 @@ from ..exceptions import WALCorruptionError, WALError
 from ..logging_utils import get_logger
 from ..observability.trace import span
 from ..testing import faults
+from .metrics import MetricsRegistry
 
 __all__ = ["WAL_MAGIC", "WAL_FILE_NAME", "MAX_RECORD_BYTES", "WALRecord",
            "WALRecovery", "WriteAheadLog", "encode_record", "decode_records"]
@@ -273,9 +274,9 @@ class WriteAheadLog:
         Directory holding the log (created if missing) or a direct path
         to the log file.
     metrics:
-        Optional :class:`~repro.serving.metrics.MetricsRegistry`;
+        The :class:`~repro.serving.metrics.MetricsRegistry` the
         ``wal_records``, ``wal_bytes`` and ``wal_fsyncs`` counters are
-        published to it.
+        published to; a private one by default.
     """
 
     def __init__(self, path: str | os.PathLike, *, metrics=None) -> None:
@@ -291,12 +292,10 @@ class WriteAheadLog:
         self._size = 0
         self._synced_size = 0
         self._recovered: WALRecovery | None = None
-        self._records = (metrics.counter("wal_records")
-                         if metrics is not None else None)
-        self._bytes = (metrics.counter("wal_bytes")
-                       if metrics is not None else None)
-        self._fsyncs = (metrics.counter("wal_fsyncs")
-                        if metrics is not None else None)
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self._records = metrics.counter("wal_records")
+        self._bytes = metrics.counter("wal_bytes")
+        self._fsyncs = metrics.counter("wal_fsyncs")
 
     # ------------------------------------------------------------ recovery
     def recover(self, *, repair: bool = False) -> WALRecovery:
@@ -447,9 +446,8 @@ class WriteAheadLog:
                     f"cannot append to WAL {self.path}: {exc}") from exc
             self._last_seq = seq
             self._size += len(frame)
-            if self._records is not None:
-                self._records.inc()
-                self._bytes.inc(len(frame))
+            self._records.inc()
+            self._bytes.inc(len(frame))
         if sync:
             self.sync()
         return seq
@@ -471,8 +469,7 @@ class WriteAheadLog:
                 raise WALError(
                     f"cannot fsync WAL {self.path}: {exc}") from exc
             self._synced_size = self._size
-            if self._fsyncs is not None:
-                self._fsyncs.inc()
+            self._fsyncs.inc()
 
     def rollback(self, token: tuple[int, int]) -> None:
         """Truncate back to a :meth:`mark` token.

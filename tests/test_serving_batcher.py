@@ -1,7 +1,7 @@
 """Unit tests for the request coalescer (``repro.serving.batcher``):
 batch assembly across requests, per-request ordering, whole-request
-batches, bounded-queue admission control and the drain/abandon
-shutdown paths.
+batches, bounded-queue admission control, which failures are re-run
+per request, and the drain/abandon shutdown paths.
 """
 
 import threading
@@ -9,7 +9,12 @@ import time
 
 import pytest
 
-from repro.exceptions import ServerClosedError, ServerOverloadedError
+from repro.exceptions import (
+    ServerClosedError,
+    ServerOverloadedError,
+    ValidationError,
+)
+from repro.observability.trace import RequestTrace
 from repro.serving.batcher import RequestCoalescer
 from repro.serving.metrics import MetricsRegistry
 
@@ -155,6 +160,68 @@ def test_classify_failure_fans_out_to_every_request_in_the_batch():
     coalescer._handlers["classify"] = ok
     assert coalescer.submit(["b"]).result(timeout=10)[0] == ["scored:b"]
     coalescer.close()
+
+
+class GatedHandler:
+    """Handler stub: parks on its first call until released, then
+    raises ``failure`` for any batch that carries the item ``"bad"``."""
+
+    def __init__(self, failure):
+        self.failure = failure
+        self.calls = []
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+
+    def __call__(self, items):
+        self.calls.append(list(items))
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.gate.wait(timeout=10)
+        if "bad" in items:
+            raise self.failure
+        return [f"ok:{item}" for item in items], 3
+
+
+def coalesce_good_and_bad(handler):
+    """Queue a good and a bad request behind a gated warm-up request,
+    so the two drain as one batch; returns the three futures."""
+
+    coalescer = make_coalescer(handler, max_batch=8)
+    warm = coalescer.submit(["warm"])
+    assert handler.entered.wait(timeout=10)
+    good_trace = RequestTrace("good", "ingest")
+    good = coalescer.submit(["good"], trace=good_trace)
+    bad = coalescer.submit(["bad"])
+    handler.gate.set()
+    assert warm.result(timeout=10) == (["ok:warm"], 3)
+    return coalescer, good, bad, good_trace
+
+
+def test_bad_input_fails_only_its_own_coalesced_request():
+    handler = GatedHandler(ValidationError("unknown class 'nope'"))
+    coalescer, good, bad, good_trace = coalesce_good_and_bad(handler)
+    assert good.result(timeout=10) == (["ok:good"], 3)
+    with pytest.raises(ValidationError, match="unknown class"):
+        bad.result(timeout=10)
+    coalescer.close()
+    # One coalesced pass, then each request alone, once.
+    assert handler.calls == [["warm"], ["good", "bad"], ["good"], ["bad"]]
+    # The failed pass's spans stay in the trace; the re-run adds its
+    # own pass but no second queue wait.
+    assert [s.name for s in good_trace.spans] == \
+        ["queue_wait", "batch_assembly", "batch_assembly"]
+
+
+def test_other_failures_still_fail_every_coalesced_request():
+    # Only bad input is re-run: another failure may follow a mutation
+    # (a WAL fsync after the apply), and a re-run could apply it twice.
+    handler = GatedHandler(RuntimeError("fsync failed"))
+    coalescer, good, bad, _ = coalesce_good_and_bad(handler)
+    for future in (good, bad):
+        with pytest.raises(RuntimeError, match="fsync failed"):
+            future.result(timeout=10)
+    coalescer.close()
+    assert handler.calls == [["warm"], ["good", "bad"]]
 
 
 def test_result_count_mismatch_is_an_error_not_a_hang():

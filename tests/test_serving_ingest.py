@@ -1,7 +1,7 @@
 """Online ingestion tests: the ``/ingest`` wire protocol, the mutable
 :class:`ClassificationService` corpus API, :class:`ModelManager`
-mutation/publish, and the live HTTP endpoints (``POST /ingest``,
-``DELETE /samples/<id>``).
+mutation/publish, the live HTTP endpoints (``POST /ingest``,
+``DELETE /samples/<id>``) and the ``repro-classify ingest`` client.
 """
 
 import base64
@@ -12,10 +12,10 @@ import pytest
 from repro.api.service import ClassificationService
 from repro.exceptions import ProtocolError, ValidationError
 from repro.serving import ClassificationServer, ServerConfig
-from repro.serving.ingest import (
+from repro.serving.protocol import (
     DEFAULT_MAX_INGEST_ITEMS,
     encode_ingest_report,
-    parse_ingest_request,
+    parse_items,
     parse_purge_path,
 )
 from repro.serving.metrics import MetricsRegistry
@@ -34,17 +34,21 @@ def body(items) -> bytes:
     return json.dumps({"items": items}).encode("utf-8")
 
 
+def parse_ingest(payload: bytes, **caps):
+    caps.setdefault("max_items", DEFAULT_MAX_INGEST_ITEMS)
+    return parse_items(payload, labelled=True, **caps)
+
+
 # ------------------------------------------------------------ wire protocol
 def test_parse_ingest_request_decodes_labelled_items(tmp_path):
     local = tmp_path / "exe"
     local.write_bytes(b"local-bytes")
-    items = parse_ingest_request(body([
+    items = parse_ingest(body([
         ingest_item("a", b"inline-bytes", "fam0"),
         {"id": "b", "class": "fam1", "path": str(local)},
     ]))
     assert [(i.sample_id, i.class_name, i.data) for i in items] == \
         [("a", "fam0", b"inline-bytes"), ("b", "fam1", b"local-bytes")]
-    assert items[0].as_triple() == ("a", b"inline-bytes", "fam0")
 
 
 @pytest.mark.parametrize("payload, match", [
@@ -62,17 +66,17 @@ def test_parse_ingest_request_decodes_labelled_items(tmp_path):
 ])
 def test_parse_ingest_request_rejects_bad_shapes(payload, match):
     with pytest.raises(ProtocolError, match=match):
-        parse_ingest_request(payload)
+        parse_ingest(payload)
 
 
 def test_parse_ingest_request_enforces_caps():
     items = [ingest_item(f"s{i}", b"x", "c")
              for i in range(DEFAULT_MAX_INGEST_ITEMS + 1)]
     with pytest.raises(ProtocolError, match="ingest cap"):
-        parse_ingest_request(body(items))
+        parse_ingest(body(items))
     with pytest.raises(ProtocolError, match="cap"):
-        parse_ingest_request(body([ingest_item("a", b"x" * 64, "c")]),
-                             max_item_bytes=16)
+        parse_ingest(body([ingest_item("a", b"x" * 64, "c")]),
+                     max_item_bytes=16)
 
 
 def test_parse_purge_path_unquotes():
@@ -464,3 +468,148 @@ def test_ingest_shares_classify_backpressure():
     finally:
         manager.gate.set()
         server.shutdown()
+
+
+def test_bad_ingest_fails_only_its_own_coalesced_request(trained_records,
+                                                         tmp_path):
+    """A valid ingest coalesced with an unknown-class ingest is applied,
+    acked durably and replayed after a restart; only the bad client
+    gets the 400."""
+
+    import threading
+    import time
+
+    live = tmp_path / "model.rpm"
+    ClassificationService.train(
+        trained_records, feature_types=["ssdeep-file"], n_estimators=10,
+        random_state=1, confidence_threshold=0.1).save(live)
+    wal_dir = tmp_path / "wal"
+    manager = ModelManager(live, poll_interval=0, mutable=True,
+                           wal_dir=wal_dir, cache_size=64)
+    gate = threading.Event()
+    entered = threading.Event()
+    classify = manager.classify_items
+
+    def gated_classify(items):
+        entered.set()
+        assert gate.wait(timeout=30)
+        return classify(items)
+
+    manager.classify_items = gated_classify
+    server = ClassificationServer(
+        manager, ServerConfig(port=0, workers=1, max_batch=8,
+                              enable_ingest=True)).start()
+    answers = {}
+
+    def post(name, path, payload):
+        answers[name] = request_json(server.port, "POST", path, payload,
+                                     timeout=60)
+
+    probe = {"items": [{"id": "probe", "data": base64.b64encode(
+        b"\x09" * 512).decode("ascii")}]}
+    clients = [threading.Thread(target=post,
+                                args=("probe", "/classify", probe))]
+    try:
+        # The classify pass holds the single coalescer worker...
+        clients[0].start()
+        assert entered.wait(timeout=30)
+        # ...while both ingests queue behind it and drain as one batch.
+        for name, class_name in (("good", "fam1"), ("bad", "nope")):
+            payload = {"items": [ingest_item(
+                f"online-{name}", b"\x07" * 512 + name.encode(), class_name)]}
+            clients.append(threading.Thread(
+                target=post, args=(name, "/ingest", payload)))
+            clients[-1].start()
+        deadline = time.monotonic() + 10
+        while server._coalescer._queued_items < 2 and \
+                time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server._coalescer._queued_items == 2
+        gate.set()
+        for client in clients:
+            client.join(timeout=60)
+        members = manager.corpus_info()["members"]
+    finally:
+        gate.set()
+        server.shutdown()
+    assert answers["probe"][0] == 200
+    status, _, report = answers["good"]
+    assert status == 200, report
+    assert report["durable"] is True
+    assert [r["sample_id"] for r in report["ingested"]] == ["online-good"]
+    status, _, error = answers["bad"]
+    assert status == 400
+    assert "unknown class" in error["error"]
+    assert members == 31
+    restarted = ModelManager(live, poll_interval=0, mutable=True,
+                             wal_dir=wal_dir)
+    try:
+        assert restarted.durability_info()["replayed_at_boot"] == 1
+        index = restarted.service.similarity_index
+        assert len(index.members_for_id("online-good")) == 1
+        assert index.n_members == 31
+    finally:
+        restarted.stop()
+
+
+# ------------------------------------------------- repro-classify ingest
+def run_cli_ingest(capsys, port, *args):
+    from repro.cli import main
+
+    code = main(["ingest", "--server", f"http://127.0.0.1:{port}",
+                 "--timeout", "30", *args])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_cli_ingest_submits_files_and_purges(ingest_server, tmp_path, capsys):
+    server, manager = ingest_server
+    files = []
+    for n in range(2):
+        path = tmp_path / f"exe-{n}"
+        path.write_bytes(b"\x0b" * 700 + bytes([n]) * 300)
+        files.append(str(path))
+    code, out, err = run_cli_ingest(capsys, server.port, "--class", "fam1",
+                                    *files)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["count"] == 2
+    assert [r["sample_id"] for r in report["ingested"]] == files
+    assert manager.corpus_info()["members"] == 32
+    code, _, err = run_cli_ingest(capsys, server.port, "--class", "nope",
+                                  files[0])
+    assert code == 2
+    assert "server answered 400: " in err and "unknown class" in err
+    code, out, err = run_cli_ingest(capsys, server.port, "--purge", files[0])
+    assert code == 0, err
+    assert json.loads(out)["purged"] == 1
+    code, _, err = run_cli_ingest(capsys, server.port, "--purge", "missing")
+    assert code == 2
+    assert "server answered 404: " in err
+    code, _, err = run_cli_ingest(capsys, server.port, "--purge", "x",
+                                  files[0])
+    assert code == 2
+    assert "--purge takes no files" in err
+
+
+def test_cli_ingest_reports_a_read_only_or_stopped_server(trained_records,
+                                                         tmp_path, capsys):
+    live = tmp_path / "model.rpm"
+    ClassificationService.train(
+        trained_records, feature_types=["ssdeep-file"], n_estimators=5,
+        random_state=1).save(live)
+    exe = tmp_path / "exe"
+    exe.write_bytes(b"\x0c" * 1024)
+    server = ClassificationServer(ModelManager(live, poll_interval=0),
+                                  ServerConfig(port=0)).start()
+    port = server.port
+    try:
+        code, _, err = run_cli_ingest(capsys, port, "--class", "fam0",
+                                      str(exe))
+        assert code == 2
+        assert "server answered 403: " in err and "disabled" in err
+    finally:
+        server.shutdown()
+    code, _, err = run_cli_ingest(capsys, port, "--class", "fam0", str(exe))
+    assert code == 2
+    assert "cannot reach server" in err

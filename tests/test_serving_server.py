@@ -465,3 +465,55 @@ def test_shutdown_drains_and_flushes_decision_log(model_artifacts, tmp_path):
     assert [r["sample_id"] for r in records] == [sid for sid, _ in pool]
     assert all(r["model_generation"] == 1 for r in records)
     assert all("unix_time" in r for r in records)
+
+
+# ------------------------------------------------ server-local path reads
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_device_path_answers_400_on_classify_and_ingest(model_artifacts,
+                                                        tmp_path):
+    # A real `repro-classify serve` child under a 768 MiB address-space
+    # limit: a server that read /dev/zero to its (absent) end would die
+    # of MemoryError there rather than grow this process.
+    import re
+    import resource
+    import subprocess
+    import sys
+
+    gen_a, _ = model_artifacts
+    live = tmp_path / "model.rpm"
+    live.write_bytes(gen_a.read_bytes())
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep +
+               os.environ.get("PYTHONPATH", ""))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20))
+
+    with subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--model", str(live),
+             "--port", "0", "--ingest", "--reload-interval", "0",
+             "--workers", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env, preexec_fn=limit_memory) as proc:
+        try:
+            banner = proc.stdout.readline()
+            match = re.search(r"http://127\.0\.0\.1:(\d+)", banner)
+            assert match, f"server did not start: {banner}"
+            port = int(match.group(1))
+            for path, item in (
+                    ("/classify", {"id": "z", "path": "/dev/zero"}),
+                    ("/ingest", {"id": "z", "class": "fam0",
+                                 "path": "/dev/zero"})):
+                started = time.monotonic()
+                status, _, body = request_json(port, "POST", path,
+                                               {"items": [item]}, timeout=5)
+                assert status == 400, body
+                assert "not a regular file" in body["error"]
+                assert time.monotonic() - started < 5
+        finally:
+            proc.terminate()
+            try:
+                proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                proc.kill()
