@@ -49,10 +49,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.hashing.compare import common_ngrams
 from repro.hashing.ssdeep import fuzzy_hash
 from repro.index import SimilarityIndex
 from repro.index.core import IndexMatch, expand_digest, \
-    score_signature_pairs, signature_grams
+    score_signature_pairs
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 
@@ -87,7 +88,7 @@ class LegacyCandidateIndex:
             self._entries.append((member, block_size, signature))
             grams = self._member_grams.get(signature)
             if grams is None:
-                grams = tuple(signature_grams(signature, self._ngram_length))
+                grams = tuple(common_ngrams(signature, self._ngram_length))
                 self._member_grams[signature] = grams
             for gram in grams:
                 self._postings[(block_size, gram)].append(entry_id)
@@ -112,7 +113,7 @@ class LegacyCandidateIndex:
         for query_index, sig_by_block in enumerate(query_signatures):
             seen: set[int] = set()
             for block_size, signature in sig_by_block.items():
-                for gram in signature_grams(signature, self._ngram_length):
+                for gram in common_ngrams(signature, self._ngram_length):
                     for entry_id in postings.get((block_size, gram), ()):
                         if entry_id in seen:
                             continue

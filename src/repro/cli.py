@@ -637,7 +637,8 @@ def _cmd_ingest(args) -> int:
     import json
     from urllib.parse import quote, urlsplit
 
-    from .exceptions import ServingError, ValidationError
+    from .exceptions import HashingError, ServingError, ValidationError
+    from .hashing.ssdeep import read_regular_file
 
     split = urlsplit(args.server if "//" in args.server
                      else f"http://{args.server}")
@@ -662,9 +663,8 @@ def _cmd_ingest(args) -> int:
         items = []
         for name in args.files:
             try:
-                with open(name, "rb") as handle:
-                    data = handle.read()
-            except OSError as exc:
+                data = read_regular_file(name)
+            except (OSError, HashingError) as exc:
                 raise ValidationError(f"cannot read {name}: {exc}") from exc
             items.append({"id": name, "class": args.class_name,
                           "data": base64.b64encode(data).decode("ascii")})

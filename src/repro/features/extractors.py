@@ -30,9 +30,9 @@ from ..binfmt.reader import ElfReader, is_elf
 from ..binfmt.strings_extract import strings_output
 from ..binfmt.symbols import nm_output
 from ..exceptions import (BinaryFormatError, FeatureExtractionError,
-                          SymbolTableError)
+                          HashingError, SymbolTableError)
 from ..hashing.crypto import crypto_digest
-from ..hashing.ssdeep import FuzzyHasher
+from ..hashing.ssdeep import FuzzyHasher, read_regular_file
 from ..hashing.vector import VectorHasher
 from .records import SampleFeatures
 
@@ -238,12 +238,12 @@ class FeatureExtractor:
     def extract_file(self, path: str, *, sample_id: str = "",
                      class_name: str = "", version: str = "",
                      executable: str = "") -> SampleFeatures:
-        """Extract features from a file on disk."""
+        """Extract features from a regular file on disk (read by
+        :func:`~repro.hashing.ssdeep.read_regular_file`)."""
 
         try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
+            data = bytes(read_regular_file(path))
+        except (OSError, HashingError) as exc:
             raise FeatureExtractionError(f"cannot read {path}: {exc}") from exc
         return self.extract(data, sample_id=sample_id or path,
                             class_name=class_name, version=version,

@@ -27,6 +27,7 @@ stores from disk).
 from __future__ import annotations
 
 import os
+import stat
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -67,10 +68,72 @@ ADAPTIVE_SIZE_BANDS: tuple[tuple[int | None, int, int], ...] = (
     (1024 * 1024, MIN_BLOCKSIZE, 96),
     (None, 2 * MIN_BLOCKSIZE, 128),
 )
-#: Default upper bound on the bytes :meth:`FuzzyHasher.hash_file` will load.
+#: Default upper bound on the bytes :func:`read_regular_file` will load.
 MAX_FILE_BYTES = 1 << 30
 #: Default read size for the chunked file-reading loop.
 FILE_READ_CHUNK = 1 << 20
+
+
+def read_regular_file(path: str | os.PathLike, *,
+                      max_bytes: int | None = MAX_FILE_BYTES,
+                      chunk_size: int = FILE_READ_CHUNK) -> bytearray:
+    """The contents of a regular file, read under a byte cap.
+
+    Anything but a regular file raises
+    :class:`~repro.exceptions.HashingError` before a byte is read: a
+    device or FIFO reports size 0 and never ends (a FIFO without a
+    writer would not even open, hence ``O_NONBLOCK``), and a directory
+    has no contents.  The file is read in bounded ``chunk_size`` slices
+    rather than one unbounded ``read()``; ``max_bytes`` (default 1 GiB,
+    ``None`` disables the cap) bounds total memory and raises
+    :class:`~repro.exceptions.HashingError` for larger files —
+    oversized files are rejected from their ``stat`` size before any
+    byte is read.  The buffer is preallocated from the ``stat`` size,
+    and a file that grew past it (or, like procfs, reports 0) reads on,
+    still only to the cap.  Other read failures raise :class:`OSError`.
+    """
+
+    if chunk_size < 1:
+        raise HashingError("chunk_size must be >= 1")
+    if max_bytes is not None and max_bytes < 0:
+        raise HashingError("max_bytes must be >= 0 (or None to disable)")
+
+    def over_limit() -> HashingError:
+        return HashingError(
+            f"{os.fspath(path)} exceeds the {max_bytes}-byte hashing "
+            f"limit; raise max_bytes (or pass None) to hash it anyway")
+
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            raise HashingError(f"{os.fspath(path)} is not a regular file")
+        expected = info.st_size
+        if max_bytes is not None and expected > max_bytes:
+            raise over_limit()
+        buffer = bytearray(expected)
+        view = memoryview(buffer)
+        filled = 0
+        with open(fd, "rb", closefd=False) as fh:
+            while filled < expected:
+                n_read = fh.readinto(view[filled:filled + chunk_size])
+                if not n_read:
+                    break
+                filled += n_read
+            del view
+            if filled < expected:          # file shrank while reading
+                del buffer[filled:]
+            else:
+                while True:
+                    chunk = fh.read(chunk_size)
+                    if not chunk:
+                        break
+                    buffer.extend(chunk)
+                    if max_bytes is not None and len(buffer) > max_bytes:
+                        raise over_limit()
+    finally:
+        os.close(fd)
+    return buffer
 
 
 @dataclass(frozen=True)
@@ -187,56 +250,17 @@ class FuzzyHasher:
     def hash_file(self, path: str | os.PathLike, *,
                   max_bytes: int | None = MAX_FILE_BYTES,
                   chunk_size: int = FILE_READ_CHUNK) -> SsdeepDigest:
-        """Hash the contents of a file.
+        """Hash the contents of a regular file.
 
-        The file is read in bounded ``chunk_size`` slices rather than one
-        unbounded ``read()``; ``max_bytes`` (default 1 GiB, ``None``
-        disables the cap) bounds total memory and raises
-        :class:`~repro.exceptions.HashingError` for larger files —
-        oversized regular files are rejected from their ``stat`` size
-        before any byte is read.  The block-size retry loop of the
-        digest still needs the whole input in memory, so the cap — not
-        the chunking — is what makes the memory ceiling explicit; the
-        buffer is preallocated from the ``stat`` size and handed to
-        :meth:`hash` without an extra copy.
+        The file is read by :func:`read_regular_file` (``max_bytes``
+        and ``chunk_size`` are passed on) and handed to :meth:`hash`
+        without an extra copy; the block-size retry loop of the digest
+        needs the whole input in memory, so the cap — not the chunking —
+        is what makes the memory ceiling explicit.
         """
 
-        if chunk_size < 1:
-            raise HashingError("chunk_size must be >= 1")
-        if max_bytes is not None and max_bytes < 0:
-            raise HashingError("max_bytes must be >= 0 (or None to disable)")
-
-        def over_limit() -> HashingError:
-            return HashingError(
-                f"{os.fspath(path)} exceeds the {max_bytes}-byte hashing "
-                f"limit; raise max_bytes (or pass None) to hash it anyway")
-
-        with open(path, "rb") as fh:
-            expected = os.fstat(fh.fileno()).st_size
-            if max_bytes is not None and expected > max_bytes:
-                raise over_limit()
-            buffer = bytearray(expected)
-            view = memoryview(buffer)
-            filled = 0
-            while filled < expected:
-                n_read = fh.readinto(view[filled:filled + chunk_size])
-                if not n_read:
-                    break
-                filled += n_read
-            del view
-            if filled < expected:          # file shrank while reading
-                del buffer[filled:]
-            else:
-                # The file may have grown past its stat size (pipes and
-                # procfs report 0); keep reading in bounded chunks.
-                while True:
-                    chunk = fh.read(chunk_size)
-                    if not chunk:
-                        break
-                    buffer.extend(chunk)
-                    if max_bytes is not None and len(buffer) > max_bytes:
-                        raise over_limit()
-        return self.hash(buffer)
+        return self.hash(read_regular_file(path, max_bytes=max_bytes,
+                                           chunk_size=chunk_size))
 
     def hash_many(self, items: Iterable[bytes | str]) -> list[SsdeepDigest]:
         """Hash an iterable of inputs, preserving order."""

@@ -55,6 +55,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..exceptions import DigestFormatError
+from .ssdeep import read_regular_file
 
 __all__ = [
     "VECTOR_PREFIX",
@@ -227,10 +228,10 @@ class VectorHasher:
         return VectorDigest(lvalue=lvalue, checksum=checksum, body=body)
 
     def hash_file(self, path: str | os.PathLike) -> VectorDigest:
-        """Hash the contents of a file."""
+        """Hash the contents of a regular file (read by
+        :func:`~repro.hashing.ssdeep.read_regular_file`)."""
 
-        with open(path, "rb") as fh:
-            return self.hash(fh.read())
+        return self.hash(read_regular_file(path))
 
     def hash_many(self, items: Iterable[bytes | str]) -> list[VectorDigest]:
         """Hash an iterable of inputs, preserving order."""

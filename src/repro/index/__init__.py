@@ -9,7 +9,8 @@ incrementally, queried repeatedly and shipped between processes:
   ``add`` / ``add_many`` incremental updates, ``top_k`` queries,
   a budgeted ``pairwise_matrix`` and dense ``score_matrix`` scoring
   (the backend of
-  :class:`~repro.features.similarity.SimilarityFeatureBuilder`);
+  :class:`~repro.features.similarity.SimilarityFeatureBuilder`), all
+  on one candidate sweep;
 * :mod:`~repro.index.postings` — the columnar storage behind it:
   signatures interned in an index-wide pool, entries as ``int32``
   columns, postings as sorted CSR triples over FNV-64 hashed
@@ -32,7 +33,10 @@ Removing members
 touching the postings: every query answers over the survivors,
 renumbered densely in insertion order, exactly as a fresh index built
 from them would.  ``compact()`` drops tombstoned members physically,
-and ``get_state`` / ``save`` always write the survivors only.
+and ``get_state`` / ``save`` always write the survivors only, byte for
+byte as a fresh build over them would: compaction, snapshots and the
+legacy readers copy members through one path that appends each the way
+``add`` does.
 
 Digest format and comparability rules
 -------------------------------------

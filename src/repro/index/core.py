@@ -9,7 +9,8 @@ indexed by their 7-gram postings, and answers:
 * ``top_k`` — the best-scoring members for a query digest;
 * ``score_matrix`` — a dense query × member score matrix (what the
   similarity feature builder consumes);
-* ``pairwise_matrix`` — budgeted all-vs-all member scoring;
+* ``pairwise_matrix`` — budgeted all-vs-all member scoring, on the
+  same candidate sweep with every member as a query;
 * ``save`` / ``load`` — round-tripping to a single compact file
   (:mod:`repro.index.storage`).
 
@@ -18,7 +19,8 @@ without touching the postings, every query then answers over the
 survivors renumbered densely in insertion order (exactly as a fresh
 index built from the survivors would), and :meth:`SimilarityIndex.compact`
 drops them physically.  Snapshots (``get_state`` / ``save``) always hold
-the survivors only, so a removed member can never come back on reload.
+the survivors only, so a removed member can never come back on reload,
+and are byte-identical to a fresh build over them.
 
 Since format version 2 the postings and entry tables live in compact
 columnar NumPy arrays (:mod:`repro.index.postings`): signatures are
@@ -60,7 +62,6 @@ import os
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -72,8 +73,7 @@ from ..hashing.compare import normalize_repeats
 from ..hashing.rolling import ROLLING_WINDOW
 from ..hashing.ssdeep import SsdeepDigest
 from ..hashing.vector import (VECTOR_WORDS, VectorDigest,
-                              is_vector_digest, is_vector_feature_type,
-                              popcount_u8, score_from_distance)
+                              is_vector_digest, is_vector_feature_type)
 from ..logging_utils import get_logger
 from ..observability.trace import span
 from .knn import PackedDigestStore
@@ -82,8 +82,7 @@ from .postings import ArrayPostings, SignaturePool, block_prefix64, \
 from .storage import read_container, write_container
 
 __all__ = ["CandidateBatch", "IndexMatch", "PairScore", "SimilarityIndex",
-           "expand_digest", "load_index", "score_signature_pairs",
-           "signature_grams"]
+           "expand_digest", "load_index", "score_signature_pairs"]
 
 _LOG = get_logger("index.core")
 
@@ -97,35 +96,6 @@ _NO_EXCLUDED: frozenset[int] = frozenset()
 #: cell).  16M cells = 16 MB transient, roughly a 64-query batch
 #: against a 100k-entry index.
 _DENSE_DEDUP_CELLS = 1 << 24
-
-
-# Bounded at 4096: each value is a frozenset of up to ~58 short strings
-# (a few KB), so the cache tops out around 20 MB per process.  Serving
-# streams touch far fewer distinct signatures than that; a pairwise
-# sweep over a larger corpus simply recomputes on the cold tail.
-@lru_cache(maxsize=4096)
-def _signature_grams_cached(signature: str, ngram_length: int
-                            ) -> frozenset[str]:
-    n = ngram_length
-    if len(signature) < n:
-        return _NO_GRAMS
-    return frozenset(signature[i:i + n]
-                     for i in range(len(signature) - n + 1))
-
-
-_NO_GRAMS: frozenset[str] = frozenset()
-
-
-def signature_grams(signature: str, ngram_length: int) -> set[str]:
-    """All ``ngram_length``-grams of a signature (empty when too short).
-
-    Backed by a bounded LRU over ``(signature, n)`` — ``classify
-    --jsonl`` streams and pairwise sweeps hit the same signatures over
-    and over; a fresh mutable set is returned so callers stay free to
-    modify it.
-    """
-
-    return set(_signature_grams_cached(signature, ngram_length))
 
 
 def score_signature_pairs(left: Sequence[str], right: Sequence[str],
@@ -609,20 +579,9 @@ class SimilarityIndex:
         reported under their dense (surviving) indices.
         """
 
-        # Query signatures interned per call (ids shared across types so
-        # cross-type pair de-duplication stays exact); a "row class" is
-        # one distinct (query signature, block size) — the left half of
-        # a scoring slot.
-        local_ids: dict[str, int] = {}
-        local_strings: list[str] = []
-        class_ids: dict[tuple[int, int], int] = {}
-        class_local: list[int] = []
-        class_block: list[int] = []
-        per_type: list[tuple] = []
+        rows_by_type: dict[str, Iterable[tuple[int, int, str]]] = {}
         n_queries_by_type: dict[str, int] = {}
         vector: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        # Physical -> dense member map (-1 for tombstoned members).
-        dense = self._survivors()[1] if self._dead else None
         if exclude is not None:
             exclude = self._checked_exclude(exclude)
 
@@ -641,38 +600,82 @@ class SimilarityIndex:
                 if triple is not None:
                     vector[feature_type] = triple
                 continue
+            # A generator, so the sweep's row loop is the only pass over
+            # the expanded digests.
+            rows_by_type[feature_type] = (
+                (query_index, block_size, signature)
+                for query_index, digest in enumerate(digests)
+                for block_size, signature in expand_digest(digest))
+
+        left, right, block_sizes, swept = self._sweep(rows_by_type, exclude)
+        scatter = {ft: swept.get(ft) or (np.zeros(0, dtype=np.int32),
+                                         np.zeros(0, dtype=np.int32),
+                                         np.zeros(0, dtype=np.int64))
+                   for ft in digests_by_type}
+        return CandidateBatch(left=left, right=right, block_sizes=block_sizes,
+                              scatter=scatter, n_queries=n_queries_by_type,
+                              vector=vector)
+
+    def _sweep(self, rows_by_type: Mapping[str, Iterable[tuple[int, int, str]]],
+               exclude: list[np.ndarray] | None
+               ) -> tuple[list[str], list[str], np.ndarray,
+                          dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+        """The candidate sweep behind :meth:`collect_candidates` and
+        :meth:`pairwise_matrix`.
+
+        ``rows_by_type`` holds, per CTPH feature type, the query
+        signatures as ``(query_index, block_size, signature)`` rows.
+        Returns :class:`CandidateBatch`'s ``left``, ``right``,
+        ``block_sizes`` and ``scatter``, the last only for the types
+        that produced candidates.
+        """
+
+        # Query signatures interned per call (ids shared across types so
+        # cross-type pair de-duplication stays exact); a "row class" is
+        # one distinct (query signature, block size) — the left half of
+        # a scoring slot.
+        local_ids: dict[str, int] = {}
+        local_strings: list[str] = []
+        class_ids: dict[tuple[int, int], int] = {}
+        class_local: list[int] = []
+        class_block: list[int] = []
+        per_type: list[tuple] = []
+        # Physical -> dense member map (-1 for tombstoned members).
+        dense = self._survivors()[1] if self._dead else None
+
+        for feature_type, rows in rows_by_type.items():
             store = self._stores[feature_type]
             n_entries = store.n_entries
             if not n_entries:
                 continue
 
-            # Flatten queries into (query, block, signature) rows.
+            # Flatten the rows into parallel (query, block, signature)
+            # columns.
             row_query: list[int] = []
             row_block: list[int] = []
             row_class: list[int] = []
             row_prefix: list[int] = []
             row_windows: list[np.ndarray] = []
-            for query_index, digest in enumerate(digests):
-                for block_size, signature in expand_digest(digest):
-                    local = local_ids.get(signature)
-                    if local is None:
-                        local = len(local_strings)
-                        local_ids[signature] = local
-                        local_strings.append(signature)
-                    windows = _query_windows(signature, self._ngram_length)
-                    if not windows.shape[0]:
-                        continue
-                    row_cls = class_ids.get((local, block_size))
-                    if row_cls is None:
-                        row_cls = len(class_local)
-                        class_ids[(local, block_size)] = row_cls
-                        class_local.append(local)
-                        class_block.append(block_size)
-                    row_query.append(query_index)
-                    row_block.append(block_size)
-                    row_class.append(row_cls)
-                    row_prefix.append(block_prefix64(block_size))
-                    row_windows.append(windows)
+            for query_index, block_size, signature in rows:
+                local = local_ids.get(signature)
+                if local is None:
+                    local = len(local_strings)
+                    local_ids[signature] = local
+                    local_strings.append(signature)
+                windows = _query_windows(signature, self._ngram_length)
+                if not windows.shape[0]:
+                    continue
+                row_cls = class_ids.get((local, block_size))
+                if row_cls is None:
+                    row_cls = len(class_local)
+                    class_ids[(local, block_size)] = row_cls
+                    class_local.append(local)
+                    class_block.append(block_size)
+                row_query.append(query_index)
+                row_block.append(block_size)
+                row_class.append(row_cls)
+                row_prefix.append(block_prefix64(block_size))
+                row_windows.append(windows)
             if not row_query:
                 continue
             counts = np.fromiter(map(len, row_windows), dtype=np.int64,
@@ -732,16 +735,8 @@ class SimilarityIndex:
                              row_class_arr[urows],
                              store.entry_sig[uentries]))
 
-        scatter: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {
-            ft: (np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32),
-                 np.zeros(0, dtype=np.int64))
-            for ft in digests_by_type}
         if not per_type:
-            return CandidateBatch(left=[], right=[],
-                                  block_sizes=np.zeros(0, dtype=np.int64),
-                                  scatter=scatter,
-                                  n_queries=n_queries_by_type,
-                                  vector=vector)
+            return [], [], np.zeros(0, dtype=np.int64), {}
 
         # Global slot assignment: a scoring slot is one unique (query
         # signature + block, member signature) pair, shared across every
@@ -782,6 +777,7 @@ class SimilarityIndex:
         right = [pool_strings[i] for i in slot_msig.tolist()]
         block_sizes = np.asarray(class_block, dtype=np.int64)[slot_class_arr]
 
+        scatter = {}
         offset = 0
         for feature_type, queries, members, *_rest in per_type:
             n_pairs = len(queries)
@@ -790,10 +786,7 @@ class SimilarityIndex:
                 members.astype(np.int32, copy=False),
                 inverse[offset:offset + n_pairs])
             offset += n_pairs
-
-        return CandidateBatch(left=left, right=right, block_sizes=block_sizes,
-                              scatter=scatter, n_queries=n_queries_by_type,
-                              vector=vector)
+        return left, right, block_sizes, scatter
 
     def _vector_candidates(self, feature_type: str, digests: Sequence[str],
                            exclude: list[np.ndarray] | None
@@ -880,9 +873,12 @@ class SimilarityIndex:
                         min_score: int = 1) -> list[PairScore]:
         """Score every candidate member pair, under a pair budget.
 
-        Candidates are member pairs sharing at least one posting bucket;
-        each is scored like :meth:`top_k` (max over comparable signature
-        pairs and, with ``feature_type=None``, over feature types).  When
+        Candidates are member pairs sharing at least one posting bucket
+        (for vector types, any two members carrying a digest); each is
+        scored like :meth:`top_k` (max over comparable signature pairs
+        and, with ``feature_type=None``, over feature types).  The
+        candidates come from the sweep :meth:`collect_candidates` runs,
+        with every surviving member querying its own signatures.  When
         the candidate set exceeds ``max_pairs`` only the first
         ``max_pairs`` pairs in ``(i, j)`` order are scored and a warning
         logs exactly how many were dropped — truncation is never silent.
@@ -899,34 +895,40 @@ class SimilarityIndex:
         else:
             types = self._feature_types
 
-        # Candidates and scoring work on physical members; tombstoned
-        # ones are filtered out and the survivors renumbered at the end
-        # (the renumbering is monotonic, so the pair order is the same).
-        dense = self._survivors()[1] if self._dead else None
-        candidates: set[tuple[int, int]] = set()
+        alive, dense = self._survivors()
+        n = np.int64(self.n_members)
+        strings = self._pool.strings
+        rows_by_type = {}
+        for ft in types:
+            if ft in self._stores:
+                store = self._stores[ft]
+                members = dense[store.entry_member]
+                live = members >= 0
+                rows_by_type[ft] = zip(
+                    members[live].tolist(), store.entry_block[live].tolist(),
+                    map(strings.__getitem__, store.entry_sig[live].tolist()))
+        left, right, block_sizes, swept = self._sweep(rows_by_type, None)
+
+        # Pairs as packed i * n + j codes with i < j, so sorting them is
+        # sorting by (i, j); the sweep finds each pair from both ends.
+        ctph_codes, ctph_slots = [], []
+        for queries, members, slots in swept.values():
+            upper = queries < members
+            ctph_codes.append(queries[upper].astype(np.int64) * n
+                              + members[upper])
+            ctph_slots.append(slots[upper])
+        codes = list(ctph_codes)
         for ft in types:
             if ft in self._vstores:
                 # The vector family has no candidate gate: any two
                 # members carrying a digest are comparable (the
                 # max_pairs budget below is what bounds the sweep).
-                present = self._vstores[ft].present
-                if dense is not None:
-                    present = present & (dense >= 0)
-                present = np.flatnonzero(present)
-                if present.size >= 2:
-                    candidates.update(combinations(present.tolist(), 2))
-                continue
-            store = self._stores[ft]
-            entry_member = store.entry_member
-            for _block, _gram, entry_ids in store.iter_buckets():
-                if len(entry_ids) < 2:
-                    continue
-                members = np.unique(entry_member[entry_ids])
-                if dense is not None:
-                    members = members[dense[members] >= 0]
-                if members.size >= 2:
-                    candidates.update(combinations(members.tolist(), 2))
-        pairs = sorted(candidates)
+                present = np.flatnonzero(self._vstores[ft].present[alive])
+                i, j = np.triu_indices(present.size, k=1)
+                codes.append(present[i] * n + present[j])
+        if not codes:
+            return []
+        pairs = np.unique(np.concatenate(codes))
         if max_pairs is not None and len(pairs) > max_pairs:
             dropped = len(pairs) - max_pairs
             _LOG.warning(
@@ -934,77 +936,45 @@ class SimilarityIndex:
                 "%d over the max_pairs=%d budget", max_pairs, len(pairs),
                 dropped, max_pairs)
             pairs = pairs[:max_pairs]
-        if not pairs:
+        if not pairs.size:
             return []
 
         best = np.zeros(len(pairs), dtype=np.float64)
-        pair_array = np.asarray(pairs, dtype=np.int64)
+        if ctph_codes:
+            pair_codes = np.concatenate(ctph_codes)
+            slots = np.concatenate(ctph_slots)
+            kept = pair_codes <= pairs[-1]
+            used, inverse = np.unique(slots[kept], return_inverse=True)
+            used_slots = used.tolist()
+            slot_scores = score_signature_pairs(
+                [left[slot] for slot in used_slots],
+                [right[slot] for slot in used_slots], block_sizes[used])
+            # A pair keeps its best comparable signature pair.
+            np.maximum.at(best, np.searchsorted(pairs, pair_codes[kept]),
+                          slot_scores[inverse])
+        rows_i, rows_j = alive[pairs // n], alive[pairs % n]
         for ft in types:
             if ft in self._vstores:
-                vstore = self._vstores[ft]
-                matrix = vstore.matrix
-                present = vstore.present
-                rows_i = pair_array[:, 0]
-                rows_j = pair_array[:, 1]
-                xor = np.bitwise_xor(matrix[rows_i], matrix[rows_j])
-                dist = popcount_u8(xor.view(np.uint8)).sum(axis=1,
-                                                           dtype=np.int64)
-                scores = np.asarray(score_from_distance(dist),
-                                    dtype=np.float64)
-                scores[~(present[rows_i] & present[rows_j])] = 0.0
-                np.maximum(best, scores, out=best)
-                continue
-            sig_by_member = self._member_signatures(ft)
-            left: list[str] = []
-            right: list[str] = []
-            block_sizes: list[int] = []
-            slot_for_key: dict[tuple[str, str, int], int] = {}
-            scatter: list[tuple[int, int]] = []        # (pair_idx, slot)
-            grams = _signature_grams_cached
-            n = self._ngram_length
-            for pair_idx, (i, j) in enumerate(pairs):
-                sigs_i = sig_by_member.get(i)
-                sigs_j = sig_by_member.get(j)
-                if not sigs_i or not sigs_j:
-                    continue
-                for block_size in sigs_i.keys() & sigs_j.keys():
-                    sig_a, sig_b = sigs_i[block_size], sigs_j[block_size]
-                    if not grams(sig_a, n) & grams(sig_b, n):
-                        continue
-                    key = (sig_a, sig_b, block_size)
-                    slot = slot_for_key.get(key)
-                    if slot is None:
-                        slot = len(left)
-                        slot_for_key[key] = slot
-                        left.append(sig_a)
-                        right.append(sig_b)
-                        block_sizes.append(block_size)
-                    scatter.append((pair_idx, slot))
-            if not scatter:
-                continue
-            slot_scores = score_signature_pairs(left, right, block_sizes)
-            for pair_idx, slot in scatter:
-                if slot_scores[slot] > best[pair_idx]:
-                    best[pair_idx] = slot_scores[slot]
-
-        if dense is not None:
-            pairs = [(int(dense[i]), int(dense[j])) for i, j in pairs]
+                np.maximum(best, self._vstores[ft].pair_scores(rows_i, rows_j),
+                           out=best)
         return [PairScore(i=i, j=j, score=int(score))
-                for (i, j), score in zip(pairs, best) if score >= min_score]
+                for i, j, score in zip((pairs // n).tolist(),
+                                       (pairs % n).tolist(), best.tolist())
+                if score >= min_score]
 
     # ------------------------------------------------------ entry transfer
     # Members move between indexes as already-expanded entries, never
     # round-tripping through lossy digests (the original digest string
-    # is not recoverable from normalised signatures): the legacy
-    # sharded-layout reader rebuilds one index from its shards this way.
+    # is not recoverable from normalised signatures).  `_copy_members`
+    # is the one copy path: compaction, snapshots taken with tombstones
+    # and the legacy sharded-layout reader all go through it.
 
     def member_signatures(self, feature_type: str
                           ) -> dict[int, dict[int, str]]:
         """Member index -> ``{block_size: signature}`` for one type.
 
         Vector types use a synthetic block size of 0 and the canonical
-        digest string as the "signature", which round-trips exactly
-        through :meth:`append_entries`.
+        digest string as the "signature".
         """
 
         self._check_feature_type(feature_type)
@@ -1032,29 +1002,35 @@ class SimilarityIndex:
             sig_by_member[member][block] = pool[sig_id]
         return dict(sig_by_member)
 
-    def append_entries(self, sample_id: str, class_name: str,
-                       entries_by_type: Mapping[str, Iterable[tuple[int, str]]]
-                       ) -> int:
-        """Add one member from already-expanded ``(block_size, signature)``
-        entries; returns its member index.
+    @classmethod
+    def _copy_members(cls, feature_types: Sequence[str], ngram_length: int,
+                      members: Iterable[tuple["SimilarityIndex", int]]
+                      ) -> "SimilarityIndex":
+        """A new index holding ``(source index, physical member)`` pairs,
+        in order.
 
-        The entry-level counterpart of :meth:`add` for callers that hold
-        index contents rather than digests (see
-        :meth:`member_signatures`).  Signatures are trusted to be
-        already run-length normalised (they came out of an index).
+        Each member is appended the way :meth:`add` appends one: the
+        member, then its CTPH entries type by type, then one row per
+        vector type.  So the copy is byte-identical to a fresh build
+        from the same digests.
         """
 
-        member = self._append_member(sample_id, class_name)
-        for feature_type in self._ctph_types:
-            for block_size, signature in entries_by_type.get(feature_type, ()):
-                self._add_entry(feature_type, member, int(block_size),
-                                str(signature))
-        for feature_type in self._vector_types:
-            digest = None
-            for _block_size, signature in entries_by_type.get(feature_type, ()):
-                digest = VectorDigest.parse(str(signature))
-            self._vstores[feature_type].append(digest)
-        return member - len(self._dead)
+        index = cls(feature_types, ngram_length=ngram_length)
+        signatures: dict[SimilarityIndex, dict[str, dict]] = {}
+        for source, member in members:
+            by_type = signatures.get(source)
+            if by_type is None:
+                by_type = signatures[source] = {
+                    ft: source._member_signatures(ft) for ft in feature_types}
+            new = index._append_member(source._sample_ids[member],
+                                       source._class_names[member])
+            for ft in index._ctph_types:
+                for block_size, signature in sorted(
+                        by_type[ft].get(member, {}).items()):
+                    index._add_entry(ft, new, block_size, signature)
+            for ft in index._vector_types:
+                index._vstores[ft].append(by_type[ft].get(member, {}).get(0))
+        return index
 
     # ---------------------------------------------------------------- stats
     def stats(self) -> dict:
@@ -1439,27 +1415,9 @@ class SimilarityIndex:
     def _survivor_copy(self) -> "SimilarityIndex":
         """A new index over the surviving members, in insertion order."""
 
-        alive = self._survivors()[0].tolist()
-        remap = {old: new for new, old in enumerate(alive)}
-        result = SimilarityIndex(self._feature_types,
-                                 ngram_length=self._ngram_length)
-        for old in alive:
-            result._append_member(self._sample_ids[old],
-                                  self._class_names[old])
-        pool = self._pool
-        for feature_type in self._ctph_types:
-            store = self._stores[feature_type]
-            for member, block, sig_id in zip(store.entry_member.tolist(),
-                                             store.entry_block.tolist(),
-                                             store.entry_sig.tolist()):
-                new_member = remap.get(member)
-                if new_member is not None:
-                    result._add_entry(feature_type, new_member, block,
-                                      pool[sig_id])
-        for feature_type in self._vector_types:
-            result._vstores[feature_type] = \
-                self._vstores[feature_type].subset(alive)
-        return result
+        return self._copy_members(
+            self._feature_types, self._ngram_length,
+            ((self, member) for member in self._survivors()[0].tolist()))
 
     def _add_entry(self, feature_type: str, member: int, block_size: int,
                    signature: str) -> None:

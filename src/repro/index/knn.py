@@ -27,6 +27,7 @@ from ..hashing.vector import (
     VectorDigest,
     hamming_distance,
     packed_hamming,
+    popcount_u8,
     score_from_distance,
 )
 
@@ -146,6 +147,19 @@ class PackedDigestStore:
 
         scores = score_from_distance(self.distances(digest))
         return np.asarray(scores, dtype=np.int64)
+
+    def pair_scores(self, rows_a: np.ndarray, rows_b: np.ndarray
+                    ) -> np.ndarray:
+        """0–100 scores of row ``rows_a[k]`` against row ``rows_b[k]``
+        (0 where either row is absent)."""
+
+        matrix = self.matrix
+        xor = np.bitwise_xor(matrix[rows_a], matrix[rows_b])
+        scores = score_from_distance(
+            popcount_u8(xor.view(np.uint8)).sum(axis=1, dtype=np.int64))
+        present = self.present
+        scores[~(present[rows_a] & present[rows_b])] = 0
+        return scores
 
     def digest_string(self, row: int) -> str:
         """Canonical digest string of one row (``""`` if absent)."""

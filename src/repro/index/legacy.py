@@ -9,9 +9,11 @@ of every member, in the order members were added) and per-shard
 tombstones.
 
 This module reads either layout into one :class:`SimilarityIndex` over
-the surviving members, appended in that global order.  Every query on
-a sharded index answered exactly like a single index built from its
-survivors in insertion order, so the result answers identically.  Only
+the surviving members, copied in that global order through the index's
+one member-copy path (the one compaction uses), so the result is
+byte-identical to a single index built from the survivors in insertion
+order.  Every query on a sharded index answered exactly like that
+index, so the result answers identically.  Only
 :func:`~repro.index.core.load_index` (a directory) and
 :meth:`SimilarityIndex.from_state` (a sharded header) call in here;
 ``repro-classify index merge OLD.rpsd -o NEW.rpsi`` rewrites a
@@ -160,7 +162,7 @@ def index_from_sharded_state(header: Mapping,
 def _merge_survivors(shards: list[SimilarityIndex], order: list[int],
                      tombstones: list[list[int]], *,
                      source: str) -> SimilarityIndex:
-    """Validate the shard layout and append its survivors, in global
+    """Validate the shard layout and copy its survivors, in global
     insertion order, into one index."""
 
     first = shards[0]
@@ -189,20 +191,14 @@ def _merge_survivors(shards: list[SimilarityIndex], order: list[int],
                 f"{source} tombstones reference members outside shard "
                 f"{shard_idx}")
 
-    feature_types = first.feature_types
-    signatures = [{ft: shard.member_signatures(ft) for ft in feature_types}
-                  for shard in shards]
-    sample_ids = [shard.sample_ids for shard in shards]
-    class_names = [shard.class_names for shard in shards]
-    merged = SimilarityIndex(feature_types, ngram_length=first.ngram_length)
     next_local = [0] * len(shards)
+    survivors = []
     for shard_idx in order:
         local = next_local[shard_idx]
         next_local[shard_idx] += 1
-        if local in dead_sets[shard_idx]:
-            continue
-        merged.append_entries(
-            sample_ids[shard_idx][local], class_names[shard_idx][local],
-            {ft: sorted(signatures[shard_idx][ft].get(local, {}).items())
-             for ft in feature_types})
-    return merged
+        if local not in dead_sets[shard_idx]:
+            survivors.append((shards[shard_idx], local))
+    # A loaded shard holds no tombstones of its own, so its dense member
+    # indices are its physical ones.
+    return SimilarityIndex._copy_members(first.feature_types,
+                                         first.ngram_length, survivors)

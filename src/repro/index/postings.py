@@ -544,16 +544,6 @@ class ArrayPostings:
         return np.repeat(window_rows[window_idx], slab), gathered
 
     # ---------------------------------------------------------- inspection
-    def iter_buckets(self):
-        """Yield ``(block_size, gram, entry_ids)`` per posting bucket."""
-
-        self.merge()
-        sealed = self._sealed
-        for i in range(len(sealed.keys)):
-            gram = sealed.key_grams[i].tobytes().decode("ascii")
-            yield (int(sealed.key_blocks[i]), gram,
-                   sealed.entry_ids[sealed.offsets[i]:sealed.offsets[i + 1]])
-
     def nbytes(self) -> int:
         """Resident byte estimate of the columnar arrays."""
 

@@ -20,22 +20,24 @@ which is what lets the server guarantee a single model generation per
 response across hot-reloads.
 
 The queue can carry more than one **kind** of work: the coalescer takes
-either a single classify function or a mapping of kind → handler (e.g.
-``{"classify": ..., "ingest": ...}``).  All kinds share the one bounded
-queue and its depth — that *is* the backpressure story for online
-ingestion: an ingest burst fills the same queue classification uses, so
-it is admission-controlled by the same 503 instead of starving
-classification through a private unbounded path.  Requests are drained
-FIFO; a batch only ever coalesces consecutive requests of one kind, so
-every handler still sees homogeneous work.
+a mapping of kind → handler (e.g. ``{"classify": ..., "ingest": ...}``).
+All kinds share the one bounded queue and its depth — that *is* the
+backpressure story for online ingestion: an ingest burst fills the same
+queue classification uses, so it is admission-controlled by the same
+503 instead of starving classification through a private unbounded
+path.  Requests are drained FIFO; a batch only ever coalesces
+consecutive requests of one kind, so every handler still sees
+homogeneous work.
 
-A pass that raises fails every request in its batch, except that a
-:class:`~repro.exceptions.ValidationError` (bad input, e.g. an unknown
-ingest class) over several requests re-runs each request alone, once:
-bad input is refused before anything changes, so a bad item fails only
-its own request.  Any other failure may follow a mutation (a WAL fsync
-after the apply) that a re-run would repeat, so it still fails the
-whole batch.  ``batches_total`` and ``batch_size`` count re-runs.
+A failed pass over several requests re-runs each request alone, once,
+so a bad item fails only its own request, when a re-run is safe:
+always for a ``"classify"`` pass, which mutates nothing, and for any
+other kind only on a :class:`~repro.exceptions.ValidationError` (bad
+input, e.g. an unknown ingest class), which is refused before anything
+changes.  Any other failure of a mutating pass may follow a mutation (a
+WAL fsync after the apply) that a re-run would repeat, so it still
+fails the whole batch.  ``batches_total`` and ``batch_size`` count
+re-runs.
 """
 
 from __future__ import annotations
@@ -88,11 +90,12 @@ class RequestCoalescer:
     Parameters
     ----------
     handlers:
-        Either one ``fn(items) -> (results, generation)`` (registered
-        as kind ``"classify"``) or a mapping of kind → such handlers.
+        Mapping of kind → ``fn(items) -> (results, generation)``.
         ``items`` is the concatenation of one or more same-kind
         requests' work items and ``results`` preserves their order
-        (the :meth:`ModelManager.classify_items` contract).
+        (the :meth:`ModelManager.classify_items` contract).  Only a
+        ``"classify"`` handler may be re-run after any failure: it must
+        mutate nothing.
     max_batch:
         Soft cap on items per assembled batch (whole requests only).
     queue_depth:
@@ -104,7 +107,7 @@ class RequestCoalescer:
         batch with the classify pass of the next.
     """
 
-    def __init__(self, handlers: "Callable | Mapping[str, Callable]", *,
+    def __init__(self, handlers: Mapping[str, Callable], *,
                  max_batch: int = 32, queue_depth: int = 256,
                  workers: int = 2, metrics=None, profiler=None) -> None:
         if max_batch < 1:
@@ -113,8 +116,6 @@ class RequestCoalescer:
             raise ValueError("queue_depth must be >= 1")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if callable(handlers):
-            handlers = {"classify": handlers}
         if not handlers:
             raise ValueError("handlers must not be empty")
         self._handlers = dict(handlers)
@@ -231,10 +232,13 @@ class RequestCoalescer:
                     request.trace.add("queue_wait", request.submitted,
                                       drained - request.submitted)
             failure = self._run(batch, drained)
-            if isinstance(failure, ValidationError) and len(batch) > 1:
-                # Bad input is refused before the handler changes
-                # anything, so each request runs again alone and a bad
-                # item fails only its own request.
+            if failure is not None and len(batch) > 1 and (
+                    batch[0].kind == "classify"
+                    or isinstance(failure, ValidationError)):
+                # A classify pass mutates nothing, and bad input is
+                # refused before any handler changes anything, so each
+                # request runs again alone and fails only on its own
+                # items.
                 outcomes = [(request, self._run([request],
                                                 time.perf_counter()))
                             for request in batch]

@@ -653,9 +653,18 @@ class ModelManager:
             except Exception:  # noqa: BLE001 — the watcher must survive
                 _LOG.exception("model watcher poll failed; continuing")
 
+    def _corpus_counts(self) -> tuple[int, int]:
+        """``(members, tombstones)`` of the live corpus: O(1) reads,
+        unlike :meth:`corpus_info`'s per-member class count, taken
+        under the predict lock for the same reason."""
+
+        with self._predict_lock:
+            index = self.service.similarity_index
+            return index.n_members, index.n_tombstones
+
     def _update_corpus_gauges(self) -> None:
         if not self.mutable:
             return
-        info = self.corpus_info()
-        self._members_gauge.set(info["members"])
-        self._tombstones_gauge.set(info["tombstones"])
+        members, tombstones = self._corpus_counts()
+        self._members_gauge.set(members)
+        self._tombstones_gauge.set(tombstones)

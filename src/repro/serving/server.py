@@ -368,7 +368,7 @@ class ClassificationServer:
             self._latency.observe(time.perf_counter() - started)
             if labelled:
                 self._items_ingested.inc(len(results))
-                members = self.manager.corpus_info()["members"]
+                members = self.manager._corpus_counts()[0]
                 with span("serialize"):
                     response = protocol.encode_ingest_report(
                         results, generation, members,

@@ -23,10 +23,10 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.hashing.compare import common_ngrams
 from repro.hashing.ssdeep import fuzzy_hash
 from repro.index import SimilarityIndex, load_index
-from repro.index.core import expand_digest, score_signature_pairs, \
-    signature_grams
+from repro.index.core import expand_digest, score_signature_pairs
 
 from legacy_fixtures import LEGACY_DIR, directory_survivors, expected
 
@@ -51,7 +51,7 @@ class ReferenceCandidateIndex:
         for block_size, signature in expand_digest(digest):
             entry_id = len(self._entries)
             self._entries.append((member, block_size, signature))
-            for gram in signature_grams(signature, self._ngram_length):
+            for gram in common_ngrams(signature, self._ngram_length):
                 self._postings[(block_size, gram)].append(entry_id)
 
     def candidate_pairs(self, digests) -> frozenset:
@@ -59,7 +59,7 @@ class ReferenceCandidateIndex:
         for query_index, digest in enumerate(digests):
             seen: set[int] = set()
             for block_size, signature in expand_digest(digest):
-                for gram in signature_grams(signature, self._ngram_length):
+                for gram in common_ngrams(signature, self._ngram_length):
                     for entry_id in self._postings.get((block_size, gram), ()):
                         if entry_id in seen:
                             continue

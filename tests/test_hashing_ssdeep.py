@@ -1,12 +1,16 @@
 """Tests for the CTPH (SSDeep) digest computation."""
 
+import os
 import random
+import threading
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import DigestFormatError, HashingError
+from repro.exceptions import (DigestFormatError, FeatureExtractionError,
+                              HashingError)
+from repro.features.extractors import FeatureExtractor
 from repro.hashing.b64 import B64_ALPHABET, is_digest_alphabet
 from repro.hashing.fnv import FNV_INIT, fnv_update
 from repro.hashing.rolling import RollingHash
@@ -18,6 +22,7 @@ from repro.hashing.ssdeep import (
     fuzzy_hash,
     fuzzy_hash_file,
 )
+from repro.hashing.vector import VectorHasher
 
 
 def test_digest_has_three_fields_and_valid_alphabet():
@@ -153,6 +158,50 @@ def test_hash_file_rejects_bad_parameters(tmp_path):
         FuzzyHasher().hash_file(path, chunk_size=0)
     with pytest.raises(HashingError):
         FuzzyHasher().hash_file(path, max_bytes=-1)
+
+
+def open_fd_count() -> int | None:
+    """This process's open descriptors (``None`` without /proc)."""
+
+    fd_dir = "/proc/self/fd"
+    return len(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_file_readers_refuse_a_fifo_without_blocking(tmp_path):
+    # Opened for reading, a FIFO with no writer blocks forever; a daemon
+    # thread and its join timeout turn a hang into a failure.
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    before = open_fd_count()
+    outcome = []
+
+    def read():
+        for reader in (FuzzyHasher().hash_file, VectorHasher().hash_file,
+                       FeatureExtractor(["ssdeep-file"]).extract_file):
+            try:
+                reader(str(fifo))
+            except (HashingError, FeatureExtractionError) as exc:
+                outcome.append(str(exc))
+
+    worker = threading.Thread(target=read, daemon=True)
+    worker.start()
+    worker.join(5.0)
+    assert not worker.is_alive(), "reading a FIFO blocked"
+    assert len(outcome) == 3
+    assert all("not a regular file" in message for message in outcome)
+    assert open_fd_count() == before
+
+
+def test_file_readers_refuse_a_directory(tmp_path):
+    before = open_fd_count()
+    with pytest.raises(HashingError, match="not a regular file"):
+        FuzzyHasher().hash_file(tmp_path)
+    with pytest.raises(HashingError, match="not a regular file"):
+        VectorHasher().hash_file(tmp_path)
+    with pytest.raises(FeatureExtractionError, match="not a regular file"):
+        FeatureExtractor(["ssdeep-file"]).extract_file(str(tmp_path))
+    assert open_fd_count() == before
 
 
 # ------------------------------------------------- whole-digest oracle

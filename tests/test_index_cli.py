@@ -2,6 +2,10 @@
 the operator-facing error paths: a missing or corrupt index file must
 exit non-zero with a one-line message, never a traceback."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -95,6 +99,31 @@ def test_stats_truncated_index_exits_nonzero(index_file, tmp_path, capsys):
     assert code == 2
     assert "truncated" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_query_and_ingest_refuse_a_device_within_a_memory_limit(index_file):
+    # /dev/zero reports size 0 and never ends.  Run the CLI under a
+    # 768 MiB address-space limit, in a child, so a reader that keeps
+    # reading dies of MemoryError there instead of growing this process.
+    # The ingest read fails before any connection is attempted.
+    script = (
+        "import resource\n"
+        "import repro.features.extractors, repro.index\n"
+        "from repro.cli import main\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20))\n"
+        f"print(main(['index', 'query', {index_file!r}, '/dev/zero']))\n"
+        "print(main(['ingest', '--server', 'http://127.0.0.1:9', "
+        "'--class', 'c', '/dev/zero']))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == ["2", "2"]
+    errors = done.stderr.splitlines()
+    assert len(errors) == 2
+    assert all(line.startswith("error: ") and "not a regular file" in line
+               for line in errors), errors
 
 
 def test_query_invalid_digest_exits_nonzero(index_file, capsys):

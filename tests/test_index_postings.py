@@ -8,7 +8,7 @@ from repro.exceptions import IndexFormatError, SimilarityIndexError
 from repro.hashing.fnv import fnv64_hash
 from repro.hashing.ssdeep import fuzzy_hash
 from repro.index import SimilarityIndex
-from repro.index.core import expand_digest, signature_grams
+from repro.index.core import expand_digest
 from repro.index.postings import block_prefix64, hash_windows, \
     signature_windows
 from repro.index.storage import write_container
@@ -95,13 +95,6 @@ def test_expand_digest_memo_returns_fresh_lists():
     assert first == second == [(6, "aaabcdefg"), (12, "hhhijk")]
     first.append((1, "mutated"))
     assert expand_digest(digest) == second
-
-
-def test_signature_grams_memo_returns_mutable_sets():
-    grams = signature_grams("abcdefghij", 7)
-    assert grams == {"abcdefg", "bcdefgh", "cdefghi", "defghij"}
-    grams.add("sentinel")
-    assert "sentinel" not in signature_grams("abcdefghij", 7)
 
 
 # -------------------------------------------------------------- persistence

@@ -3,13 +3,15 @@
 Random operation sequences — ``add`` (repeated sample ids included),
 ``remove`` (of live, already-removed and unknown ids), ``compact``,
 ``get_state`` → ``from_state`` and ``save`` → ``load`` (eager and
-``mmap_mode="r"``) — run over CTPH, vector and mixed-family indexes.
+``mmap_mode="r"``) — run over one- and two-type CTPH, vector and
+mixed-family indexes.
 After every operation but an add (and after the last) each query must
 answer exactly what a fresh :class:`SimilarityIndex` built from the
 survivors, in insertion order, answers: ``top_k``, ``top_k_digests`` with ``exclude_ids``,
 ``score_matrices`` with per-query and broadcast ``exclude``,
 ``pairwise_matrix`` under a ``max_pairs`` budget, ``members_for_id``,
-``member_signatures``, ``sample_ids`` and ``class_names``.
+``member_signatures``, ``sample_ids`` and ``class_names``; and
+``get_state`` must return the fresh index's header and arrays.
 
 ``exclude`` indices are checked against the surviving member count;
 the unit tests below pin the two rejection cases.
@@ -30,6 +32,7 @@ from repro.index import SimilarityIndex
 
 FAMILIES = {
     "ctph": ("ssdeep-file",),
+    "two-ctph": ("ssdeep-file", "ssdeep-strings"),
     "vector": ("vector-file",),
     "both": ("ssdeep-file", "vector-file"),
 }
@@ -64,6 +67,7 @@ def _digest_pool(blobs, rnd) -> list[dict]:
             sibling[rnd.randrange(len(sibling))] = rnd.randrange(256)
         for data in (blob, bytes(sibling)):
             pool.append({"ssdeep-file": fuzzy_hash(data),
+                         "ssdeep-strings": fuzzy_hash(data[::-1]),
                          "vector-file": vector_hash(data)})
     return pool
 
@@ -98,6 +102,15 @@ def _assert_same_answers(index, fresh, types, pool, max_pairs, rnd):
             assert np.array_equal(got[ft], want[ft])
     assert index.pairwise_matrix(max_pairs=max_pairs, min_score=0) == \
         fresh.pairwise_matrix(max_pairs=max_pairs, min_score=0)
+
+    # The snapshot is byte for byte a fresh build's: with two CTPH
+    # types, member order and type order intern signatures differently.
+    header, arrays = index.get_state()
+    fresh_header, fresh_arrays = fresh.get_state()
+    assert header == fresh_header
+    assert arrays.keys() == fresh_arrays.keys()
+    for name, array in arrays.items():
+        assert np.array_equal(array, fresh_arrays[name]), name
 
 
 @_settings

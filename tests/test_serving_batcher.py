@@ -36,9 +36,9 @@ class RecordingClassifier:
         return [f"scored:{item}" for item in items], self.generation
 
 
-def make_coalescer(classify, **kwargs):
+def make_coalescer(classify, *, kind="classify", **kwargs):
     kwargs.setdefault("workers", 1)
-    return RequestCoalescer(classify, **kwargs)
+    return RequestCoalescer({kind: classify}, **kwargs)
 
 
 def test_single_request_round_trip_preserves_order():
@@ -182,16 +182,16 @@ class GatedHandler:
         return [f"ok:{item}" for item in items], 3
 
 
-def coalesce_good_and_bad(handler):
-    """Queue a good and a bad request behind a gated warm-up request,
-    so the two drain as one batch; returns the three futures."""
+def coalesce_good_and_bad(handler, kind):
+    """Queue a good and a bad request of one kind behind a gated warm-up
+    request, so the two drain as one batch; returns the three futures."""
 
-    coalescer = make_coalescer(handler, max_batch=8)
-    warm = coalescer.submit(["warm"])
+    coalescer = make_coalescer(handler, kind=kind, max_batch=8)
+    warm = coalescer.submit(["warm"], kind=kind)
     assert handler.entered.wait(timeout=10)
-    good_trace = RequestTrace("good", "ingest")
-    good = coalescer.submit(["good"], trace=good_trace)
-    bad = coalescer.submit(["bad"])
+    good_trace = RequestTrace("good", kind)
+    good = coalescer.submit(["good"], kind=kind, trace=good_trace)
+    bad = coalescer.submit(["bad"], kind=kind)
     handler.gate.set()
     assert warm.result(timeout=10) == (["ok:warm"], 3)
     return coalescer, good, bad, good_trace
@@ -199,7 +199,8 @@ def coalesce_good_and_bad(handler):
 
 def test_bad_input_fails_only_its_own_coalesced_request():
     handler = GatedHandler(ValidationError("unknown class 'nope'"))
-    coalescer, good, bad, good_trace = coalesce_good_and_bad(handler)
+    coalescer, good, bad, good_trace = coalesce_good_and_bad(handler,
+                                                             "ingest")
     assert good.result(timeout=10) == (["ok:good"], 3)
     with pytest.raises(ValidationError, match="unknown class"):
         bad.result(timeout=10)
@@ -213,15 +214,28 @@ def test_bad_input_fails_only_its_own_coalesced_request():
 
 
 def test_other_failures_still_fail_every_coalesced_request():
-    # Only bad input is re-run: another failure may follow a mutation
-    # (a WAL fsync after the apply), and a re-run could apply it twice.
+    # An ingest pass re-runs only on bad input: another failure may
+    # follow a mutation (a WAL fsync after the apply), and a re-run
+    # could apply it twice.
     handler = GatedHandler(RuntimeError("fsync failed"))
-    coalescer, good, bad, _ = coalesce_good_and_bad(handler)
+    coalescer, good, bad, _ = coalesce_good_and_bad(handler, "ingest")
     for future in (good, bad):
         with pytest.raises(RuntimeError, match="fsync failed"):
             future.result(timeout=10)
     coalescer.close()
     assert handler.calls == [["warm"], ["good", "bad"]]
+
+
+def test_any_classify_failure_fails_only_its_own_coalesced_request():
+    # A classify pass mutates nothing, so whatever it raises, each
+    # request runs again alone, once.
+    handler = GatedHandler(RuntimeError("forest fell over"))
+    coalescer, good, bad, _ = coalesce_good_and_bad(handler, "classify")
+    assert good.result(timeout=10) == (["ok:good"], 3)
+    with pytest.raises(RuntimeError, match="forest fell over"):
+        bad.result(timeout=10)
+    coalescer.close()
+    assert handler.calls == [["warm"], ["good", "bad"], ["good"], ["bad"]]
 
 
 def test_result_count_mismatch_is_an_error_not_a_hang():
@@ -245,13 +259,16 @@ def test_metrics_track_queue_and_batches():
 
 
 def test_constructor_validation():
+    handlers = {"classify": lambda items: ([], 1)}
     with pytest.raises(ValueError):
-        RequestCoalescer(lambda items: ([], 1), max_batch=0)
+        RequestCoalescer(handlers, max_batch=0)
     with pytest.raises(ValueError):
-        RequestCoalescer(lambda items: ([], 1), queue_depth=0)
+        RequestCoalescer(handlers, queue_depth=0)
     with pytest.raises(ValueError):
-        RequestCoalescer(lambda items: ([], 1), workers=0)
-    coalescer = RequestCoalescer(lambda items: ([], 1))
+        RequestCoalescer(handlers, workers=0)
+    with pytest.raises(ValueError):
+        RequestCoalescer({})
+    coalescer = RequestCoalescer(handlers)
     with pytest.raises(ValueError):
         coalescer.submit([])
     coalescer.close()

@@ -333,6 +333,35 @@ def test_http_ingest_then_classify_without_restart(ingest_server):
     assert health["corpus"]["members"] == 31
 
 
+def test_served_ingest_counts_members_without_corpus_info(mutable_manager,
+                                                          monkeypatch):
+    """One served ingest reads the member count in O(1): the gauges and
+    the ack's ``corpus_members`` match the index, and the per-member
+    ``corpus_info`` loop never runs."""
+
+    manager, registry, _ = mutable_manager
+    service = manager.service
+    calls = []
+    corpus_info = service.corpus_info
+    monkeypatch.setattr(service, "corpus_info",
+                        lambda: calls.append(1) or corpus_info())
+    server = ClassificationServer(
+        manager, ServerConfig(port=0, workers=1, enable_ingest=True)).start()
+    try:
+        status, _, report = request_json(
+            server.port, "POST", "/ingest",
+            {"items": [ingest_item("online-1", b"\x05" * 2048, "fam1")]})
+    finally:
+        server.shutdown()
+    assert status == 200, report
+    assert calls == []
+    index = service.similarity_index
+    assert report["corpus_members"] == index.n_members == 31
+    snapshot = registry.snapshot()
+    assert snapshot["corpus_members"] == index.n_members
+    assert snapshot["corpus_tombstones"] == index.n_tombstones == 0
+
+
 def test_http_ingest_unknown_class_is_400(ingest_server):
     server, _ = ingest_server
     status, _, error = request_json(
@@ -418,6 +447,9 @@ def test_ingest_shares_classify_backpressure():
 
         def corpus_info(self):
             return {"members": 0, "classes": {}, "mutable": True}
+
+        def _corpus_counts(self):
+            return 0, 0
 
     manager = GatedManager()
     server = ClassificationServer(
