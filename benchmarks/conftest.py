@@ -113,8 +113,7 @@ def similarity_matrices(bench_config, corpus_features, paper_split):
 
     train_features = [corpus_features[i] for i in paper_split.train_indices]
     test_features = [corpus_features[i] for i in paper_split.test_indices]
-    builder = SimilarityFeatureBuilder(bench_config.feature_types,
-                                       anchor_strategy=bench_config.anchor_strategy)
+    builder = SimilarityFeatureBuilder(bench_config.feature_types)
     train_matrix = builder.fit_transform(train_features, exclude_self=True)
     test_matrix = builder.transform(test_features)
     return builder, train_matrix, test_matrix

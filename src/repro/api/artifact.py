@@ -40,6 +40,12 @@ Version 1–3 artifacts load unchanged (bit-identically, through the
 materialising path) and predict identically; readers accept any
 version up to the current one.
 
+``params`` no longer carries ``anchor_strategy`` or ``medoids_per_class``:
+the feature layout is fixed at one column per (hash type, class).  Older
+files that carry them, all with ``anchor_strategy: "class-max"``, still
+load and predict identically; any other strategy is refused with
+:class:`~repro.exceptions.ModelFormatError`.
+
 Validation on load is strict: bad magic, truncation, a future format
 version, unknown feature types, a forest node table that is
 inconsistent or that a walk could loop in (every internal node's
@@ -288,6 +294,15 @@ def _restore(path: Path,
             f"{source} uses feature types {unknown_types or '[]'} unknown to "
             f"this build (supported: {list(ALL_FEATURE_TYPES)})")
 
+    # Files written before the feature layout became fixed name it:
+    # "class-max" (one column per hash type and class) is the layout
+    # this build computes, and any other is refused.
+    strategy = params.pop("anchor_strategy", "class-max")
+    params.pop("medoids_per_class", None)
+    if strategy != "class-max":
+        raise ModelFormatError(
+            f"{source} uses anchor strategy {strategy!r}; this build "
+            "computes the 'class-max' feature layout only")
     try:
         classifier = FuzzyHashClassifier(**params)
     except (TypeError, ReproError) as exc:
@@ -427,7 +442,6 @@ def _summarise(path: Path, header: Mapping) -> dict:
         "n_trees": int(forest.get("n_trees", 0)),
         "n_features": int(forest.get("n_features_in", 0)),
         "confidence_threshold": params.get("confidence_threshold"),
-        "anchor_strategy": params.get("anchor_strategy"),
         "index_included": bool(index_block.get("included")),
         "index_members": index_members,
         "wal_checkpoint": header.get("wal_checkpoint"),

@@ -330,10 +330,10 @@ class ClassificationService:
 
         Unlocks :meth:`ingest_features` / :meth:`ingest_bytes` /
         :meth:`purge` / :meth:`compact` on the anchor index (members are
-        added in place and purged through tombstones).  Only the
-        per-class anchor strategies support this: under ``all-train``
-        every anchor is its own feature column, so growing the corpus
-        would change the matrix layout under the trained forest.
+        added in place and purged through tombstones).  The feature
+        columns are one per (hash type, class), so adding or removing
+        anchors of known classes leaves the layout the forest was
+        trained on unchanged.
 
         Mutations themselves are **not** internally synchronised against
         concurrent classification — the serving tier
@@ -348,12 +348,6 @@ class ClassificationService:
             raise ValidationError(
                 "this service's classifier carries no similarity index; "
                 "online ingestion needs one")
-        if getattr(builder, "anchor_strategy", None) == "all-train":
-            raise ValidationError(
-                "online ingestion is unsupported under anchor_strategy="
-                "'all-train': each anchor is a feature column, so adding "
-                "anchors would change the feature layout under the "
-                "trained forest")
         builder.index_.seal()
         self._mutable = True
 

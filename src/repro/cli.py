@@ -748,7 +748,6 @@ def _format_model_info(info: dict) -> str:
         f"classes ({info['n_classes']}): {classes}",
         f"forest: {info['n_trees']} trees over {info['n_features']} features, "
         f"confidence threshold {info['confidence_threshold']}",
-        f"anchor strategy: {info['anchor_strategy']}",
         f"similarity index: {index_line}",
     ])
 

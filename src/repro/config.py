@@ -137,6 +137,8 @@ class ExperimentConfig:
 
     * 80/20 class-level split into known/unknown classes,
     * stratified 60/40 sample split of the known classes,
+    * one similarity feature per (fuzzy-hash type, class): the maximum
+      SSDeep score against that class's training samples,
     * Random Forest with balanced class weights,
     * confidence threshold tuned on the training set only.
     """
@@ -147,7 +149,6 @@ class ExperimentConfig:
     test_sample_fraction: float = 0.40
     unknown_label: int = -1
     confidence_threshold: float | None = None  # None -> tuned by grid search
-    anchor_strategy: str = "class-max"
     feature_types: tuple[str, ...] = ("ssdeep-file", "ssdeep-strings", "ssdeep-symbols")
     n_jobs: int = 1
 
@@ -174,10 +175,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "confidence_threshold must be None or in [0, 1], got "
                 f"{self.confidence_threshold}"
-            )
-        if self.anchor_strategy not in ("class-max", "class-medoids", "all-train"):
-            raise ConfigurationError(
-                f"Unknown anchor_strategy {self.anchor_strategy!r}"
             )
         if not self.feature_types:
             raise ConfigurationError("feature_types must not be empty")

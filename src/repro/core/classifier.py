@@ -12,6 +12,11 @@ Two layers are provided:
   (digests + labels), builds the similarity feature matrix internally
   (training samples are the anchors) and classifies new feature records
   into application classes or "unknown".
+
+Each layer builds its inner estimator in one place, from its own
+``get_params``: ``ThresholdRandomForest._forest`` and
+``FuzzyHashClassifier._model`` serve ``fit`` and ``set_state`` alike,
+so a fitted and a restored model are configured identically.
 """
 
 from __future__ import annotations
@@ -63,20 +68,17 @@ class ThresholdRandomForest(BaseEstimator, ClassifierMixin):
         self.random_state = random_state
         self.n_jobs = n_jobs
 
+    def _forest(self) -> RandomForestClassifier:
+        """The inner forest, built from this estimator's parameters."""
+
+        check_probability(self.confidence_threshold, "confidence_threshold")
+        params = self.get_params(deep=False)
+        del params["confidence_threshold"], params["unknown_label"]
+        return RandomForestClassifier(**params)
+
     # ------------------------------------------------------------------ fit
     def fit(self, X, y) -> "ThresholdRandomForest":
-        check_probability(self.confidence_threshold, "confidence_threshold")
-        self.forest_ = RandomForestClassifier(
-            n_estimators=self.n_estimators,
-            criterion=self.criterion,
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=self.max_features,
-            class_weight=self.class_weight,
-            random_state=self.random_state,
-            n_jobs=self.n_jobs,
-        )
+        self.forest_ = self._forest()
         self.forest_.fit(X, y)
         self.classes_ = self.forest_.classes_
         self.feature_importances_ = self.forest_.feature_importances_
@@ -144,23 +146,12 @@ class ThresholdRandomForest(BaseEstimator, ClassifierMixin):
         only carries fitted arrays.
         """
 
-        check_probability(self.confidence_threshold, "confidence_threshold")
         try:
             forest_state = state["forest"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(
                 f"invalid threshold-forest state: {exc}") from exc
-        forest = RandomForestClassifier(
-            n_estimators=self.n_estimators,
-            criterion=self.criterion,
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=self.max_features,
-            class_weight=self.class_weight,
-            random_state=self.random_state,
-            n_jobs=self.n_jobs,
-        )
+        forest = self._forest()
         forest.set_state(forest_state)
         self.forest_ = forest
         self.classes_ = forest.classes_
@@ -189,8 +180,6 @@ class FuzzyHashClassifier(BaseEstimator, ClassifierMixin):
         (default, the paper's SSDeep features), ``"vector"`` (the
         fixed-length TLSH-style digests over the same content sources),
         or ``"both"`` (parallel per-class blocks from each family).
-    anchor_strategy, medoids_per_class:
-        Passed to :class:`~repro.features.similarity.SimilarityFeatureBuilder`.
     n_estimators, criterion, max_depth, min_samples_split,
     min_samples_leaf, max_features, class_weight, random_state, n_jobs:
         Random-Forest hyper-parameters (class weights default to
@@ -203,7 +192,6 @@ class FuzzyHashClassifier(BaseEstimator, ClassifierMixin):
 
     def __init__(self, *, feature_types: Sequence[str] = FEATURE_TYPES,
                  family: str = "ctph",
-                 anchor_strategy: str = "class-max", medoids_per_class: int = 5,
                  n_estimators: int = 100, criterion: str = "gini",
                  max_depth: int | None = None, min_samples_split: int = 2,
                  min_samples_leaf: int = 1, max_features="sqrt",
@@ -211,8 +199,6 @@ class FuzzyHashClassifier(BaseEstimator, ClassifierMixin):
                  unknown_label=-1, random_state=None, n_jobs: int = 1) -> None:
         self.feature_types = tuple(feature_types)
         self.family = family
-        self.anchor_strategy = anchor_strategy
-        self.medoids_per_class = medoids_per_class
         self.n_estimators = n_estimators
         self.criterion = criterion
         self.max_depth = max_depth
@@ -231,6 +217,14 @@ class FuzzyHashClassifier(BaseEstimator, ClassifierMixin):
         """The feature types actually indexed, after family expansion."""
 
         return resolve_family_feature_types(self.feature_types, self.family)
+
+    def _model(self) -> ThresholdRandomForest:
+        """The inner thresholded forest, built from this classifier's
+        parameters."""
+
+        params = self.get_params(deep=False)
+        del params["feature_types"], params["family"]
+        return ThresholdRandomForest(**params)
 
     # ------------------------------------------------------------------ fit
     def fit(self, features: Sequence[SampleFeatures], y=None, *,
@@ -254,11 +248,7 @@ class FuzzyHashClassifier(BaseEstimator, ClassifierMixin):
         if any(label in ("", None) for label in labels):
             raise ValidationError("every training sample needs a class label")
 
-        self.builder_ = SimilarityFeatureBuilder(
-            self.active_feature_types,
-            anchor_strategy=self.anchor_strategy,
-            medoids_per_class=self.medoids_per_class,
-        )
+        self.builder_ = SimilarityFeatureBuilder(self.active_feature_types)
         if index is not None:
             self.builder_.fit_from_index(index)
             uncovered = sorted(set(labels) - set(self.builder_.classes_))
@@ -272,19 +262,7 @@ class FuzzyHashClassifier(BaseEstimator, ClassifierMixin):
             matrix = self.builder_.fit_transform(features, exclude_self=True)
         self.feature_names_ = matrix.feature_names
         self.feature_groups_ = matrix.feature_groups
-        self.model_ = ThresholdRandomForest(
-            n_estimators=self.n_estimators,
-            criterion=self.criterion,
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=self.max_features,
-            class_weight=self.class_weight,
-            confidence_threshold=self.confidence_threshold,
-            unknown_label=self.unknown_label,
-            random_state=self.random_state,
-            n_jobs=self.n_jobs,
-        )
+        self.model_ = self._model()
         self.model_.fit(matrix.X, np.asarray(labels, dtype=object))
         self.classes_ = self.model_.classes_
         self.feature_importances_ = self.model_.feature_importances_
@@ -354,25 +332,9 @@ class FuzzyHashClassifier(BaseEstimator, ClassifierMixin):
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(
                 f"invalid FuzzyHashClassifier state: {exc}") from exc
-        builder = SimilarityFeatureBuilder(
-            self.active_feature_types,
-            anchor_strategy=self.anchor_strategy,
-            medoids_per_class=self.medoids_per_class,
-        )
+        builder = SimilarityFeatureBuilder(self.active_feature_types)
         builder.set_state(builder_state)
-        model = ThresholdRandomForest(
-            n_estimators=self.n_estimators,
-            criterion=self.criterion,
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=self.max_features,
-            class_weight=self.class_weight,
-            confidence_threshold=self.confidence_threshold,
-            unknown_label=self.unknown_label,
-            random_state=self.random_state,
-            n_jobs=self.n_jobs,
-        )
+        model = self._model()
         model.set_state(model_state)
         if len(feature_names) != model.n_features_in_:
             raise ValidationError(

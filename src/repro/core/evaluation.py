@@ -168,10 +168,7 @@ class ExperimentRunner:
         test_features = [features[i] for i in split.test_indices]
 
         watch.start("similarity")
-        builder = SimilarityFeatureBuilder(
-            self.config.feature_types,
-            anchor_strategy=self.config.anchor_strategy,
-        )
+        builder = SimilarityFeatureBuilder(self.config.feature_types)
         train_matrix = builder.fit_transform(train_features, exclude_self=True)
         test_matrix = builder.transform(test_features)
         y_train = np.asarray(split.train_labels, dtype=object)

@@ -24,6 +24,11 @@ with a bit-parallel longest-common-subsequence over Python integers;
 agree with (the tests check this property).
 :func:`ssdeep_score_from_distance` applies steps 2–4 to scalars or
 NumPy arrays.
+
+The reference parameters (Kornblum, DFRWS 2006) are defined here once:
+:data:`SPAMSUM_LENGTH`, :data:`MIN_BLOCKSIZE` and :data:`ROLLING_WINDOW`.
+This module is the lower layer — :mod:`repro.hashing` imports them from
+here and re-exports them, never the reverse.
 """
 
 from __future__ import annotations
@@ -93,11 +98,7 @@ def indel_distance(a: str, b: str) -> int:
     return len(a) + len(b) - 2 * lcs
 
 
-def ssdeep_score_from_distance(distance, len1, len2, block_size,
-                               *,
-                               digest_length: int = SPAMSUM_LENGTH,
-                               min_blocksize: int = MIN_BLOCKSIZE,
-                               rolling_window: int = ROLLING_WINDOW):
+def ssdeep_score_from_distance(distance, len1, len2, block_size):
     """Exact SSDeep score computation from a weighted edit distance.
 
     Mirrors ``score_strings`` from the reference implementation,
@@ -122,15 +123,15 @@ def ssdeep_score_from_distance(distance, len1, len2, block_size,
     block_size = np.asarray(block_size, dtype=np.float64)
 
     total_len = np.where((len1 + len2) <= 0, 1.0, len1 + len2)
-    score = distance * digest_length / total_len
-    score = (100.0 * score) / digest_length
+    score = distance * SPAMSUM_LENGTH / total_len
+    score = (100.0 * score) / SPAMSUM_LENGTH
     score = 100.0 - score
     score = np.clip(score, 0.0, 100.0)
 
     # Small block sizes cannot assert strong similarity: cap the score at
     # block_size / MIN_BLOCKSIZE * min(len1, len2), exactly as ssdeep does.
-    threshold_block = (99 + rolling_window) // rolling_window * min_blocksize
-    cap = block_size / min_blocksize * np.minimum(len1, len2)
+    threshold_block = (99 + ROLLING_WINDOW) // ROLLING_WINDOW * MIN_BLOCKSIZE
+    cap = block_size / MIN_BLOCKSIZE * np.minimum(len1, len2)
     score = np.where(block_size < threshold_block, np.minimum(score, cap), score)
 
     result = np.floor(np.clip(score, 0.0, 100.0)).astype(np.int64)

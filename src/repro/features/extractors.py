@@ -3,10 +3,11 @@
 The three features of the paper (Section 3, "Feature Extraction"):
 
 * ``ssdeep-file`` — fuzzy hash of the raw binary content,
-* ``ssdeep-strings`` — fuzzy hash of the ``strings`` output (continuous
-  printable characters),
+* ``ssdeep-strings`` — fuzzy hash of the ``strings`` output (runs of
+  four or more printable characters, the tool's default),
 * ``ssdeep-symbols`` — fuzzy hash of the ``nm`` output (global symbols
-  from the symbol table).
+  from the symbol table, without addresses: they change with every
+  build and only add noise).
 
 plus the cryptographic digest (``sha256``) of the raw content used by
 the exact-match baseline.  Stripped binaries yield an empty symbols
@@ -138,16 +139,9 @@ class FeatureExtractor:
     feature_types:
         Subset of :data:`FEATURE_TYPES` to compute (ablation experiments
         use this to drop features).
-    min_string_length:
-        Minimum printable-run length for the ``strings`` feature.
-    include_symbol_addresses:
-        Include addresses in the ``nm`` output before hashing (off by
-        default; addresses change with every build and only add noise).
     """
 
-    def __init__(self, feature_types: Sequence[str] = FEATURE_TYPES, *,
-                 min_string_length: int = 4,
-                 include_symbol_addresses: bool = False) -> None:
+    def __init__(self, feature_types: Sequence[str] = FEATURE_TYPES) -> None:
         unknown = set(feature_types) - set(ALL_FEATURE_TYPES)
         if unknown:
             raise FeatureExtractionError(
@@ -156,8 +150,6 @@ class FeatureExtractor:
         if not feature_types:
             raise FeatureExtractionError("feature_types must not be empty")
         self.feature_types = tuple(feature_types)
-        self.min_string_length = int(min_string_length)
-        self.include_symbol_addresses = bool(include_symbol_addresses)
         self._hasher = FuzzyHasher()
         self._vhasher = VectorHasher()
 
@@ -181,7 +173,7 @@ class FeatureExtractor:
             digests["vector-file"] = str(self._vhasher.hash(data))
 
         if wanted & {"ssdeep-strings", "vector-strings"}:
-            text = strings_output(data, min_length=self.min_string_length)
+            text = strings_output(data)
             n_strings = text.count("\n")
             if "ssdeep-strings" in wanted:
                 digests["ssdeep-strings"] = str(self._hasher.hash(text))
@@ -193,8 +185,7 @@ class FeatureExtractor:
             if is_elf(data):
                 try:
                     reader = ElfReader(data)
-                    symbol_text = nm_output(
-                        reader, include_addresses=self.include_symbol_addresses)
+                    symbol_text = nm_output(reader)
                     n_symbols = symbol_text.count("\n")
                 except BinaryFormatError as exc:
                     # A stripped binary has no symbols; one that does not

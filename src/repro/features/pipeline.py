@@ -2,7 +2,9 @@
 
 Feature extraction is embarrassingly parallel across samples (one
 executable = three digests), so the pipeline fans the work out over
-worker processes when ``n_jobs > 1``.  Inputs can be either a
+worker processes when ``n_jobs > 1``; each sample is extracted by a
+:class:`~repro.features.extractors.FeatureExtractor` over the
+pipeline's feature types, its only setting.  Inputs can be either a
 :class:`~repro.corpus.dataset.CorpusDataset` (files on disk, the
 production path of the paper's workflow) or in-memory
 :class:`~repro.corpus.builder.GeneratedSample` objects (used by tests
@@ -38,7 +40,6 @@ class _FileTask:
     version: str
     executable: str
     feature_types: tuple[str, ...]
-    include_symbol_addresses: bool
 
 
 @dataclass(frozen=True)
@@ -51,14 +52,12 @@ class _BytesTask:
     version: str
     executable: str
     feature_types: tuple[str, ...]
-    include_symbol_addresses: bool
 
 
 def _run_task(task) -> SampleFeatures:
     """Extract the features of a single task (module-level for pickling)."""
 
-    extractor = FeatureExtractor(task.feature_types,
-                                 include_symbol_addresses=task.include_symbol_addresses)
+    extractor = FeatureExtractor(task.feature_types)
     if isinstance(task, _FileTask):
         return extractor.extract_file(task.path, sample_id=task.sample_id,
                                       class_name=task.class_name,
@@ -80,16 +79,12 @@ class FeatureExtractionPipeline:
         Worker processes (1 = serial; see
         :func:`~repro.parallel.parallel_map`).  Batches of fewer than
         eight items per worker run serially.
-    include_symbol_addresses:
-        Forwarded to :class:`~repro.features.extractors.FeatureExtractor`.
     """
 
     def __init__(self, feature_types: Sequence[str] = FEATURE_TYPES, *,
-                 n_jobs: int = 1,
-                 include_symbol_addresses: bool = False) -> None:
+                 n_jobs: int = 1) -> None:
         self.feature_types = tuple(feature_types)
         self.n_jobs = n_jobs
-        self.include_symbol_addresses = bool(include_symbol_addresses)
         self.last_timings: dict[str, float] = {}
 
     # ----------------------------------------------------------------- API
@@ -99,8 +94,7 @@ class FeatureExtractionPipeline:
         tasks = [
             _FileTask(sample_id=r.sample_id, path=r.path, class_name=r.class_name,
                       version=r.version, executable=r.executable,
-                      feature_types=self.feature_types,
-                      include_symbol_addresses=self.include_symbol_addresses)
+                      feature_types=self.feature_types)
             for r in dataset
         ]
         return self._run(tasks)
@@ -113,8 +107,7 @@ class FeatureExtractionPipeline:
             _BytesTask(sample_id=s.relative_path, data=s.data,
                        class_name=s.class_name, version=s.version,
                        executable=s.executable,
-                       feature_types=self.feature_types,
-                       include_symbol_addresses=self.include_symbol_addresses)
+                       feature_types=self.feature_types)
             for s in samples
         ]
         return self._run(tasks)
@@ -131,8 +124,7 @@ class FeatureExtractionPipeline:
         tasks = [
             _BytesTask(sample_id=str(sample_id), data=data, class_name="",
                        version="", executable=str(sample_id).rsplit("/", 1)[-1],
-                       feature_types=self.feature_types,
-                       include_symbol_addresses=self.include_symbol_addresses)
+                       feature_types=self.feature_types)
             for sample_id, data in items
         ]
         return self._run(tasks)
@@ -148,8 +140,7 @@ class FeatureExtractionPipeline:
         tasks = [
             _FileTask(sample_id=path, path=path, class_name="", version="",
                       executable=path.rsplit("/", 1)[-1],
-                      feature_types=self.feature_types,
-                      include_symbol_addresses=self.include_symbol_addresses)
+                      feature_types=self.feature_types)
             for path in paths
         ]
         return self._run(tasks)

@@ -8,9 +8,8 @@ builds that matrix:
 * the **anchors** are the training samples (grouped by class);
 * for every query sample and every fuzzy-hash type, the feature value
   of column ``(type, class)`` is the maximum SSDeep similarity between
-  the query's digest and the digests of that class's anchors
-  (``class-max`` strategy).  Alternative strategies keep one column per
-  anchor (``all-train``) or per class medoid (``class-medoids``).
+  the query's digest and the digests of that class's anchors, so the
+  matrix has one column per (hash type, class).
 
 Candidate generation and scoring are delegated to the persistent
 :class:`~repro.index.SimilarityIndex`: ``fit`` indexes the anchors once
@@ -24,14 +23,12 @@ persisted feature store to avoid re-hashing the corpus as well).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..exceptions import NotFittedError, ValidationError
-from ..hashing.rolling import ROLLING_WINDOW
 from ..index import SimilarityIndex
 from ..logging_utils import get_logger
 from .extractors import FEATURE_TYPES
@@ -40,8 +37,6 @@ from .records import SampleFeatures
 __all__ = ["SimilarityMatrix", "SimilarityFeatureBuilder"]
 
 _LOG = get_logger("features.similarity")
-
-_ANCHOR_STRATEGIES = ("class-max", "class-medoids", "all-train")
 
 
 @dataclass
@@ -74,34 +69,12 @@ class SimilarityFeatureBuilder:
     Parameters
     ----------
     feature_types:
-        Fuzzy-hash types to use (columns are grouped by type).
-    anchor_strategy:
-        ``"class-max"`` (default, one column per class and type),
-        ``"class-medoids"`` (like class-max but only ``medoids_per_class``
-        anchors per class are retained, cutting comparison cost), or
-        ``"all-train"`` (one column per anchor and type).
-    medoids_per_class:
-        Anchors retained per class under ``class-medoids``.
-    ngram_length:
-        Length of the common-substring gate (7, like SSDeep).
+        Fuzzy-hash types to use (columns are grouped by type, one per
+        class within each type).
     """
 
-    def __init__(self, feature_types: Sequence[str] = FEATURE_TYPES, *,
-                 anchor_strategy: str = "class-max",
-                 medoids_per_class: int = 5,
-                 ngram_length: int = ROLLING_WINDOW) -> None:
-        if anchor_strategy not in _ANCHOR_STRATEGIES:
-            raise ValidationError(
-                f"anchor_strategy must be one of {_ANCHOR_STRATEGIES}, "
-                f"got {anchor_strategy!r}")
-        if medoids_per_class < 1:
-            raise ValidationError("medoids_per_class must be >= 1")
-        if ngram_length < 1:
-            raise ValidationError("ngram_length must be >= 1")
+    def __init__(self, feature_types: Sequence[str] = FEATURE_TYPES) -> None:
         self.feature_types = tuple(feature_types)
-        self.anchor_strategy = anchor_strategy
-        self.medoids_per_class = int(medoids_per_class)
-        self.ngram_length = int(ngram_length)
 
     # ------------------------------------------------------------------ fit
     def fit(self, anchors: Sequence[SampleFeatures]) -> "SimilarityFeatureBuilder":
@@ -109,10 +82,7 @@ class SimilarityFeatureBuilder:
 
         if not anchors:
             raise ValidationError("cannot fit on an empty anchor set")
-        anchors = self._select_anchors(list(anchors))
-        self.anchors_ = anchors
-        index = SimilarityIndex(self.feature_types,
-                                ngram_length=self.ngram_length)
+        index = SimilarityIndex(self.feature_types)
         index.add_many(anchors)
         return self._adopt_index(index)
 
@@ -120,21 +90,15 @@ class SimilarityFeatureBuilder:
                        ) -> "SimilarityFeatureBuilder":
         """Adopt a prebuilt (e.g. loaded-from-disk) anchor index.
 
-        The index must cover this builder's feature types, use the same
-        n-gram length, and carry a class label on every surviving
-        member.  Anchor selection
-        (``class-medoids``) is *not* re-applied — the index is trusted
-        to already hold the intended anchor set.
+        The index must cover this builder's feature types and carry a
+        class label on every surviving member; it is trusted to hold
+        the intended anchor set.
         """
 
         missing = set(self.feature_types) - set(index.feature_types)
         if missing:
             raise ValidationError(
                 f"index does not cover feature types {sorted(missing)}")
-        if index.ngram_length != self.ngram_length:
-            raise ValidationError(
-                f"index n-gram length {index.ngram_length} does not match "
-                f"builder n-gram length {self.ngram_length}")
         if index.n_members == 0:
             raise ValidationError("cannot adopt an empty index")
         unlabelled = sum(1 for name in index.class_names if not name)
@@ -151,10 +115,9 @@ class SimilarityFeatureBuilder:
         members of — the already-adopted index; this recomputes the
         anchor bookkeeping (``anchor_ids_``, the per-class grouping used
         by ``_aggregate``) from the index's current membership.  The
-        class set must be unchanged: under ``class-max`` /
-        ``class-medoids`` the feature columns are one per (type, class),
-        so new or vanished classes would silently change the matrix
-        layout under a forest trained on the old one.
+        class set must be unchanged: the feature columns are one per
+        (type, class), so new or vanished classes would silently change
+        the matrix layout under a forest trained on the old one.
         """
 
         if not hasattr(self, "index_"):
@@ -190,11 +153,8 @@ class SimilarityFeatureBuilder:
         if not hasattr(self, "index_"):
             raise NotFittedError("SimilarityFeatureBuilder is not fitted")
         queries = list(queries)
-        n_anchors = self.index_.n_members
-        n_anchor_cols = (len(self.classes_)
-                         if self.anchor_strategy != "all-train"
-                         else n_anchors)
-        X = np.zeros((len(queries), n_anchor_cols * len(self.feature_types)),
+        n_classes = len(self.classes_)
+        X = np.zeros((len(queries), n_classes * len(self.feature_types)),
                      dtype=np.float64)
 
         exclude = None
@@ -208,14 +168,14 @@ class SimilarityFeatureBuilder:
             exclude=exclude)
         for type_offset, feature_type in enumerate(self.feature_types):
             # ``scores`` is (n_queries, n_anchors); aggregate into columns.
-            block = self._aggregate(matrices[feature_type])
-            start = type_offset * n_anchor_cols
-            X[:, start:start + n_anchor_cols] = block
+            start = type_offset * n_classes
+            X[:, start:start + n_classes] = self._aggregate(
+                matrices[feature_type])
 
         return SimilarityMatrix(
             X=X,
             feature_names=list(self.feature_names_),
-            feature_groups=self._feature_groups(n_anchor_cols),
+            feature_groups=self._feature_groups(n_classes),
             sample_ids=[q.sample_id for q in queries],
         )
 
@@ -239,7 +199,7 @@ class SimilarityFeatureBuilder:
         """Restore a snapshot produced by :meth:`get_state`.
 
         Runs the full :meth:`fit_from_index` validation (feature-type
-        coverage, n-gram length, labelled anchors), so corrupt or
+        coverage, labelled anchors), so corrupt or
         mismatched state fails loudly instead of mis-scoring.  A caller
         that has already restored the anchor index (the model-artifact
         reader, which controls copy/mmap semantics itself) may pass it
@@ -285,52 +245,22 @@ class SimilarityFeatureBuilder:
                    index.n_members, len(self.classes_))
         return self
 
-    def _select_anchors(self, anchors: list[SampleFeatures]) -> list[SampleFeatures]:
-        if self.anchor_strategy != "class-medoids":
-            return anchors
-        by_class: dict[str, list[SampleFeatures]] = defaultdict(list)
-        for anchor in anchors:
-            by_class[anchor.class_name].append(anchor)
-        selected: list[SampleFeatures] = []
-        for class_name in sorted(by_class):
-            members = sorted(by_class[class_name], key=lambda a: a.sample_id)
-            if len(members) <= self.medoids_per_class:
-                selected.extend(members)
-                continue
-            # Deterministic spread across the class (different versions end
-            # up adjacent after sorting by id, so an even stride samples a
-            # representative cross-section).
-            positions = np.linspace(0, len(members) - 1,
-                                    self.medoids_per_class).astype(int)
-            selected.extend(members[p] for p in sorted(set(positions.tolist())))
-        return selected
-
     def _aggregate(self, scores: np.ndarray) -> np.ndarray:
-        """Aggregate per-anchor scores into the configured column layout."""
+        """Per-class maximum of per-anchor scores, one column per class."""
 
-        if self.anchor_strategy == "all-train":
-            return scores
-        # Per-class max in one pass: anchors were grouped by class at
-        # fit time, so a single reduceat replaces the per-class Python
-        # loop over column subsets.
+        # Anchors were grouped by class at fit time, so a single
+        # reduceat replaces the per-class Python loop over column subsets.
         return np.maximum.reduceat(scores[:, self._class_order],
                                    self._class_starts, axis=1)
 
     def _build_feature_names(self) -> list[str]:
-        names = []
-        if self.anchor_strategy == "all-train":
-            for feature_type in self.feature_types:
-                names.extend(f"{feature_type}|{anchor_id}"
-                             for anchor_id in self.anchor_ids_)
-        else:
-            for feature_type in self.feature_types:
-                names.extend(f"{feature_type}|{class_name}"
-                             for class_name in self.classes_)
-        return names
+        return [f"{feature_type}|{class_name}"
+                for feature_type in self.feature_types
+                for class_name in self.classes_]
 
-    def _feature_groups(self, n_anchor_cols: int) -> dict[str, list[int]]:
+    def _feature_groups(self, n_classes: int) -> dict[str, list[int]]:
         groups: dict[str, list[int]] = {}
         for type_offset, feature_type in enumerate(self.feature_types):
-            start = type_offset * n_anchor_cols
-            groups[feature_type] = list(range(start, start + n_anchor_cols))
+            start = type_offset * n_classes
+            groups[feature_type] = list(range(start, start + n_classes))
         return groups

@@ -89,8 +89,7 @@ def has_common_substring(s1: str, s2: str, length: int = ROLLING_WINDOW) -> bool
     return any(s2[i:i + length] in grams for i in range(len(s2) - length + 1))
 
 
-def score_signatures(s1: str, s2: str, block_size: int,
-                     *, require_common_substring: bool = True) -> int:
+def score_signatures(s1: str, s2: str, block_size: int) -> int:
     """Score two same-block-size signatures on the 0–100 SSDeep scale."""
 
     s1 = normalize_repeats(s1)
@@ -99,7 +98,7 @@ def score_signatures(s1: str, s2: str, block_size: int,
         return 0
     if s1 == s2:
         return 100
-    if require_common_substring and not has_common_substring(s1, s2):
+    if not has_common_substring(s1, s2):
         return 0
     distance = indel_distance(s1, s2)
     return int(ssdeep_score_from_distance(distance, len(s1), len(s2), block_size))

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ROLLING_WINDOW", "RollingHash", "rolling_hash_values"]
+from ..distance.scoring import ROLLING_WINDOW
 
-#: Window size of the rolling hash (bytes).
-ROLLING_WINDOW = 7
+__all__ = ["ROLLING_WINDOW", "RollingHash", "rolling_hash_values"]
 
 _MASK32 = 0xFFFFFFFF
 

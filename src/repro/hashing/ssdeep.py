@@ -19,6 +19,11 @@ This module turns raw bytes into SSDeep digests of the canonical form
   trigger, so it already is the half-length signature at ``2B``, the
   double chunk at ``B``.
 
+:class:`FuzzyHasher` takes no parameters: every digest is computed at
+the reference :data:`SPAMSUM_LENGTH` and :data:`MIN_BLOCKSIZE` (defined
+once in :mod:`repro.distance.scoring`, re-exported here), so any two
+digests it writes are score-comparable.
+
 The digest is represented by :class:`SsdeepDigest`, which also handles
 parsing and validation of digest strings (needed when loading feature
 stores from disk).
@@ -33,6 +38,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ..distance.scoring import MIN_BLOCKSIZE, SPAMSUM_LENGTH
 from ..exceptions import DigestFormatError, HashingError
 from .b64 import B64_ALPHABET, is_digest_alphabet
 from .fnv import FNV_INIT, piecewise_low6
@@ -41,33 +47,12 @@ from .rolling import rolling_hash_values
 __all__ = [
     "MIN_BLOCKSIZE",
     "SPAMSUM_LENGTH",
-    "ADAPTIVE_SIZE_BANDS",
     "SsdeepDigest",
     "FuzzyHasher",
     "fuzzy_hash",
     "fuzzy_hash_file",
 ]
 
-#: Smallest block size ever used.
-MIN_BLOCKSIZE = 3
-#: Maximum signature length in characters.
-SPAMSUM_LENGTH = 64
-
-#: Size-adaptive hashing bands: ``(upper_bound_bytes, min_blocksize,
-#: spamsum_length)``, tried in order; ``None`` bounds the last band.
-#: Small inputs keep the reference parameters; larger inputs get longer
-#: signatures (more chunks summarised per digest) and a raised block
-#: floor, which preserves resolution the fixed 64-character budget
-#: loses on multi-megabyte binaries.  **Digests from different bands
-#: are not score-comparable** (the 0–100 scale is normalised by
-#: ``spamsum_length``), so adaptive mode is off by default and a corpus
-#: must be hashed entirely with the same setting — see the README's
-#: comparability rule.
-ADAPTIVE_SIZE_BANDS: tuple[tuple[int | None, int, int], ...] = (
-    (16 * 1024, MIN_BLOCKSIZE, SPAMSUM_LENGTH),
-    (1024 * 1024, MIN_BLOCKSIZE, 96),
-    (None, 2 * MIN_BLOCKSIZE, 128),
-)
 #: Default upper bound on the bytes :func:`read_regular_file` will load.
 MAX_FILE_BYTES = 1 << 30
 #: Default read size for the chunked file-reading loop.
@@ -183,34 +168,9 @@ class SsdeepDigest:
 
 
 class FuzzyHasher:
-    """Compute SSDeep digests of byte strings and files.
-
-    Parameters
-    ----------
-    min_blocksize:
-        Smallest block size the retry loop may reach (default 3).
-    spamsum_length:
-        Maximum signature length (default 64).  Exposed mainly so that
-        property-based tests can exercise degenerate configurations.
-    adaptive:
-        When True, ``min_blocksize``/``spamsum_length`` are chosen per
-        input from :data:`ADAPTIVE_SIZE_BANDS` by input size, overriding
-        the two parameters above.  Off by default because digests hashed
-        in different bands are **not** score-comparable: mix adaptive
-        and non-adaptive digests in one corpus and the cross-band scores
-        are meaningless.
-    """
-
-    def __init__(self, *, min_blocksize: int = MIN_BLOCKSIZE,
-                 spamsum_length: int = SPAMSUM_LENGTH,
-                 adaptive: bool = False) -> None:
-        if min_blocksize < 1:
-            raise HashingError("min_blocksize must be >= 1")
-        if spamsum_length < 2 or spamsum_length % 2:
-            raise HashingError("spamsum_length must be an even integer >= 2")
-        self.min_blocksize = int(min_blocksize)
-        self.spamsum_length = int(spamsum_length)
-        self.adaptive = bool(adaptive)
+    """Compute SSDeep digests of byte strings and files at the reference
+    parameters: :data:`SPAMSUM_LENGTH`-character signatures over block
+    sizes of at least :data:`MIN_BLOCKSIZE`."""
 
     # ------------------------------------------------------------------ API
     def hash(self, data: bytes | bytearray | memoryview | str) -> SsdeepDigest:
@@ -225,25 +185,27 @@ class FuzzyHasher:
         elif not isinstance(data, (bytes, bytearray)):
             data = bytes(data)
 
-        min_bs, spamsum = self._params_for(len(data))
         if not data:
-            return SsdeepDigest(block_size=min_bs, chunk="", double_chunk="")
+            return SsdeepDigest(block_size=MIN_BLOCKSIZE, chunk="",
+                                double_chunk="")
 
         roll = rolling_hash_values(data)
-        block_size = self._initial_block_size(len(data), min_bs, spamsum)
-        chunk = self._signature(data, roll, block_size, spamsum)
+        block_size = MIN_BLOCKSIZE
+        while block_size * SPAMSUM_LENGTH < len(data):
+            block_size *= 2
+        chunk = self._signature(data, roll, block_size, SPAMSUM_LENGTH)
         double_chunk = None
-        while block_size > min_bs and len(chunk) < spamsum // 2:
+        while block_size > MIN_BLOCKSIZE and len(chunk) < SPAMSUM_LENGTH // 2:
             # A chunk this short used every trigger at this block size
-            # (fewer than spamsum / 2 of them), so it is also the
+            # (fewer than SPAMSUM_LENGTH / 2 of them), so it is also the
             # half-length signature here: the double chunk one halving
             # down.
             double_chunk = chunk
             block_size //= 2
-            chunk = self._signature(data, roll, block_size, spamsum)
+            chunk = self._signature(data, roll, block_size, SPAMSUM_LENGTH)
         if double_chunk is None:
             double_chunk = self._signature(data, roll, block_size * 2,
-                                           spamsum // 2)
+                                           SPAMSUM_LENGTH // 2)
         return SsdeepDigest(block_size=block_size, chunk=chunk,
                             double_chunk=double_chunk)
 
@@ -268,24 +230,6 @@ class FuzzyHasher:
         return [self.hash(item) for item in items]
 
     # ----------------------------------------------------------- internals
-    def _params_for(self, length: int) -> tuple[int, int]:
-        """``(min_blocksize, spamsum_length)`` for one input."""
-
-        if not self.adaptive:
-            return self.min_blocksize, self.spamsum_length
-        for bound, min_bs, spamsum in ADAPTIVE_SIZE_BANDS:
-            if bound is None or length < bound:
-                return min_bs, spamsum
-        return self.min_blocksize, self.spamsum_length  # pragma: no cover
-
-    @staticmethod
-    def _initial_block_size(length: int, min_blocksize: int,
-                            spamsum_length: int) -> int:
-        block_size = min_blocksize
-        while block_size * spamsum_length < length:
-            block_size *= 2
-        return block_size
-
     def _signature(self, data: bytes, roll: np.ndarray, block_size: int,
                    max_length: int) -> str:
         """One signature: trigger positions -> per-chunk base64 characters."""

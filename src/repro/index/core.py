@@ -219,13 +219,9 @@ class SimilarityIndex:
     feature_types:
         Fuzzy-hash types indexed per member (defaults to the paper's
         three types).
-    ngram_length:
-        Length of the common-substring precondition (7, like SSDeep).
-        Two indexes are only compatible when this matches.
     """
 
-    def __init__(self, feature_types: Sequence[str] = None, *,
-                 ngram_length: int = ROLLING_WINDOW) -> None:
+    def __init__(self, feature_types: Sequence[str] = None) -> None:
         if feature_types is None:
             from ..features.extractors import FEATURE_TYPES
             feature_types = FEATURE_TYPES
@@ -234,8 +230,6 @@ class SimilarityIndex:
             raise ValidationError("feature_types must not be empty")
         if len(set(feature_types)) != len(feature_types):
             raise ValidationError("feature_types must not repeat")
-        if ngram_length < 1:
-            raise ValidationError("ngram_length must be >= 1")
         self._feature_types = feature_types
         # The index carries two digest families: CTPH types (variable
         # length, edit-distance scored, 7-gram postings) and vector-*
@@ -244,7 +238,6 @@ class SimilarityIndex:
                                  if not is_vector_feature_type(ft))
         self._vector_types = tuple(ft for ft in feature_types
                                    if is_vector_feature_type(ft))
-        self._ngram_length = int(ngram_length)
         # Per *physical* member (insertion order, tombstoned included);
         # queries see the survivors renumbered densely.
         self._sample_ids: list[str] = []
@@ -254,10 +247,9 @@ class SimilarityIndex:
         #: Tombstoned physical members, and the cached survivor view.
         self._dead: set[int] = set()
         self._view: tuple[np.ndarray, np.ndarray] | None = None
-        self._pool = SignaturePool(self._ngram_length)
+        self._pool = SignaturePool()
         self._stores: dict[str, ArrayPostings] = {
-            ft: ArrayPostings(self._pool, self._ngram_length)
-            for ft in self._ctph_types}
+            ft: ArrayPostings(self._pool) for ft in self._ctph_types}
         self._vstores: dict[str, PackedDigestStore] = {
             ft: PackedDigestStore() for ft in self._vector_types}
 
@@ -268,7 +260,9 @@ class SimilarityIndex:
 
     @property
     def ngram_length(self) -> int:
-        return self._ngram_length
+        """Length of the common-substring gate: :data:`ROLLING_WINDOW`."""
+
+        return ROLLING_WINDOW
 
     @property
     def n_members(self) -> int:
@@ -662,7 +656,7 @@ class SimilarityIndex:
                     local = len(local_strings)
                     local_ids[signature] = local
                     local_strings.append(signature)
-                windows = _query_windows(signature, self._ngram_length)
+                windows = _query_windows(signature)
                 if not windows.shape[0]:
                     continue
                 row_cls = class_ids.get((local, block_size))
@@ -874,15 +868,17 @@ class SimilarityIndex:
         """Score every candidate member pair, under a pair budget.
 
         Candidates are member pairs sharing at least one posting bucket
-        (for vector types, any two members carrying a digest); each is
-        scored like :meth:`top_k` (max over comparable signature pairs
-        and, with ``feature_type=None``, over feature types).  The
-        candidates come from the sweep :meth:`collect_candidates` runs,
-        with every surviving member querying its own signatures.  When
-        the candidate set exceeds ``max_pairs`` only the first
-        ``max_pairs`` pairs in ``(i, j)`` order are scored and a warning
-        logs exactly how many were dropped — truncation is never silent.
-        Pairs scoring below ``min_score`` are omitted from the result.
+        (for vector types, any two members carrying a digest of the same
+        type); each is scored like :meth:`top_k` (max over comparable
+        signature pairs and, with ``feature_type=None``, over feature
+        types).  The CTPH candidates come from the sweep
+        :meth:`collect_candidates` runs, with every surviving member
+        querying its own signatures.  When the candidate set exceeds
+        ``max_pairs`` only the first ``max_pairs`` pairs in ``(i, j)``
+        order are scored and a warning logs exactly how many were
+        dropped — truncation is never silent.  The vector pairs past the
+        budget are counted, never built.  Pairs scoring below
+        ``min_score`` are omitted from the result.
         """
 
         if max_pairs is not None and max_pairs < 1:
@@ -917,27 +913,26 @@ class SimilarityIndex:
             ctph_codes.append(queries[upper].astype(np.int64) * n
                               + members[upper])
             ctph_slots.append(slots[upper])
-        codes = list(ctph_codes)
-        for ft in types:
-            if ft in self._vstores:
-                # The vector family has no candidate gate: any two
-                # members carrying a digest are comparable (the
-                # max_pairs budget below is what bounds the sweep).
-                present = np.flatnonzero(self._vstores[ft].present[alive])
-                i, j = np.triu_indices(present.size, k=1)
-                codes.append(present[i] * n + present[j])
-        if not codes:
-            return []
-        pairs = np.unique(np.concatenate(codes))
-        if max_pairs is not None and len(pairs) > max_pairs:
-            dropped = len(pairs) - max_pairs
-            _LOG.warning(
-                "pairwise_matrix: scoring %d of %d candidate pairs, dropping "
-                "%d over the max_pairs=%d budget", max_pairs, len(pairs),
-                dropped, max_pairs)
-            pairs = pairs[:max_pairs]
+        # The vector family has no candidate gate: any two members
+        # carrying a digest of the same vector type are comparable.  Bit
+        # t of bits[m] marks a type-t digest on member m.
+        bits = np.zeros(alive.size, dtype=np.int64)
+        for t, ft in enumerate(ft for ft in types if ft in self._vstores):
+            bits |= self._vstores[ft].present[alive].astype(np.int64) << t
+        vector_codes, n_vector = _shared_bit_pairs(bits, max_pairs)
+        pairs = np.unique(np.concatenate(ctph_codes + [vector_codes]))
         if not pairs.size:
             return []
+        # Every candidate pair: the vector pairs, plus the CTPH pairs
+        # whose members share no vector type.
+        total = n_vector + int(np.count_nonzero(
+            (bits[pairs // n] & bits[pairs % n]) == 0))
+        if max_pairs is not None and total > max_pairs:
+            _LOG.warning(
+                "pairwise_matrix: scoring %d of %d candidate pairs, dropping "
+                "%d over the max_pairs=%d budget", max_pairs, total,
+                total - max_pairs, max_pairs)
+            pairs = pairs[:max_pairs]
 
         best = np.zeros(len(pairs), dtype=np.float64)
         if ctph_codes:
@@ -1003,7 +998,7 @@ class SimilarityIndex:
         return dict(sig_by_member)
 
     @classmethod
-    def _copy_members(cls, feature_types: Sequence[str], ngram_length: int,
+    def _copy_members(cls, feature_types: Sequence[str],
                       members: Iterable[tuple["SimilarityIndex", int]]
                       ) -> "SimilarityIndex":
         """A new index holding ``(source index, physical member)`` pairs,
@@ -1015,7 +1010,7 @@ class SimilarityIndex:
         from the same digests.
         """
 
-        index = cls(feature_types, ngram_length=ngram_length)
+        index = cls(feature_types)
         signatures: dict[SimilarityIndex, dict[str, dict]] = {}
         for source, member in members:
             by_type = signatures.get(source)
@@ -1081,7 +1076,7 @@ class SimilarityIndex:
             "tombstones": self.n_tombstones,
             "classes": len(set(labelled)),
             "labelled_members": len(labelled),
-            "ngram_length": self._ngram_length,
+            "ngram_length": ROLLING_WINDOW,
             "estimated_bytes": estimated,
             "feature_types": per_type,
             "families": {
@@ -1115,7 +1110,7 @@ class SimilarityIndex:
             return self._survivor_copy().get_state()
         pool_bytes, pool_offsets = self._pool.packed()
         header = {
-            "ngram_length": self._ngram_length,
+            "ngram_length": ROLLING_WINDOW,
             "feature_types": list(self._feature_types),
             "sample_ids": list(self._sample_ids),
             "class_names": list(self._class_names),
@@ -1207,8 +1202,12 @@ class SimilarityIndex:
             raise IndexFormatError(
                 f"{source} has {len(sample_ids)} sample ids but "
                 f"{len(class_names)} class names")
+        if ngram_length != ROLLING_WINDOW:
+            raise IndexFormatError(
+                f"{source} uses {ngram_length}-gram postings; this build "
+                f"reads {ROLLING_WINDOW}-gram postings only")
         try:
-            index = cls(feature_types, ngram_length=ngram_length)
+            index = cls(feature_types)
         except ValidationError as exc:
             raise IndexFormatError(f"{source} has an invalid "
                                    f"configuration: {exc}") from exc
@@ -1254,8 +1253,7 @@ class SimilarityIndex:
             raise IndexFormatError(f"{source} has corrupt signature "
                                    "pool offsets")
         try:
-            pool = SignaturePool.from_packed(self._ngram_length, pool_bytes,
-                                             pool_offsets,
+            pool = SignaturePool.from_packed(pool_bytes, pool_offsets,
                                              lazy=not deep_validate)
         except UnicodeDecodeError as exc:
             raise IndexFormatError(f"{source} has non-ASCII "
@@ -1280,8 +1278,7 @@ class SimilarityIndex:
                                        "entry array lengths")
             if len(cols["post_blocks"]) != n_keys \
                     or len(cols["post_offsets"]) != n_keys + 1 \
-                    or cols["post_grams"].shape != (n_keys,
-                                                    self._ngram_length):
+                    or cols["post_grams"].shape != (n_keys, ROLLING_WINDOW):
                 raise IndexFormatError(f"{source} has inconsistent "
                                        "posting array lengths")
             if deep_validate:
@@ -1312,7 +1309,7 @@ class SimilarityIndex:
                     raise IndexFormatError(
                         f"{source} postings reference entry "
                         f"#{int(posted.max())} but only {n_entries} exist")
-            store = ArrayPostings(pool, self._ngram_length)
+            store = ArrayPostings(pool)
             store.adopt_arrays(cols, copy=copy)
             self._stores[feature_type] = store
         for type_idx, feature_type in enumerate(self._vector_types):
@@ -1416,7 +1413,7 @@ class SimilarityIndex:
         """A new index over the surviving members, in insertion order."""
 
         return self._copy_members(
-            self._feature_types, self._ngram_length,
+            self._feature_types,
             ((self, member) for member in self._survivors()[0].tolist()))
 
     def _add_entry(self, feature_type: str, member: int, block_size: int,
@@ -1447,8 +1444,46 @@ def load_index(path: str | os.PathLike, *,
     return SimilarityIndex.load(path, mmap_mode=mmap_mode)
 
 
+def _shared_bit_pairs(bits: np.ndarray, max_pairs: int | None
+                      ) -> tuple[np.ndarray, int]:
+    """``(codes, count)`` of the member pairs ``i < j`` whose ``bits``
+    share a set bit, coded ``i * len(bits) + j``.
+
+    ``count`` is exact, but with ``max_pairs`` only the rows ``i`` up to
+    the one where the running count reaches ``max_pairs`` are built:
+    they hold the first ``max_pairs`` pairs in ``(i, j)`` order.  Row
+    counts come from one sorted partner list per distinct bit pattern,
+    so nothing of size n(n-1)/2 exists unless it is returned.
+    """
+
+    n = bits.size
+    groups = []
+    row_counts = np.zeros(n, dtype=np.int64)
+    for pattern in np.unique(bits[bits != 0]).tolist():
+        partners = np.flatnonzero(bits & pattern)
+        rows = np.flatnonzero(bits == pattern)
+        # Row i pairs with the partners after it: the last counts[i].
+        counts = partners.size - np.searchsorted(partners, rows, side="right")
+        row_counts[rows] = counts
+        groups.append((partners, rows, counts))
+    cumulative = np.cumsum(row_counts)
+    count = int(cumulative[-1]) if n else 0
+    end = n
+    if max_pairs is not None and count > max_pairs:
+        end = int(np.searchsorted(cumulative, max_pairs)) + 1
+    codes = [np.zeros(0, dtype=np.int64)]
+    for partners, rows, counts in groups:
+        keep = rows < end
+        rows, counts = rows[keep], counts[keep]
+        within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                                     counts)
+        codes.append(np.repeat(rows, counts) * n + partners[
+            np.repeat(partners.size - counts, counts) + within])
+    return np.concatenate(codes), count
+
+
 @lru_cache(maxsize=16384)
-def _query_windows(signature: str, ngram_length: int) -> np.ndarray:
+def _query_windows(signature: str) -> np.ndarray:
     """Query-side n-gram window matrix, memoised like the digest parse."""
 
-    return signature_windows(signature, ngram_length)
+    return signature_windows(signature, ROLLING_WINDOW)

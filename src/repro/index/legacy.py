@@ -167,11 +167,10 @@ def _merge_survivors(shards: list[SimilarityIndex], order: list[int],
 
     first = shards[0]
     for shard_idx, shard in enumerate(shards):
-        if shard.feature_types != first.feature_types \
-                or shard.ngram_length != first.ngram_length:
+        if shard.feature_types != first.feature_types:
             raise IndexFormatError(
                 f"{source}: shard {shard_idx} disagrees with shard 0 on "
-                "feature types or n-gram length")
+                "feature types")
     counts = [0] * len(shards)
     for shard_idx in order:
         if not 0 <= shard_idx < len(shards):
@@ -200,5 +199,4 @@ def _merge_survivors(shards: list[SimilarityIndex], order: list[int],
             survivors.append((shards[shard_idx], local))
     # A loaded shard holds no tombstones of its own, so its dense member
     # indices are its physical ones.
-    return SimilarityIndex._copy_members(first.feature_types,
-                                         first.ngram_length, survivors)
+    return SimilarityIndex._copy_members(first.feature_types, survivors)

@@ -44,6 +44,7 @@ import numpy as np
 
 from ..exceptions import SimilarityIndexError
 from ..hashing.fnv import FNV64_INIT, FNV64_PRIME
+from ..hashing.rolling import ROLLING_WINDOW
 
 __all__ = ["ArrayPostings", "SignaturePool", "block_prefix64",
            "hash_windows", "signature_windows"]
@@ -173,8 +174,7 @@ class SignaturePool:
     families and on reload — does no hashing at all.
     """
 
-    def __init__(self, ngram_length: int) -> None:
-        self._ngram_length = int(ngram_length)
+    def __init__(self) -> None:
         self._strings: list[str] = []
         self._ids: dict[str, int] = {}
         self._windows: dict[int, np.ndarray] = {}
@@ -229,7 +229,7 @@ class SignaturePool:
     def windows(self, sig_id: int) -> np.ndarray:
         cached = self._windows.get(sig_id)
         if cached is None:
-            cached = signature_windows(self[sig_id], self._ngram_length)
+            cached = signature_windows(self[sig_id], ROLLING_WINDOW)
             if len(self._windows) >= 2 * _KEY_CACHE_MAX:
                 self._windows.pop(next(iter(self._windows)))
             self._windows[sig_id] = cached
@@ -272,10 +272,9 @@ class SignaturePool:
         return payload, offsets
 
     @classmethod
-    def from_packed(cls, ngram_length: int, pool_bytes: np.ndarray,
-                    pool_offsets: np.ndarray, *,
+    def from_packed(cls, pool_bytes: np.ndarray, pool_offsets: np.ndarray, *,
                     lazy: bool = False) -> "SignaturePool":
-        pool = cls(ngram_length)
+        pool = cls()
         pool._packed = (np.asarray(pool_bytes), np.asarray(pool_offsets))
         if not lazy:
             # Eager loads keep decoding up front so malformed pool bytes
@@ -302,23 +301,22 @@ class _Sealed:
         self.entry_ids = entry_ids
 
     @classmethod
-    def empty(cls, ngram_length: int) -> "_Sealed":
+    def empty(cls) -> "_Sealed":
         return cls(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                   np.zeros((0, ngram_length), dtype=np.uint8),
+                   np.zeros((0, ROLLING_WINDOW), dtype=np.uint8),
                    np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32))
 
 
 class ArrayPostings:
     """Columnar entries + sorted CSR postings for one feature type."""
 
-    def __init__(self, pool: SignaturePool, ngram_length: int) -> None:
+    def __init__(self, pool: SignaturePool) -> None:
         self._pool = pool
-        self._ngram_length = int(ngram_length)
         # Entry columns (entry id == row index, insertion order).
         self._e_member = _IntVec(np.int32)
         self._e_block = _IntVec(np.int64)
         self._e_sig = _IntVec(np.int32)
-        self._sealed = _Sealed.empty(self._ngram_length)
+        self._sealed = _Sealed.empty()
         self._merge_lock = threading.Lock()
         # Mutable tail: flat keys + raw gram bytes, plus one
         # (entry id, block, key count) triple per appended entry — the
@@ -387,7 +385,7 @@ class ArrayPostings:
         if not len(self._t_keys):
             # Another reader finished the merge while we waited.
             return
-        n = self._ngram_length
+        n = ROLLING_WINDOW
         sealed = self._sealed
         # Expand the per-entry tail triples into flat columns, then
         # sort; stable keeps ascending entry ids per key.
@@ -550,7 +548,7 @@ class ArrayPostings:
         self.merge()
         n_keys = len(self._sealed.keys)
         return (self.n_entries * 16
-                + n_keys * (16 + self._ngram_length)
+                + n_keys * (16 + ROLLING_WINDOW)
                 + (n_keys + 1) * 8
                 + len(self._sealed.entry_ids) * 4)
 

@@ -65,6 +65,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..exceptions import WALCorruptionError, WALError
+from ..index.storage import _fsync_directory
 from ..logging_utils import get_logger
 from ..observability.trace import span
 from ..testing import faults
@@ -245,19 +246,6 @@ def _count_following(data: bytes, offset: int) -> int:
         count += 1
         offset += _FRAME.size + length
     return max(count, 1)
-
-
-def _fsync_directory(directory: Path) -> None:
-    try:
-        dir_fd = os.open(str(directory), os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:
-        pass                  # e.g. filesystems refusing directory fsync
-    finally:
-        os.close(dir_fd)
 
 
 # ------------------------------------------------------------------- log

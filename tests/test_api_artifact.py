@@ -229,6 +229,15 @@ def test_tampered_feature_names_raise(saved, tmp_path):
         load_model(path)
 
 
+def test_embedded_index_over_other_ngrams_raises(saved, tmp_path):
+    def mutate(header):
+        header["index"]["header"]["ngram_length"] = 5
+
+    path = _rewrite_header(saved, tmp_path, mutate)
+    with pytest.raises(ModelFormatError, match="5-gram"):
+        load_model(path)
+
+
 def test_params_omit_n_jobs_and_artifacts_carrying_it_still_load(
         fitted, saved, tmp_path):
     clf, records = fitted

@@ -15,12 +15,15 @@ from repro.api.artifact import (
     validate_model,
 )
 from repro.api.service import ClassificationService
+from repro.cli import main
 from repro.exceptions import ModelFormatError
 from repro.features.records import SampleFeatures
 from repro.index import load_index
-from repro.index.storage import read_container, write_container
+from repro.index.storage import (read_container, read_container_header,
+                                 write_container)
 
 from legacy_fixtures import LEGACY_DIR, LEGACY_MODEL, expected, rows
+from test_api_artifact import _rewrite_header
 from test_index_core import make_corpus
 
 FT = "ssdeep-file"
@@ -55,10 +58,18 @@ def test_sharded_artifact_round_trips_bit_identically(tmp_path):
 
     recorded = expected()["model"]
     queries = _legacy_queries()
+    # Written when the feature layout was still a parameter: the file
+    # names it, and a re-save no longer does.
+    params = read_container_header(LEGACY_MODEL, fmt=MODEL_CONTAINER)["params"]
+    assert params["anchor_strategy"] == "class-max"
+    assert "medoids_per_class" in params
     loads = [ClassificationService.load(LEGACY_MODEL),
              ClassificationService.load(LEGACY_MODEL, mmap=True)]
-    loads.append(ClassificationService.load(loads[0].save(
-        tmp_path / "resaved.rpm")))
+    resaved = loads[0].save(tmp_path / "resaved.rpm")
+    params = read_container_header(resaved, fmt=MODEL_CONTAINER)["params"]
+    assert "anchor_strategy" not in params
+    assert "medoids_per_class" not in params
+    loads.append(ClassificationService.load(resaved))
     for loaded in loads:
         anchor = loaded.similarity_index
         assert anchor.n_tombstones == 0
@@ -83,6 +94,23 @@ def test_sharded_artifact_inspect_and_validate():
     assert "index_sharded" not in info and "index_shards" not in info
     assert validate_model(LEGACY_MODEL)["index_members"] == \
         info["index_members"]
+
+
+@pytest.mark.parametrize("strategy", ["all-train", "class-medoids"])
+def test_artifact_naming_another_anchor_strategy_is_refused(
+        strategy, tmp_path, capsys):
+    """This build computes one feature layout, one column per (hash
+    type, class): an artifact naming any other is refused, and the CLI
+    says so in one line."""
+
+    path = _rewrite_header(
+        LEGACY_MODEL, tmp_path,
+        lambda header: header["params"].update(anchor_strategy=strategy))
+    with pytest.raises(ModelFormatError, match=strategy):
+        load_model(path)
+    assert main(["model", "validate", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_headless_artifact_accepts_sharded_index_path(tmp_path):

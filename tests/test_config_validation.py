@@ -52,8 +52,6 @@ def test_default_config_overrides_and_validation():
     with pytest.raises(ConfigurationError):
         default_config("small", confidence_threshold=3.0)
     with pytest.raises(ConfigurationError):
-        default_config("small", anchor_strategy="bogus")
-    with pytest.raises(ConfigurationError):
         default_config("small", feature_types=())
 
 

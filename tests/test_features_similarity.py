@@ -89,24 +89,6 @@ def test_matrix_matches_pairwise_compare_for_class_max(tiny_features):
                 f"mismatch for query {query.sample_id} vs class {class_name}"
 
 
-def test_all_train_strategy_has_one_column_per_anchor(tiny_features):
-    anchors = tiny_features[:30]
-    builder = SimilarityFeatureBuilder(anchor_strategy="all-train").fit(anchors)
-    matrix = builder.transform(tiny_features[:5])
-    assert matrix.X.shape == (5, 30 * len(FEATURE_TYPES))
-
-
-def test_class_medoids_strategy_reduces_anchor_count(tiny_features):
-    builder = SimilarityFeatureBuilder(anchor_strategy="class-medoids",
-                                       medoids_per_class=2).fit(tiny_features)
-    per_class = {}
-    for name in builder.anchor_classes_:
-        per_class[name] = per_class.get(name, 0) + 1
-    assert all(count <= 2 for count in per_class.values())
-    matrix = builder.transform(tiny_features[:4])
-    assert matrix.X.shape[1] == len(builder.classes_) * len(FEATURE_TYPES)
-
-
 def test_fitted_builder_exposes_its_index(fitted_builder):
     from repro.index import SimilarityIndex
 
@@ -135,10 +117,6 @@ def test_fit_from_index_validates_compatibility(tiny_features):
     wrong_type.add("a", {}, class_name="X")
     with pytest.raises(ValidationError, match="feature types"):
         builder.fit_from_index(wrong_type)
-    wrong_ngram = SimilarityIndex(["ssdeep-file"], ngram_length=5)
-    wrong_ngram.add("a", {}, class_name="X")
-    with pytest.raises(ValidationError, match="n-gram"):
-        builder.fit_from_index(wrong_ngram)
     unlabelled = SimilarityIndex(["ssdeep-file"])
     unlabelled.add("a", {})
     with pytest.raises(ValidationError, match="class label"):
@@ -153,11 +131,6 @@ def test_transform_before_fit_raises(tiny_features):
 def test_empty_anchor_set_rejected():
     with pytest.raises(ValidationError):
         SimilarityFeatureBuilder().fit([])
-
-
-def test_invalid_strategy_rejected():
-    with pytest.raises(ValidationError):
-        SimilarityFeatureBuilder(anchor_strategy="centroid")
 
 
 def test_columns_for_selects_feature_type(tiny_features, fitted_builder):

@@ -116,13 +116,6 @@ def test_roundtrip_parse_format():
     assert str(SsdeepDigest.parse(digest)) == digest
 
 
-def test_invalid_hasher_configuration():
-    with pytest.raises(HashingError):
-        FuzzyHasher(min_blocksize=0)
-    with pytest.raises(HashingError):
-        FuzzyHasher(spamsum_length=7)  # must be even
-
-
 def test_alphabet_is_standard_base64():
     assert len(B64_ALPHABET) == 64
     assert len(set(B64_ALPHABET)) == 64
@@ -276,14 +269,9 @@ _ORACLE_INPUTS = st.one_of(
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(data=_ORACLE_INPUTS,
-       config=st.sampled_from([(MIN_BLOCKSIZE, SPAMSUM_LENGTH),
-                               (6, 96), (6, 128)]))
-@example(data=b"", config=(MIN_BLOCKSIZE, SPAMSUM_LENGTH))
-@example(data=b"\x00" * 2000, config=(MIN_BLOCKSIZE, SPAMSUM_LENGTH))
-def test_digest_matches_byte_at_a_time_spamsum(data, config):
-    min_blocksize, spamsum_length = config
-    hasher = FuzzyHasher(min_blocksize=min_blocksize,
-                         spamsum_length=spamsum_length)
-    assert str(hasher.hash(data)) == reference_spamsum(
-        data, min_blocksize, spamsum_length)
+@given(data=_ORACLE_INPUTS)
+@example(data=b"")
+@example(data=b"\x00" * 2000)
+def test_digest_matches_byte_at_a_time_spamsum(data):
+    assert str(FuzzyHasher().hash(data)) == reference_spamsum(
+        data, MIN_BLOCKSIZE, SPAMSUM_LENGTH)

@@ -3,6 +3,7 @@ exact agreement with brute-force scoring, and the pairwise budget."""
 
 import logging
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.distance.scoring import ssdeep_score_from_distance
 from repro.exceptions import DigestFormatError, ValidationError
 from repro.hashing.compare import has_common_substring, normalize_repeats
 from repro.hashing.ssdeep import FuzzyHasher, fuzzy_hash
+from repro.hashing.vector import vector_hash
 from repro.index import SimilarityIndex, expand_digest
 
 
@@ -32,11 +34,16 @@ def make_corpus(n, *, seed=0, n_families=12, feature_type="ssdeep-file",
     return members
 
 
-def adaptive_hash(data):
-    """Size-adaptive digest: inputs of 16 KiB or more get 96- or
-    128-character signatures instead of 64."""
+def long_hash(data):
+    """A digest whose signatures run past 64 characters: those of
+    ``data`` and of ``data[::-1]`` joined end to end, at ``data``'s
+    block size.  The hasher never writes one, but parsed digests (a
+    features JSON, ``index query --digest``, an older index) can carry
+    one."""
 
-    return str(FuzzyHasher(adaptive=True).hash(data))
+    forward, backward = FuzzyHasher().hash(data), FuzzyHasher().hash(data[::-1])
+    return (f"{forward.block_size}:{forward.chunk}{backward.chunk}:"
+            f"{forward.double_chunk}{backward.double_chunk}")
 
 
 def brute_force_score(query_digest, member_digest):
@@ -117,8 +124,6 @@ def test_constructor_validation():
         SimilarityIndex([])
     with pytest.raises(ValidationError):
         SimilarityIndex(["a", "a"])
-    with pytest.raises(ValidationError):
-        SimilarityIndex(["a"], ngram_length=0)
 
 
 def test_unknown_feature_type_rejected(index300):
@@ -133,20 +138,20 @@ def test_unknown_feature_type_rejected(index300):
 # ------------------------------------------------------------------ queries
 def test_top_k_exact_agreement_with_brute_force(corpus300, index300):
     """Acceptance criterion: top_k must agree exactly with brute-force
-    scoring on a randomized 300-digest corpus, and on an adaptive-mode
-    corpus whose signatures run past 64 characters."""
+    scoring on a randomized 300-digest corpus, and on a corpus whose
+    signatures run past 64 characters."""
 
-    adaptive = make_corpus(60, seed=43, n_families=6, base_size=20_000,
-                           hash_fn=adaptive_hash)
-    assert max(len(sig) for _, digests, _ in adaptive
+    long = make_corpus(60, seed=43, n_families=6, base_size=20_000,
+                       hash_fn=long_hash)
+    assert max(len(sig) for _, digests, _ in long
                for _, sig in expand_digest(digests["ssdeep-file"])) > 64
-    adaptive_index = SimilarityIndex(["ssdeep-file"])
-    adaptive_index.add_many(adaptive)
+    long_index = SimilarityIndex(["ssdeep-file"])
+    long_index.add_many(long)
 
     rnd = random.Random(7)
     for corpus, index, hash_fn, n_queries in (
             (corpus300, index300, fuzzy_hash, 12),
-            (adaptive, adaptive_index, adaptive_hash, 6)):
+            (long, long_index, long_hash, 6)):
         queries = [rnd.choice(corpus)[1]["ssdeep-file"]
                    for _ in range(n_queries)]
         queries += [hash_fn(rnd.randbytes(4000)) for _ in range(3)]
@@ -236,6 +241,71 @@ def test_pairwise_budget_logs_dropped_pairs(corpus300, caplog):
         "truncation must be logged, never silent"
     with pytest.raises(ValidationError):
         index.pairwise_matrix(max_pairs=0)
+
+
+def _mixed_index(seed):
+    """One CTPH type, two vector types that only some members carry,
+    and seven tombstones."""
+
+    rnd = random.Random(seed)
+    bases = [rnd.randbytes(800 + rnd.randrange(800)) for _ in range(4)]
+    index = SimilarityIndex(["ssdeep-file", "vector-file", "vector-strings"])
+    n = 60 + rnd.randrange(60)
+    for i in range(n):
+        blob = bytearray(bases[i % 4])
+        for _ in range(rnd.randrange(0, 20)):
+            blob[rnd.randrange(len(blob))] = rnd.randrange(256)
+        data = bytes(blob)
+        digests = {"ssdeep-file": fuzzy_hash(data)}
+        if rnd.random() < 0.6:
+            digests["vector-file"] = vector_hash(data)
+        if rnd.random() < 0.4:
+            digests["vector-strings"] = vector_hash(data[::-1])
+        index.add(f"m{i}", digests, class_name=f"c{i % 4}")
+    for i in rnd.sample(range(n), 7):
+        index.remove(f"m{i}")
+    return index
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_budgeted_pairwise_is_a_prefix_of_the_unbudgeted_one(seed, caplog):
+    """A budget keeps the first pairs in (i, j) order, and the warning
+    counts every candidate the unbudgeted call returns."""
+
+    index = _mixed_index(seed)
+    for feature_type in (None, "vector-file", "ssdeep-file"):
+        unbudgeted = index.pairwise_matrix(feature_type, min_score=0)
+        total = len(unbudgeted)
+        for budget in (1, 50, 400, total + 1):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="repro.index.core"):
+                budgeted = index.pairwise_matrix(
+                    feature_type, max_pairs=budget, min_score=0)
+            assert budgeted == unbudgeted[:budget]
+            expected = [] if budget >= total else [
+                f"pairwise_matrix: scoring {budget} of {total} candidate "
+                f"pairs, dropping {total - budget} over the "
+                f"max_pairs={budget} budget"]
+            assert [r.getMessage() for r in caplog.records] == expected
+
+
+def test_budgeted_pairwise_builds_no_quadratic_candidate_list():
+    """The budget bounds candidate generation, not only scoring.  On a
+    vector-only index every member pair is a candidate: all
+    n(n-1)/2 of them at 2,000 members are 32 MiB of int64 pairs."""
+
+    rnd = random.Random(5)
+    index = SimilarityIndex(["vector-file"])
+    index.add_many((f"m{i}", {"vector-file": vector_hash(rnd.randbytes(256))},
+                    "c") for i in range(2000))
+    tracemalloc.start()
+    try:
+        pairs = index.pairwise_matrix(max_pairs=100, min_score=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(p.i, p.j) for p in pairs] == [(0, j) for j in range(1, 101)]
+    assert peak < 16 * 2 ** 20
 
 
 # -------------------------------------------------------------------- stats

@@ -118,6 +118,15 @@ def test_inconsistent_header_fields_rejected(tmp_path):
     })
     with pytest.raises(IndexFormatError, match="class names"):
         SimilarityIndex.load(path)
+    # Postings over 5-grams, which this build never writes or reads.
+    path = write_container(tmp_path / "five.rpsi", {
+        "ngram_length": 5,
+        "feature_types": ["ssdeep-file"],
+        "sample_ids": [],
+        "class_names": [],
+    }, SimilarityIndex(["ssdeep-file"]).get_state()[1])
+    with pytest.raises(IndexFormatError, match="5-gram"):
+        SimilarityIndex.load(path)
 
 
 def test_out_of_range_entry_references_rejected(tmp_path):

@@ -121,14 +121,6 @@ def test_enable_mutation_keeps_the_index_and_is_idempotent(mutable_service):
     assert mutable_service.similarity_index is index
 
 
-def test_enable_mutation_rejects_all_train(trained_records):
-    service = ClassificationService.train(
-        trained_records, feature_types=["ssdeep-file"], n_estimators=5,
-        random_state=1, anchor_strategy="all-train")
-    with pytest.raises(ValidationError, match="all-train"):
-        service.enable_mutation()
-
-
 def test_immutable_service_rejects_mutation(trained_records):
     service = ClassificationService.train(
         trained_records, feature_types=["ssdeep-file"], n_estimators=5,
