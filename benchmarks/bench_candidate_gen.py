@@ -71,8 +71,7 @@ class LegacyCandidateIndex:
     so any timing difference is purely the candidate walk.
     """
 
-    def __init__(self, ngram_length: int = 7) -> None:
-        self._ngram_length = ngram_length
+    def __init__(self) -> None:
         self._entries: list[tuple[int, int, str]] = []   # (member, block, sig)
         self._postings: dict[tuple[int, str], list[int]] = defaultdict(list)
         self._member_grams: dict[str, tuple[str, ...]] = {}
@@ -88,7 +87,7 @@ class LegacyCandidateIndex:
             self._entries.append((member, block_size, signature))
             grams = self._member_grams.get(signature)
             if grams is None:
-                grams = tuple(common_ngrams(signature, self._ngram_length))
+                grams = tuple(common_ngrams(signature))
                 self._member_grams[signature] = grams
             for gram in grams:
                 self._postings[(block_size, gram)].append(entry_id)
@@ -113,7 +112,7 @@ class LegacyCandidateIndex:
         for query_index, sig_by_block in enumerate(query_signatures):
             seen: set[int] = set()
             for block_size, signature in sig_by_block.items():
-                for gram in common_ngrams(signature, self._ngram_length):
+                for gram in common_ngrams(signature):
                     for entry_id in postings.get((block_size, gram), ()):
                         if entry_id in seen:
                             continue

@@ -35,7 +35,7 @@ gate — and corpus-scale scoring packs digests into ``uint64`` matrices
 """
 
 from .rolling import ROLLING_WINDOW, RollingHash, rolling_hash_values
-from .fnv import FNV_INIT, FNV_PRIME, fnv_hash, fnv_update, piecewise_low6
+from .fnv import FNV_INIT, FNV_PRIME, fnv_hash, fnv_update
 from .b64 import B64_ALPHABET, encode_low6
 from .ssdeep import (
     MIN_BLOCKSIZE,
@@ -71,7 +71,6 @@ __all__ = [
     "FNV_PRIME",
     "fnv_hash",
     "fnv_update",
-    "piecewise_low6",
     "B64_ALPHABET",
     "encode_low6",
     "MIN_BLOCKSIZE",

@@ -21,7 +21,7 @@ Two digests are compared exactly as the SSDeep reference does
 
 The module scores single pairs; bulk scoring against many reference
 digests (with the 7-gram gate applied as a candidate index) lives in
-:mod:`repro.features.similarity`.
+:mod:`repro.index` (:class:`~repro.index.SimilarityIndex`).
 """
 
 from __future__ import annotations
@@ -59,34 +59,35 @@ __all__ = [
 _REPEAT_RE = re.compile(r"(.)\1{3,}")
 
 
-def normalize_repeats(signature: str, max_run: int = 3) -> str:
-    """Collapse runs of more than ``max_run`` identical characters.
+def normalize_repeats(signature: str) -> str:
+    """Collapse runs of more than three identical characters to three.
 
     SSDeep applies this before scoring so that long constant regions
     (e.g. zero padding) do not dominate the edit distance.
     """
 
-    if max_run != 3:
-        pattern = re.compile(r"(.)\1{" + str(max_run) + r",}")
-        return pattern.sub(lambda m: m.group(1) * max_run, signature)
     return _REPEAT_RE.sub(lambda m: m.group(1) * 3, signature)
 
 
-def common_ngrams(signature: str, n: int = ROLLING_WINDOW) -> set[str]:
-    """Return the set of length-``n`` substrings of ``signature``."""
+def common_ngrams(signature: str) -> set[str]:
+    """Return the set of :data:`ROLLING_WINDOW`-character substrings of
+    ``signature``."""
 
+    n = ROLLING_WINDOW
     if len(signature) < n:
         return set()
     return {signature[i:i + n] for i in range(len(signature) - n + 1)}
 
 
-def has_common_substring(s1: str, s2: str, length: int = ROLLING_WINDOW) -> bool:
-    """True if ``s1`` and ``s2`` share a common substring of ``length``."""
+def has_common_substring(s1: str, s2: str) -> bool:
+    """True if ``s1`` and ``s2`` share a common substring of
+    :data:`ROLLING_WINDOW` characters."""
 
-    if len(s1) < length or len(s2) < length:
+    n = ROLLING_WINDOW
+    if len(s1) < n or len(s2) < n:
         return False
-    grams = common_ngrams(s1, length)
-    return any(s2[i:i + length] in grams for i in range(len(s2) - length + 1))
+    grams = common_ngrams(s1)
+    return any(s2[i:i + n] in grams for i in range(len(s2) - n + 1))
 
 
 def score_signatures(s1: str, s2: str, block_size: int) -> int:

@@ -13,11 +13,20 @@ The rolling value is ``(h1 + h2 + h3) mod 2**32``.  A chunk boundary is
 triggered at positions where ``value % block_size == block_size - 1``.
 
 Two implementations are provided: a scalar :class:`RollingHash` that
-mirrors the reference C code byte by byte (used in tests and as
+mirrors the reference C code byte by byte (the oracle in tests, and
 documentation), and :func:`rolling_hash_values`, a NumPy routine that
-computes the rolling value at *every* position of an input in a handful
-of vectorised passes — this is the performance-critical path when
-hashing whole executables.
+computes the rolling value at *every* position of an input in uint32
+arithmetic — the performance-critical path when hashing whole
+executables.  With ``b[i - k]`` the byte ``k`` places before the newest
+(``k = 0..6``):
+
+* ``h1 + h2 = sum_k (8 - k) * b[i - k]``, at most ``35 * 255``, so it
+  never wraps;
+* ``h3 = XOR_k (b[i - k] << 5k)``, where a uint32 shift drops the high
+  bits exactly as the reference's 32-bit arithmetic does;
+
+so the rolling value is seven shifted multiply-adds and seven shifted
+XORs over the input, and their uint32 sum wraps as the reference's does.
 """
 
 from __future__ import annotations
@@ -84,37 +93,19 @@ def rolling_hash_values(data: bytes | bytearray | memoryview | np.ndarray) -> np
     if isinstance(data, np.ndarray):
         buf = data.astype(np.uint8, copy=False)
     else:
-        buf = np.frombuffer(bytes(data), dtype=np.uint8)
-    n = buf.size
-    if n == 0:
-        return np.zeros(0, dtype=np.uint32)
+        # bytes and bytearray are read in place; a memoryview may be
+        # strided, so its bytes are copied out first.
+        if isinstance(data, memoryview):
+            data = data.tobytes()
+        buf = np.frombuffer(data, dtype=np.uint8)
+    b = buf.astype(np.uint32)
 
-    b = buf.astype(np.uint64)
-
-    # h1: plain sliding-window sum of the last 7 bytes.
-    csum = np.zeros(n + 1, dtype=np.uint64)
-    np.cumsum(b, out=csum[1:])
-    left = np.maximum(np.arange(1, n + 1) - ROLLING_WINDOW, 0)
-    h1 = csum[1:] - csum[left]
-
-    # h2: position-weighted window sum; the byte at offset k from the end
-    # of the window (k = 0 is the newest byte) has weight 7 - k.
-    h2 = np.zeros(n, dtype=np.uint64)
-    for k in range(ROLLING_WINDOW):
-        weight = ROLLING_WINDOW - k
-        if k == 0:
-            h2 += weight * b
-        else:
-            h2[k:] += weight * b[:-k]
-
-    # h3: shift/XOR mix; only the last 7 bytes contribute within 32 bits.
-    h3 = np.zeros(n, dtype=np.uint64)
-    for k in range(ROLLING_WINDOW):
-        shifted = (b << np.uint64(5 * k)) & np.uint64(_MASK32)
-        if k == 0:
-            h3 ^= shifted
-        else:
-            h3[k:] ^= shifted[:-k]
-
-    total = (h1 + h2 + h3) & np.uint64(_MASK32)
-    return total.astype(np.uint32)
+    # The byte k places before the newest weighs 8 - k in h1 + h2 and is
+    # shifted left by 5k in h3 (see the module docstring).
+    total = b * np.uint32(ROLLING_WINDOW + 1)
+    h3 = b.copy()
+    for k in range(1, ROLLING_WINDOW):
+        total[k:] += np.uint32(ROLLING_WINDOW + 1 - k) * b[:-k]
+        h3[k:] ^= b[:-k] << np.uint32(5 * k)
+    total += h3
+    return total

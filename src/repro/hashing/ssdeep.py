@@ -1,23 +1,24 @@
 """Context Triggered Piecewise Hashing (SSDeep digests).
 
 This module turns raw bytes into SSDeep digests of the canonical form
-``block_size:signature:double_block_signature``:
+``block_size:signature:double_block_signature``, bit for bit as the
+spamsum reference computes them, in three steps:
 
-* the block size starts at the smallest power-of-two multiple of
-  :data:`MIN_BLOCKSIZE` such that the expected signature length is at
-  most :data:`SPAMSUM_LENGTH` characters, and is halved (and the
-  signature recomputed) while the signature turns out shorter than
-  ``SPAMSUM_LENGTH / 2`` — exactly the retry loop of the spamsum
-  reference implementation;
-* the rolling-hash trigger scan is fully vectorised
-  (:func:`repro.hashing.rolling.rolling_hash_values`), so re-trying a
-  smaller block size only costs a cheap modulo over the precomputed
-  trigger array plus the per-chunk 6-bit FNV scan;
-* the double-block signature is computed once, at the final block
-  size ``B``, and not at all after a halving from ``2B``: a chunk
-  signature at ``2B`` short enough to force the halving used every
-  trigger, so it already is the half-length signature at ``2B``, the
-  double chunk at ``B``.
+* the rolling hash is computed at every position in one vectorised pass
+  (:func:`repro.hashing.rolling.rolling_hash_values`);
+* the block size ``B`` comes from trigger counts alone.  A signature at
+  ``B`` has ``min(t, SPAMSUM_LENGTH - 1)`` characters for its ``t``
+  triggers (positions whose rolling value is ``B - 1`` mod ``B``), plus
+  a tail character when the last rolling value is non-zero.  ``B``
+  starts at the smallest power-of-two multiple of :data:`MIN_BLOCKSIZE`
+  with ``B * SPAMSUM_LENGTH`` at least the input length and is halved
+  while that count is below ``SPAMSUM_LENGTH / 2`` — the reference's
+  retry loop, at the cost of one vectorised scan per step;
+* one FNV pass (:func:`repro.hashing.fnv.two_state_low6`) then computes
+  both signatures: the chunk over the first ``SPAMSUM_LENGTH - 1``
+  triggers at ``B`` and the double chunk over the first
+  ``SPAMSUM_LENGTH / 2 - 1`` triggers at ``2B``, which are the ``B``
+  triggers whose rolling value is also ``2B - 1`` mod ``2B``.
 
 :class:`FuzzyHasher` takes no parameters: every digest is computed at
 the reference :data:`SPAMSUM_LENGTH` and :data:`MIN_BLOCKSIZE` (defined
@@ -41,7 +42,7 @@ import numpy as np
 from ..distance.scoring import MIN_BLOCKSIZE, SPAMSUM_LENGTH
 from ..exceptions import DigestFormatError, HashingError
 from .b64 import B64_ALPHABET, is_digest_alphabet
-from .fnv import FNV_INIT, piecewise_low6
+from .fnv import two_state_low6
 from .rolling import rolling_hash_values
 
 __all__ = [
@@ -190,24 +191,34 @@ class FuzzyHasher:
                                 double_chunk="")
 
         roll = rolling_hash_values(data)
+        has_tail = int(roll[-1]) != 0
         block_size = MIN_BLOCKSIZE
         while block_size * SPAMSUM_LENGTH < len(data):
             block_size *= 2
-        chunk = self._signature(data, roll, block_size, SPAMSUM_LENGTH)
-        double_chunk = None
-        while block_size > MIN_BLOCKSIZE and len(chunk) < SPAMSUM_LENGTH // 2:
-            # A chunk this short used every trigger at this block size
-            # (fewer than SPAMSUM_LENGTH / 2 of them), so it is also the
-            # half-length signature here: the double chunk one halving
-            # down.
-            double_chunk = chunk
+        while True:
+            triggers = np.flatnonzero(roll % np.uint32(block_size)
+                                      == np.uint32(block_size - 1))
+            if (block_size == MIN_BLOCKSIZE
+                    or len(triggers) + has_tail >= SPAMSUM_LENGTH // 2):
+                break
             block_size //= 2
-            chunk = self._signature(data, roll, block_size, SPAMSUM_LENGTH)
-        if double_chunk is None:
-            double_chunk = self._signature(data, roll, block_size * 2,
-                                           SPAMSUM_LENGTH // 2)
-        return SsdeepDigest(block_size=block_size, chunk=chunk,
-                            double_chunk=double_chunk)
+        double_size = 2 * block_size
+        double_triggers = triggers[roll[triggers] % np.uint32(double_size)
+                                   == np.uint32(double_size - 1)]
+        # Only the first (length - 1) triggers end a character; the last
+        # character sums up everything after the last one used, and the
+        # reference writes it only when the rolling hash is non-zero at
+        # the end (the input does not end in a long enough zero run).
+        states, tail, double_states, double_tail = two_state_low6(
+            data, triggers[:SPAMSUM_LENGTH - 1].tolist(),
+            double_triggers[:SPAMSUM_LENGTH // 2 - 1].tolist())
+        if has_tail:
+            states.append(tail)
+            double_states.append(double_tail)
+        return SsdeepDigest(block_size=block_size,
+                            chunk="".join([B64_ALPHABET[s] for s in states]),
+                            double_chunk="".join([B64_ALPHABET[s]
+                                                  for s in double_states]))
 
     def hash_file(self, path: str | os.PathLike, *,
                   max_bytes: int | None = MAX_FILE_BYTES,
@@ -216,9 +227,10 @@ class FuzzyHasher:
 
         The file is read by :func:`read_regular_file` (``max_bytes``
         and ``chunk_size`` are passed on) and handed to :meth:`hash`
-        without an extra copy; the block-size retry loop of the digest
-        needs the whole input in memory, so the cap — not the chunking —
-        is what makes the memory ceiling explicit.
+        without an extra copy; the block size depends on the triggers of
+        the whole input, so the digest needs all of it in memory, and the
+        cap — not the chunking — is what makes the memory ceiling
+        explicit.
         """
 
         return self.hash(read_regular_file(path, max_bytes=max_bytes,
@@ -228,25 +240,6 @@ class FuzzyHasher:
         """Hash an iterable of inputs, preserving order."""
 
         return [self.hash(item) for item in items]
-
-    # ----------------------------------------------------------- internals
-    def _signature(self, data: bytes, roll: np.ndarray, block_size: int,
-                   max_length: int) -> str:
-        """One signature: trigger positions -> per-chunk base64 characters."""
-
-        triggers = np.flatnonzero(roll % np.uint32(block_size) == np.uint32(block_size - 1))
-        # Only the first (max_length - 1) triggers start new characters; the
-        # final character summarises everything after the last used trigger.
-        used = triggers[: max_length - 1]
-        chunk_states, tail_state = piecewise_low6(data, used, FNV_INIT)
-        chars = [B64_ALPHABET[s] for s in chunk_states]
-        # The reference implementation only appends the trailing character
-        # when the rolling hash is non-zero at the end of the data (i.e. the
-        # input does not end in a run of zero bytes long enough to zero the
-        # window).
-        if int(roll[-1]) != 0:
-            chars.append(B64_ALPHABET[tail_state])
-        return "".join(chars)
 
 
 _DEFAULT_HASHER = FuzzyHasher()

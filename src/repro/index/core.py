@@ -1486,4 +1486,4 @@ def _shared_bit_pairs(bits: np.ndarray, max_pairs: int | None
 def _query_windows(signature: str) -> np.ndarray:
     """Query-side n-gram window matrix, memoised like the digest parse."""
 
-    return signature_windows(signature, ROLLING_WINDOW)
+    return signature_windows(signature)

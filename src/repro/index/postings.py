@@ -58,15 +58,16 @@ _MIN_TAIL_MERGE = 32768
 _KEY_CACHE_MAX = 4096
 
 
-def signature_windows(signature: str, ngram_length: int) -> np.ndarray:
-    """All n-gram windows of a signature as a ``(m, n)`` uint8 matrix.
+def signature_windows(signature: str) -> np.ndarray:
+    """All n-gram windows of a signature as a ``(m, n)`` uint8 matrix,
+    ``n`` = :data:`ROLLING_WINDOW`.
 
     Returns an empty ``(0, n)`` matrix when the signature is shorter
-    than ``ngram_length`` (such signatures never match — the documented
+    than ``n`` (such signatures never match — the documented
     common-substring precondition).
     """
 
-    n = ngram_length
+    n = ROLLING_WINDOW
     raw = signature.encode("ascii")
     if len(raw) < n:
         return np.zeros((0, n), dtype=np.uint8)
@@ -229,7 +230,7 @@ class SignaturePool:
     def windows(self, sig_id: int) -> np.ndarray:
         cached = self._windows.get(sig_id)
         if cached is None:
-            cached = signature_windows(self[sig_id], ROLLING_WINDOW)
+            cached = signature_windows(self[sig_id])
             if len(self._windows) >= 2 * _KEY_CACHE_MAX:
                 self._windows.pop(next(iter(self._windows)))
             self._windows[sig_id] = cached

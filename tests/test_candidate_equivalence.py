@@ -39,8 +39,7 @@ _settings = settings(max_examples=20, deadline=None,
 class ReferenceCandidateIndex:
     """The pre-columnar candidate layer (see PR history), single type."""
 
-    def __init__(self, ngram_length: int = 7) -> None:
-        self._ngram_length = ngram_length
+    def __init__(self) -> None:
         self._entries: list[tuple[int, int, str]] = []
         self._postings: dict[tuple[int, str], list[int]] = defaultdict(list)
         self.n_members = 0
@@ -51,7 +50,7 @@ class ReferenceCandidateIndex:
         for block_size, signature in expand_digest(digest):
             entry_id = len(self._entries)
             self._entries.append((member, block_size, signature))
-            for gram in common_ngrams(signature, self._ngram_length):
+            for gram in common_ngrams(signature):
                 self._postings[(block_size, gram)].append(entry_id)
 
     def candidate_pairs(self, digests) -> frozenset:
@@ -59,7 +58,7 @@ class ReferenceCandidateIndex:
         for query_index, digest in enumerate(digests):
             seen: set[int] = set()
             for block_size, signature in expand_digest(digest):
-                for gram in common_ngrams(signature, self._ngram_length):
+                for gram in common_ngrams(signature):
                     for entry_id in self._postings.get((block_size, gram), ()):
                         if entry_id in seen:
                             continue

@@ -87,7 +87,6 @@ def test_normalize_repeats():
     assert normalize_repeats("aaaaaabcc") == "aaabcc"
     assert normalize_repeats("abc") == "abc"
     assert normalize_repeats("aAAAAAAb") == "aAAAb"
-    assert normalize_repeats("aaaa", max_run=2) == "aa"
 
 
 def test_has_common_substring():

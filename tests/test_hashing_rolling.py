@@ -16,21 +16,34 @@ def test_empty_input_gives_empty_array():
     assert rolling_hash_values(b"").size == 0
 
 
-def test_scalar_and_vectorised_agree_on_random_data():
-    data = random.Random(0).randbytes(5000)
+def assert_scalar_and_vectorised_agree(data):
     scalar = RollingHash()
     expected = [scalar.update(byte) for byte in data]
     actual = rolling_hash_values(data)
-    assert expected == [int(v) for v in actual]
+    assert actual.dtype == np.uint32
+    assert expected == actual.tolist()
+
+
+def test_scalar_and_vectorised_agree_on_random_data():
+    # Lengths up to 8 cover windows shorter than, equal to and one past
+    # ROLLING_WINDOW.
+    for length in [*range(9), 5000, 64 * 1024]:
+        assert_scalar_and_vectorised_agree(
+            random.Random(length).randbytes(length))
 
 
 def test_scalar_and_vectorised_agree_on_structured_data():
-    # Repeated patterns and zero runs exercise the window wrap-around.
-    data = (b"\x00" * 50) + (b"ABCDEFG" * 30) + bytes(range(256)) * 3 + b"\xff" * 20
-    scalar = RollingHash()
-    expected = [scalar.update(byte) for byte in data]
-    actual = rolling_hash_values(data)
-    assert expected == [int(v) for v in actual]
+    for data in [
+        # Repeated patterns and zero runs exercise the window wrap-around.
+        (b"\x00" * 50) + (b"ABCDEFG" * 30) + bytes(range(256)) * 3
+        + b"\xff" * 20,
+        # A window of 0xFF sets every bit each h3 shift can reach.
+        b"\xff" * (3 * ROLLING_WINDOW),
+        # A zero run a window long brings the value back to 0.
+        b"\x00" * 20 + b"xyz" + b"\x00" * ROLLING_WINDOW + b"\x01"
+        + b"\x00" * 9,
+    ]:
+        assert_scalar_and_vectorised_agree(data)
 
 
 def test_value_depends_only_on_last_seven_bytes():

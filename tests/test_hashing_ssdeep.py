@@ -8,6 +8,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.binfmt.reader import is_elf
+from repro.binfmt.strings_extract import strings_output
+from repro.binfmt.symbols import nm_output
 from repro.exceptions import (DigestFormatError, FeatureExtractionError,
                               HashingError)
 from repro.features.extractors import FeatureExtractor
@@ -275,3 +278,27 @@ _ORACLE_INPUTS = st.one_of(
 def test_digest_matches_byte_at_a_time_spamsum(data):
     assert str(FuzzyHasher().hash(data)) == reference_spamsum(
         data, MIN_BLOCKSIZE, SPAMSUM_LENGTH)
+
+
+def _size_decile_input(tiny_samples, case):
+    if case == "random-64k":
+        return random.Random(64).randbytes(64 * 1024)
+    ordered = sorted(tiny_samples, key=lambda s: (len(s.data), s.relative_path))
+    return ordered[case * len(ordered) // 10].data
+
+
+@pytest.mark.parametrize("case", [*range(10), "random-64k"])
+def test_extracted_digests_match_spamsum_at_workload_block_sizes(
+        tiny_samples, case):
+    # The inputs drawn above stay below block size 96; these reach the
+    # sizes executables hash at: one tiny-corpus executable per size
+    # decile (block sizes 24-192 over bytes, strings and nm text) and a
+    # 64 KiB random input (block size 1,536).
+    data = _size_decile_input(tiny_samples, case)
+    digests = FeatureExtractor().extract(data).digests
+    symbols = nm_output(data) if is_elf(data) else ""
+    for feature, hashed in (("ssdeep-file", data),
+                            ("ssdeep-strings", strings_output(data).encode()),
+                            ("ssdeep-symbols", symbols.encode())):
+        assert digests[feature] == reference_spamsum(
+            hashed, MIN_BLOCKSIZE, SPAMSUM_LENGTH), feature

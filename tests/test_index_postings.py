@@ -32,7 +32,7 @@ def make_corpus(n, seed=3):
 # ------------------------------------------------------------------ hashing
 def test_hash_windows_matches_fnv64_reference():
     signature = "abcdefghijklmnop"
-    windows = signature_windows(signature, 7)
+    windows = signature_windows(signature)
     keys = hash_windows(block_prefix64(96), windows)
     for row, key in zip(windows, keys):
         data = (96).to_bytes(8, "little") + row.tobytes()
@@ -40,9 +40,9 @@ def test_hash_windows_matches_fnv64_reference():
 
 
 def test_signature_windows_short_signature_is_empty():
-    assert signature_windows("abc", 7).shape == (0, 7)
-    assert signature_windows("", 7).shape == (0, 7)
-    assert signature_windows("abcdefg", 7).shape == (1, 7)
+    assert signature_windows("abc").shape == (0, 7)
+    assert signature_windows("").shape == (0, 7)
+    assert signature_windows("abcdefg").shape == (1, 7)
 
 
 def test_hash_collision_detected_at_merge(monkeypatch):
