@@ -6,8 +6,8 @@ edit distance — used to be pure Python: ``dict[(block_size, gram)] ->
 list[int]`` postings, nested loops, a per-query ``set`` and
 ``(str, str, int)`` de-duplication keys.  At corpus scale that walk,
 not the vectorised DP, dominated ``top_k`` latency.  The index now
-stores postings as sorted CSR arrays over FNV-64 hashed keys
-(:mod:`repro.index.postings`) and generates candidates with one
+stores postings as sorted CSR arrays over exact ``(block_size, gram)``
+keys (:mod:`repro.index.postings`) and generates candidates with one
 ``np.searchsorted`` + slab gather + ``np.unique`` sweep.
 
 This benchmark re-implements the legacy walk as an in-file reference

@@ -8,7 +8,7 @@ raw little-endian array payloads.
 Header fields::
 
     kind                   "repro.fuzzy-hash-classifier"
-    format_version         written by the container (currently 4)
+    format_version         written by the container (currently 5)
     library_version        repro.__version__ that wrote the file
     params                 FuzzyHashClassifier hyper-parameters (not n_jobs)
     classes                {"kind": "str"|"int"|"float", "values": [...]}
@@ -30,15 +30,18 @@ over the surviving members (:mod:`repro.index.legacy`).  Format version 3
 adds the second hash family: the classifier may carry a ``family``
 parameter (``"ctph"``/``"vector"``/``"both"``) and the embedded index
 may hold packed ``uint64`` vector-digest matrices (``v{idx}.*``
-sections, :mod:`repro.index.knn`).  Format version 4 (this build)
-changes only the physical layout: array payloads are padded so each
-starts on a 64-byte boundary (``payload_alignment`` in the container
-header), which lets :func:`load_model` with ``mmap_mode="r"`` adopt
-the bulk arrays as zero-copy memory-mapped views — an O(header) load
-whose pages N serving processes share through the OS page cache.
-Version 1–3 artifacts load unchanged (bit-identically, through the
-materialising path) and predict identically; readers accept any
-version up to the current one.
+sections, :mod:`repro.index.knn`).  Format version 4 changes only the
+physical layout: array payloads are padded so each starts on a 64-byte
+boundary (``payload_alignment`` in the container header), which lets
+:func:`load_model` with ``mmap_mode="r"`` adopt the bulk arrays as
+zero-copy memory-mapped views — an O(header) load whose pages N serving
+processes share through the OS page cache.  Format version 5 (this
+build) keys the embedded index's postings exactly and drops the two
+arrays per hash type that held each hashed key's block size and gram
+(:data:`repro.index.storage.FORMAT_VERSION`).  Version 1–4 artifacts
+load and predict identically: their anchor index re-keys its postings
+from its entries once at load, and v1–v3 files load through the
+materialising path; readers accept any version up to the current one.
 
 ``params`` no longer carries ``anchor_strategy`` or ``medoids_per_class``:
 the feature layout is fixed at one column per (hash type, class).  Older
@@ -94,9 +97,9 @@ __all__ = ["MODEL_FORMAT_VERSION", "MODEL_MAGIC", "MODEL_SUFFIX", "MODEL_KIND",
 _LOG = get_logger("api.artifact")
 
 #: Current model artifact format version; v1 (single-index anchors
-#: only), v2 (sharded anchors allowed, CTPH-only) and v3 (unaligned
-#: payloads) files remain readable.
-MODEL_FORMAT_VERSION = 4
+#: only), v2 (sharded anchors allowed, CTPH-only), v3 (unaligned
+#: payloads) and v4 (hashed posting keys) files remain readable.
+MODEL_FORMAT_VERSION = 5
 
 #: File magic identifying a repro model artifact.
 MODEL_MAGIC = b"RPROMODL"
@@ -253,8 +256,9 @@ def load_model(path: str | os.PathLike,
     :func:`~repro.index.load_index` opens); it is ignored with a warning
     when the artifact embeds its own.
     ``mmap_mode="r"`` adopts the bulk arrays as read-only zero-copy
-    views into a shared memory map (v4 aligned artifacts; older files
-    transparently fall back to the materialising path).  Raises
+    views into a shared memory map (v4+ aligned artifacts; older files
+    transparently fall back to the materialising path, and a v4 file's
+    anchor index re-keys its postings).  Raises
     :class:`~repro.exceptions.ModelFormatError` on missing, corrupt,
     truncated, version- or feature-type-incompatible files.
     """

@@ -206,10 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "identical to in-process scoring; combine "
                             "with --mmap so the workers share one copy "
                             "of the model. /metrics reports per-worker "
-                            "batch counters under scoring_workers, "
-                            "alongside the incomparable_comparisons "
-                            "digest-comparability counters. Incompatible "
-                            "with --ingest")
+                            "batch counters under scoring_workers. "
+                            "Incompatible with --ingest")
     serve.add_argument("--max-batch", type=int, default=32,
                        help="items coalesced into one classify pass "
                             "(default 32)")

@@ -47,7 +47,6 @@ from .ssdeep import (
 )
 from .compare import (
     compare_digests,
-    compare_digest_strings,
     has_common_substring,
     normalize_repeats,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "fuzzy_hash",
     "fuzzy_hash_file",
     "compare_digests",
-    "compare_digest_strings",
     "has_common_substring",
     "normalize_repeats",
     "crypto_digest",

@@ -27,15 +27,12 @@ digests (with the 7-gram gate applied as a candidate index) lives in
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
-from typing import Iterable
 
 from ..distance.scoring import (
     COMPARABLE,
     INCOMPARABLE_BLOCK_SIZE,
     INCOMPARABLE_EMPTY,
-    INCOMPARABLE_REASONS,
     INCOMPARABLE_SHORT_SIGNATURE,
     indel_distance,
     ssdeep_score_from_distance,
@@ -50,10 +47,7 @@ __all__ = [
     "DigestComparison",
     "compare_digests",
     "compare_digests_detailed",
-    "compare_digest_strings",
     "common_ngrams",
-    "incomparable_counts",
-    "reset_incomparable_counts",
 ]
 
 _REPEAT_RE = re.compile(r"(.)\1{3,}")
@@ -122,33 +116,6 @@ class DigestComparison:
     reason: str
 
 
-# Incomparable outcomes counted per reason, for operational visibility
-# (surfaced by the serving tier under GET /metrics).  Comparisons can
-# run from several serving threads at once, so increments take a lock.
-_INCOMPARABLE_LOCK = threading.Lock()
-_INCOMPARABLE_COUNTS: dict[str, int] = {r: 0 for r in INCOMPARABLE_REASONS}
-
-
-def incomparable_counts() -> dict[str, int]:
-    """Snapshot of incomparable-comparison counters, keyed by reason."""
-
-    with _INCOMPARABLE_LOCK:
-        return dict(_INCOMPARABLE_COUNTS)
-
-
-def reset_incomparable_counts() -> None:
-    """Zero the incomparable-comparison counters (tests, process reuse)."""
-
-    with _INCOMPARABLE_LOCK:
-        for reason in _INCOMPARABLE_COUNTS:
-            _INCOMPARABLE_COUNTS[reason] = 0
-
-
-def _record_incomparable(reason: str) -> None:
-    with _INCOMPARABLE_LOCK:
-        _INCOMPARABLE_COUNTS[reason] += 1
-
-
 def _pair_is_short(s1: str, s2: str) -> bool:
     """True when a signature pair can never pass the 7-gram gate."""
 
@@ -166,8 +133,7 @@ def compare_digests_detailed(d1: SsdeepDigest | str,
     The score matches :func:`compare_digests` exactly; the extra fields
     distinguish "scored 0 because dissimilar" from the three structural
     dead-ends (block-size mismatch, empty digest, signatures too short
-    for the 7-gram gate).  Incomparable outcomes increment a process-
-    wide counter exposed through :func:`incomparable_counts`.
+    for the 7-gram gate).
     """
 
     if isinstance(d1, str):
@@ -177,10 +143,8 @@ def compare_digests_detailed(d1: SsdeepDigest | str,
 
     bs1, bs2 = d1.block_size, d2.block_size
     if bs1 != bs2 and bs1 != bs2 * 2 and bs2 != bs1 * 2:
-        _record_incomparable(INCOMPARABLE_BLOCK_SIZE)
         return DigestComparison(0, False, INCOMPARABLE_BLOCK_SIZE)
     if d1.is_empty or d2.is_empty:
-        _record_incomparable(INCOMPARABLE_EMPTY)
         return DigestComparison(0, False, INCOMPARABLE_EMPTY)
 
     if bs1 == bs2:
@@ -199,7 +163,6 @@ def compare_digests_detailed(d1: SsdeepDigest | str,
         short = _pair_is_short(d1.double_chunk, d2.chunk)
 
     if score == 0 and short:
-        _record_incomparable(INCOMPARABLE_SHORT_SIGNATURE)
         return DigestComparison(0, False, INCOMPARABLE_SHORT_SIGNATURE)
     return DigestComparison(int(score), True, COMPARABLE)
 
@@ -213,29 +176,3 @@ def compare_digests(d1: SsdeepDigest | str, d2: SsdeepDigest | str) -> int:
     """
 
     return compare_digests_detailed(d1, d2).score
-
-
-def compare_digest_strings(digest1: str, digest2: str) -> int:
-    """Alias of :func:`compare_digests` for string inputs."""
-
-    return compare_digests(digest1, digest2)
-
-
-def pairwise_scores(digests: Iterable[SsdeepDigest | str]) -> list[list[int]]:
-    """Dense pairwise score matrix between a small set of digests.
-
-    Intended for reporting and examples (e.g. the Table 2 style
-    comparison); the large-scale feature matrix uses
-    :mod:`repro.features.similarity` instead.
-    """
-
-    parsed = [SsdeepDigest.parse(d) if isinstance(d, str) else d for d in digests]
-    n = len(parsed)
-    matrix = [[0] * n for _ in range(n)]
-    for i in range(n):
-        matrix[i][i] = 100 if not parsed[i].is_empty else 0
-        for j in range(i + 1, n):
-            score = compare_digests(parsed[i], parsed[j])
-            matrix[i][j] = score
-            matrix[j][i] = score
-    return matrix

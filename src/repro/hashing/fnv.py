@@ -37,21 +37,15 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["FNV_INIT", "FNV_PRIME", "FNV64_INIT", "FNV64_PRIME",
-           "fnv_update", "fnv_hash", "fnv64_hash", "two_state_low6"]
+__all__ = ["FNV_INIT", "FNV_PRIME", "fnv_update", "fnv_hash",
+           "two_state_low6"]
 
 #: Initial value of the piecewise hash (the spamsum HASH_INIT constant).
 FNV_INIT = 0x28021967
 #: FNV-1 32-bit prime.
 FNV_PRIME = 0x01000193
 
-#: FNV-1 64-bit offset basis (used by the index's hashed gram postings).
-FNV64_INIT = 0xCBF29CE484222325
-#: FNV-1 64-bit prime.
-FNV64_PRIME = 0x00000100000001B3
-
 _MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 _LOW6 = 0x3F
 
 
@@ -67,16 +61,6 @@ def fnv_hash(data: bytes, init: int = FNV_INIT) -> int:
     h = init & _MASK32
     for byte in data:
         h = fnv_update(h, byte)
-    return h
-
-
-def fnv64_hash(data: bytes, init: int = FNV64_INIT) -> int:
-    """64-bit FNV-1 hash of ``data`` — the reference for the hashed
-    ``(block_size, gram)`` posting keys of :mod:`repro.index.postings`."""
-
-    h = init & _MASK64
-    for byte in data:
-        h = ((h * FNV64_PRIME) & _MASK64) ^ (byte & 0xFF)
     return h
 
 

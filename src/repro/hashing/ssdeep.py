@@ -27,7 +27,9 @@ digests it writes are score-comparable.
 
 The digest is represented by :class:`SsdeepDigest`, which also handles
 parsing and validation of digest strings (needed when loading feature
-stores from disk).
+stores from disk).  A parsed block size must be ``MIN_BLOCKSIZE * 2**k``
+below ``2**62`` (:func:`is_canonical_block_size`), the only sizes a
+digest writer produces.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ __all__ = [
     "FuzzyHasher",
     "fuzzy_hash",
     "fuzzy_hash_file",
+    "is_canonical_block_size",
 ]
 
 #: Default upper bound on the bytes :func:`read_regular_file` will load.
@@ -122,6 +125,21 @@ def read_regular_file(path: str | os.PathLike, *,
     return buffer
 
 
+def is_canonical_block_size(block_size: int) -> bool:
+    """True for the block sizes a digest can carry: ``MIN_BLOCKSIZE << k``
+    whose double (the second signature's block size) is below ``2**63``.
+
+    Every digest the hasher (or the spamsum and ssdeep tools) writes
+    has such a block size.  The rule is what lets the index key a
+    posting by ``k`` exactly (:func:`repro.index.postings.block_code`)
+    and store block sizes as ``int64``.
+    """
+
+    quotient, remainder = divmod(block_size, MIN_BLOCKSIZE)
+    return (quotient >= 1 and remainder == 0
+            and quotient & (quotient - 1) == 0 and 2 * block_size < 2 ** 63)
+
+
 @dataclass(frozen=True)
 class SsdeepDigest:
     """Parsed SSDeep digest: ``block_size:chunk:double_chunk``."""
@@ -151,9 +169,10 @@ class SsdeepDigest:
             block_size = int(raw_bs)
         except ValueError as exc:
             raise DigestFormatError(f"invalid block size in digest {digest!r}") from exc
-        if block_size < MIN_BLOCKSIZE:
+        if not is_canonical_block_size(block_size):
             raise DigestFormatError(
-                f"block size must be >= {MIN_BLOCKSIZE}, got {block_size}"
+                f"block size must be {MIN_BLOCKSIZE} * 2**k below 2**62, "
+                f"got {block_size}"
             )
         if not is_digest_alphabet(chunk) or not is_digest_alphabet(double_chunk):
             raise DigestFormatError(

@@ -13,14 +13,15 @@ incrementally, queried repeatedly and shipped between processes:
   on one candidate sweep;
 * :mod:`~repro.index.postings` — the columnar storage behind it:
   signatures interned in an index-wide pool, entries as ``int32``
-  columns, postings as sorted CSR triples over FNV-64 hashed
+  columns, postings as sorted CSR triples over exact
   ``(block_size, gram)`` keys with a vectorised candidate walk
   (``np.searchsorted`` + slab gather + ``np.unique``), built
   incrementally through a merge-on-demand tail (``seal()`` forces the
   merge);
 * :mod:`~repro.index.storage` — the single-file on-disk container
   (JSON header + raw NumPy arrays, versioned, magic ``RPROSIDX``;
-  format v2 carries the columnar arrays, v1 files rebuild on load);
+  format v5 carries the columnar arrays with exact keys, v2–v4 files
+  re-key their postings on load and v1 files rebuild on load);
 * :mod:`~repro.index.legacy` — readers for the retired sharded
   layouts (a ``manifest.json`` directory, or a ``"sharded": true``
   snapshot inside a model artifact), which load as one index over
@@ -41,7 +42,9 @@ legacy readers copy members through one path that appends each the way
 Digest format and comparability rules
 -------------------------------------
 An SSDeep digest is ``block_size:chunk:double_chunk``, where ``chunk``
-was computed at ``block_size`` and ``double_chunk`` at twice that.  Two
+was computed at ``block_size`` and ``double_chunk`` at twice that, and
+``block_size`` is ``3 * 2**k`` below ``2**62`` (any other is a
+:class:`~repro.exceptions.DigestFormatError`).  Two
 digests are comparable only when their block sizes are **equal or one
 step apart** (a factor of two); the index therefore expands every digest
 into its ``(block_size, chunk)`` and ``(2 * block_size, double_chunk)``

@@ -26,10 +26,11 @@ Since format version 2 the postings and entry tables live in compact
 columnar NumPy arrays (:mod:`repro.index.postings`): signatures are
 interned in an index-wide string pool, entries are ``int32``/``int64``
 columns, and each feature type's inverted postings are a sorted
-CSR-style triple over FNV-64 ``(block_size, gram)`` keys.  Candidate
-generation is one vectorised sweep — ``np.searchsorted`` over the key
-array, slab gathers, ``np.unique`` de-duplication over packed pairs —
-instead of the first-generation per-gram dict walk; results are
+CSR-style triple over exact ``(block_size, gram)`` keys (format 5; the
+hashed keys of formats 2–4 are rebuilt from the entries at load).
+Candidate generation is one vectorised sweep — ``np.searchsorted`` over
+the key array, slab gathers, ``np.unique`` de-duplication over packed
+pairs — instead of the first-generation per-gram dict walk; results are
 bit-identical (the Hypothesis equivalence suite pins this down).
 
 Scoring semantics (the "comparability rules") are exactly those of the
@@ -71,14 +72,15 @@ from ..distance.scoring import indel_distance, ssdeep_score_from_distance
 from ..exceptions import IndexFormatError, ValidationError
 from ..hashing.compare import normalize_repeats
 from ..hashing.rolling import ROLLING_WINDOW
-from ..hashing.ssdeep import SsdeepDigest
+from ..hashing.ssdeep import MIN_BLOCKSIZE, SsdeepDigest, \
+    is_canonical_block_size
 from ..hashing.vector import (VECTOR_WORDS, VectorDigest,
                               is_vector_digest, is_vector_feature_type)
 from ..logging_utils import get_logger
 from ..observability.trace import span
 from .knn import PackedDigestStore
-from .postings import ArrayPostings, SignaturePool, block_prefix64, \
-    hash_windows, signature_windows
+from .postings import ArrayPostings, SignaturePool, block_code, \
+    is_signature_bytes, signature_grams
 from .storage import read_container, write_container
 
 __all__ = ["CandidateBatch", "IndexMatch", "PairScore", "SimilarityIndex",
@@ -89,6 +91,12 @@ _LOG = get_logger("index.core")
 #: Shared singleton for "no members excluded" — hoisted so the serving
 #: hot path (``top_k`` with no exclusions) allocates nothing per call.
 _NO_EXCLUDED: frozenset[int] = frozenset()
+
+#: The arrays of one CTPH section (``t{i}.*``): the entry columns, then
+#: the postings (:meth:`ArrayPostings.get_arrays`).
+_ENTRY_ARRAYS = ("entry_member", "entry_block", "entry_sig")
+_SECTION_ARRAYS = _ENTRY_ARRAYS + ("post_keys", "post_offsets",
+                                   "post_entries")
 
 #: Candidate de-duplication switches from a dense boolean
 #: (query rows × entries) scatter to sorting packed codes above this
@@ -560,7 +568,7 @@ class SimilarityIndex:
         """The candidate-generation half of :meth:`score_matrices`.
 
         One vectorised sweep over the array postings: every query
-        signature's grams are hashed and located with a single
+        signature's gram keys are located with a single
         ``np.searchsorted`` per feature type, posting slabs are gathered
         with ``np.repeat`` arithmetic, ``(query, entry)`` pairs
         de-duplicate through ``np.unique`` over packed int64 codes, and
@@ -643,21 +651,20 @@ class SimilarityIndex:
             if not n_entries:
                 continue
 
-            # Flatten the rows into parallel (query, block, signature)
+            # Flatten the rows into parallel (query, class, grams)
             # columns.
             row_query: list[int] = []
-            row_block: list[int] = []
             row_class: list[int] = []
-            row_prefix: list[int] = []
-            row_windows: list[np.ndarray] = []
+            row_code: list[int] = []
+            row_grams: list[np.ndarray] = []
             for query_index, block_size, signature in rows:
                 local = local_ids.get(signature)
                 if local is None:
                     local = len(local_strings)
                     local_ids[signature] = local
                     local_strings.append(signature)
-                windows = _query_windows(signature)
-                if not windows.shape[0]:
+                grams = signature_grams(signature)
+                if not len(grams):
                     continue
                 row_cls = class_ids.get((local, block_size))
                 if row_cls is None:
@@ -666,27 +673,22 @@ class SimilarityIndex:
                     class_local.append(local)
                     class_block.append(block_size)
                 row_query.append(query_index)
-                row_block.append(block_size)
                 row_class.append(row_cls)
-                row_prefix.append(block_prefix64(block_size))
-                row_windows.append(windows)
+                row_code.append(block_code(block_size))
+                row_grams.append(grams)
             if not row_query:
                 continue
-            counts = np.fromiter(map(len, row_windows), dtype=np.int64,
-                                 count=len(row_windows))
+            counts = np.fromiter(map(len, row_grams), dtype=np.int64,
+                                 count=len(row_grams))
             row_query_arr = np.asarray(row_query, dtype=np.int64)
-            row_block_arr = np.asarray(row_block, dtype=np.int64)
             row_class_arr = np.asarray(row_class, dtype=np.int64)
-            flat_windows = np.vstack(row_windows)
-            # One vectorised FNV sweep over every window of every query
-            # (per-row prefixes carry the block sizes into the keys).
-            flat_keys = hash_windows(
-                np.repeat(np.asarray(row_prefix, dtype=np.uint64), counts),
-                flat_windows)
-            flat_blocks = np.repeat(row_block_arr, counts)
+            # Every gram of every query row, keyed at its row's block
+            # size.
+            flat_keys = np.concatenate(row_grams) | np.repeat(
+                np.asarray(row_code, dtype=np.int64), counts)
 
             rows, entries = store.lookup(
-                flat_keys, flat_blocks, flat_windows,
+                flat_keys,
                 np.repeat(np.arange(len(row_query), dtype=np.int32), counts))
             if not entries.size:
                 continue
@@ -1101,7 +1103,7 @@ class SimilarityIndex:
         model artifacts (:mod:`repro.api.artifact`);
         :meth:`from_state` restores it.  Since index format version 2
         the snapshot carries the columnar postings verbatim, so loading
-        adopts the arrays directly instead of re-hashing every gram.
+        adopts the arrays directly instead of re-keying every gram.
         The snapshot holds the survivors only (a compacted copy when the
         index has tombstones), so the format carries no tombstones.
         """
@@ -1146,10 +1148,10 @@ class SimilarityIndex:
 
         Reads both the current columnar layout and legacy (version 1)
         flat-entry files, which are rebuilt through the normal add path.
-        With ``mmap_mode="r"`` (and a v4 aligned file) the bulk arrays
+        With ``mmap_mode="r"`` (and a v4+ aligned file) the bulk arrays
         are adopted as read-only zero-copy views into a shared memory
         map: the load is O(header) and deep content validation is
-        deferred — a v4 container was validated when written, and
+        deferred — a v5 container was validated when written, and
         faulting every payload page in just to re-check it would defeat
         the point of mapping.  Raises
         :class:`~repro.exceptions.IndexFormatError` on missing, corrupt,
@@ -1174,9 +1176,11 @@ class SimilarityIndex:
         ``source`` names the origin (a file path, or the embedding model
         artifact) in error messages.  Raises
         :class:`~repro.exceptions.IndexFormatError` on inconsistent or
-        corrupt state.  Columnar (version 2) snapshots adopt their
-        arrays after validation; legacy flat-entry snapshots are rebuilt
-        entry by entry.  ``copy=False`` adopts the arrays as views
+        corrupt state.  Columnar (version 5) snapshots adopt their
+        arrays after validation; columnar snapshots with hashed keys
+        (versions 2–4) re-key their postings from their entries, and
+        legacy flat-entry snapshots are rebuilt entry by entry.
+        ``copy=False`` adopts the arrays as views
         (zero-copy; the caller guarantees nothing else mutates them) and
         ``deep_validate=False`` skips the O(payload) content scans — the
         mapped-load fast path.  A legacy sharded snapshot (header
@@ -1226,13 +1230,17 @@ class SimilarityIndex:
     def _adopt_columnar_state(self, arrays: Mapping[str, np.ndarray], *,
                               source: str, copy: bool = True,
                               deep_validate: bool = True) -> None:
-        """Validate and adopt a columnar (format v2) snapshot.
+        """Validate and adopt a columnar (format v2+) snapshot.
 
         ``deep_validate=False`` keeps the cheap shape/length checks but
         skips every scan that touches array *contents* (offset
-        monotonicity, sorted keys, member/signature ranges) and defers
-        signature decoding — on a memory-mapped load those scans would
-        fault in the whole payload.
+        monotonicity, sorted keys, member/signature ranges, the
+        signature alphabet, the block size rule) and defers signature
+        decoding — on a memory-mapped load those scans would fault in
+        the whole payload.  A section written with hashed keys (formats
+        2–4) is re-keyed from its entries through
+        :meth:`ArrayPostings.add_entry`, after the entry and alphabet
+        checks, on every load.
         """
 
         n_members = len(self._sample_ids)
@@ -1252,33 +1260,60 @@ class SimilarityIndex:
                     and np.any(np.diff(pool_offsets) < 0))):
             raise IndexFormatError(f"{source} has corrupt signature "
                                    "pool offsets")
-        try:
-            pool = SignaturePool.from_packed(pool_bytes, pool_offsets,
-                                             lazy=not deep_validate)
-        except UnicodeDecodeError as exc:
-            raise IndexFormatError(f"{source} has non-ASCII "
-                                   "signature bytes") from exc
+        if deep_validate:
+            _check_signature_bytes(pool_bytes, source)
+        pool = SignaturePool.from_packed(pool_bytes, pool_offsets,
+                                         lazy=not deep_validate)
         self._pool = pool
         n_sigs = len(pool)
         for type_idx, feature_type in enumerate(self._ctph_types):
             prefix = f"t{type_idx}."
+            # Formats 2-4 keyed postings by a hash and stored each key's
+            # block size and gram in two more arrays: a section with
+            # arrays this format does not write re-keys its entries
+            # instead of adopting its postings.
+            hashed = any(name.startswith(prefix)
+                         and name[len(prefix):] not in _SECTION_ARRAYS
+                         for name in arrays)
+            names = _ENTRY_ARRAYS if hashed else _SECTION_ARRAYS
             try:
-                cols = {name: arrays[prefix + name] for name in
-                        ("entry_member", "entry_block", "entry_sig",
-                         "post_keys", "post_blocks", "post_grams",
-                         "post_offsets", "post_entries")}
+                cols = {name: arrays[prefix + name] for name in names}
             except KeyError as exc:
                 raise IndexFormatError(
                     f"{source} is missing required fields: {exc}") from exc
             n_entries = len(cols["entry_member"])
-            n_keys = len(cols["post_keys"])
             if len(cols["entry_block"]) != n_entries \
                     or len(cols["entry_sig"]) != n_entries:
                 raise IndexFormatError(f"{source} has inconsistent "
                                        "entry array lengths")
-            if len(cols["post_blocks"]) != n_keys \
-                    or len(cols["post_offsets"]) != n_keys + 1 \
-                    or cols["post_grams"].shape != (n_keys, ROLLING_WINDOW):
+            # The re-keying reads every entry anyway, so its checks run
+            # whatever deep_validate says.
+            if (deep_validate or hashed) and n_entries:
+                members = cols["entry_member"]
+                if members.min() < 0 or members.max() >= n_members:
+                    raise IndexFormatError(
+                        f"{source} references member "
+                        f"#{int(members.max())} but only {n_members} "
+                        "are declared")
+                sigs = cols["entry_sig"]
+                if sigs.min() < 0 or sigs.max() >= n_sigs:
+                    raise IndexFormatError(
+                        f"{source} references signature "
+                        f"#{int(sigs.max())} but the pool holds {n_sigs}")
+                _check_block_sizes(np.unique(cols["entry_block"]).tolist(),
+                                   source)
+            store = ArrayPostings(pool)
+            if hashed:
+                if not deep_validate:
+                    _check_signature_bytes(pool_bytes, source)
+                for entry in zip(cols["entry_member"].tolist(),
+                                 cols["entry_block"].tolist(),
+                                 cols["entry_sig"].tolist()):
+                    store.add_entry(*entry)
+                self._stores[feature_type] = store
+                continue
+            n_keys = len(cols["post_keys"])
+            if len(cols["post_offsets"]) != n_keys + 1:
                 raise IndexFormatError(f"{source} has inconsistent "
                                        "posting array lengths")
             if deep_validate:
@@ -1291,25 +1326,12 @@ class SimilarityIndex:
                 if n_keys > 1 and np.any(np.diff(cols["post_keys"]) < 0):
                     raise IndexFormatError(
                         f"{source} has unsorted posting keys")
-                if n_entries:
-                    members = cols["entry_member"]
-                    if members.min() < 0 or members.max() >= n_members:
-                        raise IndexFormatError(
-                            f"{source} references member "
-                            f"#{int(members.max())} but only {n_members} "
-                            "are declared")
-                    sigs = cols["entry_sig"]
-                    if sigs.min() < 0 or sigs.max() >= n_sigs:
-                        raise IndexFormatError(
-                            f"{source} references signature "
-                            f"#{int(sigs.max())} but the pool holds {n_sigs}")
                 posted = cols["post_entries"]
                 if len(posted) and (n_entries == 0 or posted.min() < 0
                                     or posted.max() >= n_entries):
                     raise IndexFormatError(
                         f"{source} postings reference entry "
                         f"#{int(posted.max())} but only {n_entries} exist")
-            store = ArrayPostings(pool)
             store.adopt_arrays(cols, copy=copy)
             self._stores[feature_type] = store
         for type_idx, feature_type in enumerate(self._vector_types):
@@ -1361,12 +1383,10 @@ class SimilarityIndex:
                           or sig_offsets[-1] != len(sig_bytes)):
             raise IndexFormatError(f"{source} has corrupt "
                                    "signature offsets")
-        try:
-            all_signatures = sig_bytes.tobytes().decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise IndexFormatError(f"{source} has non-ASCII "
-                                   "signature bytes") from exc
+        _check_signature_bytes(sig_bytes, source)
+        all_signatures = sig_bytes.tobytes().decode("ascii")
         n_members = len(self._sample_ids)
+        _check_block_sizes(np.unique(entry_block).tolist(), source)
         for i in range(n_entries):
             type_idx = int(entry_type[i])
             member = int(entry_member[i])
@@ -1444,6 +1464,27 @@ def load_index(path: str | os.PathLike, *,
     return SimilarityIndex.load(path, mmap_mode=mmap_mode)
 
 
+def _check_signature_bytes(data: np.ndarray, source: str) -> None:
+    """Refuse stored signature bytes outside the digest alphabet, which
+    :func:`~repro.index.postings.signature_grams` cannot key exactly."""
+
+    if not is_signature_bytes(data):
+        raise IndexFormatError(f"{source} has signature bytes outside "
+                               "the base64 alphabet")
+
+
+def _check_block_sizes(block_sizes: Iterable[int], source: str) -> None:
+    """Refuse a stored block size no digest can carry: the index keys
+    postings by :func:`~repro.hashing.ssdeep.is_canonical_block_size`'s
+    ``k``."""
+
+    for block_size in block_sizes:
+        if not is_canonical_block_size(block_size):
+            raise IndexFormatError(
+                f"{source} holds block size {block_size}, which is not "
+                f"{MIN_BLOCKSIZE} * 2**k below 2**62")
+
+
 def _shared_bit_pairs(bits: np.ndarray, max_pairs: int | None
                       ) -> tuple[np.ndarray, int]:
     """``(codes, count)`` of the member pairs ``i < j`` whose ``bits``
@@ -1481,9 +1522,3 @@ def _shared_bit_pairs(bits: np.ndarray, max_pairs: int | None
             np.repeat(partners.size - counts, counts) + within])
     return np.concatenate(codes), count
 
-
-@lru_cache(maxsize=16384)
-def _query_windows(signature: str) -> np.ndarray:
-    """Query-side n-gram window matrix, memoised like the digest parse."""
-
-    return signature_windows(signature)

@@ -13,11 +13,17 @@ compact NumPy arrays:
   are three parallel columns — ``member: int32``, ``block: int64``,
   ``signature id: int32`` — held in growable :class:`_IntVec` buffers;
 * **postings** are a sorted CSR-style triple per feature type:
-  ``keys: int64[]`` (FNV-64 hash of ``block_size || gram``, sorted),
-  ``offsets: int64[]`` and ``entry_ids: int32[]``, plus parallel
-  ``key_blocks``/``key_grams`` metadata used to collision-check every
-  key at merge time and to reject false hash matches at query time, so
-  correctness never depends on the hash being perfect.
+  ``keys: int64[]`` (sorted), ``offsets: int64[]`` and
+  ``entry_ids: int32[]``.
+
+A posting key is exact, not a hash.  A signature character is one of
+64 base64 symbols, so a 7-gram packs into 42 bits
+(:func:`signature_grams`), and a block size is ``MIN_BLOCKSIZE * 2**k``
+(:func:`repro.hashing.ssdeep.is_canonical_block_size`), so ``k`` above
+those bits names the block size (:func:`block_code`).  Two buckets
+never share a key, and nothing needs a collision check or a re-check
+of a hit.  This is the keying that Virus Bulletin's "Optimizing ssdeep
+for use at scale" (2015) uses.
 
 Updates stay incremental: :meth:`ArrayPostings.add_entry` appends to a
 small mutable tail (flat, unsorted) and the tail is merged into the
@@ -29,10 +35,9 @@ lock, so concurrent *readers* of a quiescent (no concurrent ``add``)
 index are safe even when the first query triggers the merge.
 
 The candidate walk (:meth:`ArrayPostings.lookup`) is fully vectorised:
-hashed query grams are located with one :func:`numpy.searchsorted` over
-the key array, verified against the key metadata, and their posting
-slabs gathered with ``np.repeat`` arithmetic — no per-gram Python loop,
-no per-query ``set``.
+query keys are located with one :func:`numpy.searchsorted` over the key
+array and their posting slabs gathered by slice concatenation — no
+per-gram Python loop, no per-query ``set``.
 """
 
 from __future__ import annotations
@@ -42,70 +47,66 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..exceptions import SimilarityIndexError
-from ..hashing.fnv import FNV64_INIT, FNV64_PRIME
+from ..hashing.b64 import B64_ALPHABET
 from ..hashing.rolling import ROLLING_WINDOW
+from ..hashing.ssdeep import MIN_BLOCKSIZE
 
-__all__ = ["ArrayPostings", "SignaturePool", "block_prefix64",
-           "hash_windows", "signature_windows"]
+__all__ = ["ArrayPostings", "SignaturePool", "block_code",
+           "is_signature_bytes", "signature_grams"]
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
+#: Bits of one packed gram: six per base64 character.
+GRAM_BITS = 6 * ROLLING_WINDOW
 
 #: Tail postings below this count never trigger an automatic merge.
 _MIN_TAIL_MERGE = 32768
 
-#: Hashed-key cache entries kept per signature pool (FIFO eviction).
-_KEY_CACHE_MAX = 4096
+_ALPHABET_BYTES = np.frombuffer(B64_ALPHABET.encode("ascii"), dtype=np.uint8)
+#: Each digest character's base64 value, indexed by its byte.
+_B64_VALUES = np.zeros(256, dtype=np.int64)
+_B64_VALUES[_ALPHABET_BYTES] = np.arange(64)
+#: Whether a byte is a digest character.
+_IS_B64 = np.zeros(256, dtype=bool)
+_IS_B64[_ALPHABET_BYTES] = True
 
 
-def signature_windows(signature: str) -> np.ndarray:
-    """All n-gram windows of a signature as a ``(m, n)`` uint8 matrix,
-    ``n`` = :data:`ROLLING_WINDOW`.
+def is_signature_bytes(data: np.ndarray) -> bool:
+    """True when every byte of a ``uint8`` array is a digest (base64)
+    character — the only bytes :func:`signature_grams` packs exactly."""
 
-    Returns an empty ``(0, n)`` matrix when the signature is shorter
-    than ``n`` (such signatures never match — the documented
-    common-substring precondition).
+    return bool(_IS_B64[data].all())
+
+
+@lru_cache(maxsize=16384)
+def signature_grams(signature: str) -> np.ndarray:
+    """A signature's distinct n-grams (``n`` = :data:`ROLLING_WINDOW`) as
+    sorted, read-only ``int64`` codes.
+
+    Character ``i`` of a gram contributes its base64 value shifted left
+    by ``6 * (n - 1 - i)`` bits, so a code fits :data:`GRAM_BITS` bits
+    and equal codes are equal grams.  A signature shorter than ``n``
+    has none (such signatures never match — the documented
+    common-substring precondition).  Memoised, for members and queries
+    alike: mutated families and repeated queries share signatures.
     """
 
     n = ROLLING_WINDOW
-    raw = signature.encode("ascii")
-    if len(raw) < n:
-        return np.zeros((0, n), dtype=np.uint8)
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    return np.lib.stride_tricks.sliding_window_view(buf, n)
+    values = _B64_VALUES[np.frombuffer(signature.encode("ascii"),
+                                       dtype=np.uint8)]
+    width = max(len(values) - n + 1, 0)
+    grams = np.zeros(width, dtype=np.int64)
+    for i in range(n):
+        grams <<= 6
+        grams |= values[i:i + width]
+    grams = np.unique(grams)
+    grams.flags.writeable = False
+    return grams
 
 
-@lru_cache(maxsize=4096)
-def block_prefix64(block_size: int) -> int:
-    """FNV-64 state after hashing a block size (8 little-endian bytes)."""
+def block_code(block_size: int) -> int:
+    """The key bits above the gram that name a block size
+    ``MIN_BLOCKSIZE * 2**k``: ``k << GRAM_BITS``."""
 
-    h = FNV64_INIT
-    value = block_size & _MASK64
-    for shift in range(0, 64, 8):
-        h = ((h * FNV64_PRIME) & _MASK64) ^ ((value >> shift) & 0xFF)
-    return h
-
-
-def hash_windows(prefix: "int | np.ndarray", windows: np.ndarray
-                 ) -> np.ndarray:
-    """FNV-64 keys for gram windows, continuing from ``prefix`` state(s).
-
-    ``prefix`` is a scalar (one block size for every window) or a
-    per-window uint64 vector; the result is viewed as ``int64`` so the
-    same bit patterns sort and :func:`numpy.searchsorted` consistently
-    everywhere (including on disk).
-    """
-
-    m = windows.shape[0]
-    with np.errstate(over="ignore"):
-        if np.isscalar(prefix) or isinstance(prefix, int):
-            h = np.full(m, np.uint64(prefix), dtype=np.uint64)
-        else:
-            h = prefix.astype(np.uint64, copy=True)
-        prime = np.uint64(FNV64_PRIME)
-        for col in range(windows.shape[1]):
-            h = (h * prime) ^ windows[:, col].astype(np.uint64)
-    return h.view(np.int64)
+    return ((block_size // MIN_BLOCKSIZE).bit_length() - 1) << GRAM_BITS
 
 
 class _IntVec:
@@ -168,18 +169,12 @@ class _IntVec:
 class SignaturePool:
     """Index-wide signature interning: each distinct string stored once.
 
-    Entries reference signatures by ``int32`` id; the pool also memoises
-    each signature's n-gram window matrix (content-dependent only) and
-    the per-``(signature, block_size)`` hashed key set, so re-indexing a
-    signature the corpus has seen before — the common case in mutated
-    families and on reload — does no hashing at all.
+    Entries reference signatures by ``int32`` id.
     """
 
     def __init__(self) -> None:
         self._strings: list[str] = []
         self._ids: dict[str, int] = {}
-        self._windows: dict[int, np.ndarray] = {}
-        self._keys: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         # Lazy (zero-copy load) state: the raw on-disk pool arrays.  The
         # Python string list and id dict are only built when something
         # actually needs them (scoring, interning), so opening a mapped
@@ -227,38 +222,6 @@ class SignaturePool:
             self._strings.append(signature)
         return sig_id
 
-    def windows(self, sig_id: int) -> np.ndarray:
-        cached = self._windows.get(sig_id)
-        if cached is None:
-            cached = signature_windows(self[sig_id])
-            if len(self._windows) >= 2 * _KEY_CACHE_MAX:
-                self._windows.pop(next(iter(self._windows)))
-            self._windows[sig_id] = cached
-        return cached
-
-    def keys_for(self, sig_id: int, block_size: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        """Unique ``(keys, windows)`` of one signature at one block size.
-
-        Keys are sorted ascending with the first-occurrence window kept
-        per key, so repeated grams inside a signature post exactly once
-        (the old set-of-grams semantics).
-        """
-
-        cached = self._keys.get((sig_id, block_size))
-        if cached is None:
-            windows = self.windows(sig_id)
-            keys = hash_windows(block_prefix64(block_size), windows)
-            uniq, first = np.unique(keys, return_index=True)
-            cached = (uniq, windows[first])
-            # Bounded FIFO: repeats (duplicate members, reloads) hit the
-            # cache; a corpus of unique signatures must not accumulate
-            # one key array per member.
-            if len(self._keys) >= _KEY_CACHE_MAX:
-                self._keys.pop(next(iter(self._keys)))
-            self._keys[(sig_id, block_size)] = cached
-        return cached
-
     def packed(self) -> tuple[np.ndarray, np.ndarray]:
         """``(pool_bytes, pool_offsets)`` for the on-disk container."""
 
@@ -285,27 +248,24 @@ class SignaturePool:
 
 
 class _Sealed:
-    """Immutable sealed postings: sorted CSR over hashed keys.
+    """Immutable sealed postings: sorted CSR over exact keys.
 
     Held by :class:`ArrayPostings` behind a single reference that is
     swapped atomically at merge time, so concurrent readers never see
     half-updated arrays.
     """
 
-    __slots__ = ("keys", "key_blocks", "key_grams", "offsets", "entry_ids")
+    __slots__ = ("keys", "offsets", "entry_ids")
 
-    def __init__(self, keys, key_blocks, key_grams, offsets, entry_ids):
+    def __init__(self, keys, offsets, entry_ids):
         self.keys = keys
-        self.key_blocks = key_blocks
-        self.key_grams = key_grams
         self.offsets = offsets
         self.entry_ids = entry_ids
 
     @classmethod
     def empty(cls) -> "_Sealed":
-        return cls(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                   np.zeros((0, ROLLING_WINDOW), dtype=np.uint8),
-                   np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32))
+        return cls(np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64),
+                   np.zeros(0, dtype=np.int32))
 
 
 class ArrayPostings:
@@ -319,13 +279,11 @@ class ArrayPostings:
         self._e_sig = _IntVec(np.int32)
         self._sealed = _Sealed.empty()
         self._merge_lock = threading.Lock()
-        # Mutable tail: flat keys + raw gram bytes, plus one
-        # (entry id, block, key count) triple per appended entry — the
-        # per-item entry/block columns expand only transiently at merge.
+        # Mutable tail: flat keys, plus one (entry id, key count) pair
+        # per appended entry — the per-key entry column expands only
+        # transiently at merge.
         self._t_keys = _IntVec(np.int64)
-        self._t_grams = bytearray()
         self._t_eids = _IntVec(np.int32)
-        self._t_eblocks = _IntVec(np.int64)
         self._t_ecounts = _IntVec(np.int32)
 
     # ------------------------------------------------------------- entries
@@ -347,19 +305,21 @@ class ArrayPostings:
 
     # ------------------------------------------------------------- updates
     def add_entry(self, member: int, block_size: int, sig_id: int) -> int:
-        """Append one entry and its tail postings; returns the entry id."""
+        """Append one entry and its tail postings; returns the entry id.
+
+        ``block_size`` must satisfy
+        :func:`~repro.hashing.ssdeep.is_canonical_block_size`.
+        """
 
         entry_id = len(self._e_member)
         self._e_member.append(member)
         self._e_block.append(block_size)
         self._e_sig.append(sig_id)
-        keys, windows = self._pool.keys_for(sig_id, block_size)
-        if len(keys):
-            self._t_keys.extend(keys)
-            self._t_grams += windows.tobytes()
+        grams = signature_grams(self._pool[sig_id])
+        if len(grams):
+            self._t_keys.extend(grams | block_code(block_size))
             self._t_eids.append(entry_id)
-            self._t_eblocks.append(block_size)
-            self._t_ecounts.append(len(keys))
+            self._t_ecounts.append(len(grams))
             if len(self._t_keys) >= max(_MIN_TAIL_MERGE,
                                         len(self._sealed.entry_ids) // 8):
                 self.merge()
@@ -386,49 +346,25 @@ class ArrayPostings:
         if not len(self._t_keys):
             # Another reader finished the merge while we waited.
             return
-        n = ROLLING_WINDOW
         sealed = self._sealed
-        # Expand the per-entry tail triples into flat columns, then
+        # Expand the per-entry tail pairs into a flat entry column, then
         # sort; stable keeps ascending entry ids per key.
-        ecounts = self._t_ecounts.array()
         t_order = np.argsort(self._t_keys.array(), kind="stable")
         t_keys = self._t_keys.array()[t_order]
-        t_entries = np.repeat(self._t_eids.array(), ecounts)[t_order]
-        t_blocks = np.repeat(self._t_eblocks.array(), ecounts)[t_order]
-        t_grams = np.frombuffer(bytes(self._t_grams),
-                                dtype=np.uint8).reshape(-1, n)[t_order]
+        t_entries = np.repeat(self._t_eids.array(),
+                              self._t_ecounts.array())[t_order]
         # Unique tail keys (sorted) with their posting counts.
         t_new = np.ones(len(t_keys), dtype=bool)
         t_new[1:] = t_keys[1:] != t_keys[:-1]
         tu_idx = np.flatnonzero(t_new)
         tu_keys = t_keys[tu_idx]
         tu_counts = np.diff(np.append(tu_idx, len(t_keys)))
-        tu_blocks = t_blocks[tu_idx]
-        tu_grams = t_grams[tu_idx]
-        # Collision checks: one 64-bit key must never stand for two
-        # different (block size, gram) buckets — neither inside the
-        # tail nor between the tail and the sealed keys.
-        dup = ~t_new[1:]
-        if dup.any() and bool(np.any(
-                dup & ((t_blocks[1:] != t_blocks[:-1])
-                       | (t_grams[1:] != t_grams[:-1]).any(axis=1)))):
-            raise SimilarityIndexError(
-                "64-bit n-gram key collision between posting buckets; "
-                "this corpus cannot be indexed with hashed postings")
 
         old_keys = sealed.keys
         old_counts = np.diff(sealed.offsets)
         pos = np.searchsorted(old_keys, tu_keys)
-        clamped = np.minimum(pos, max(len(old_keys) - 1, 0))
         if len(old_keys):
-            already = old_keys[clamped] == tu_keys
-            if already.any() and bool(np.any(
-                    already & ((sealed.key_blocks[clamped] != tu_blocks)
-                               | (sealed.key_grams[clamped]
-                                  != tu_grams).any(axis=1)))):
-                raise SimilarityIndexError(
-                    "64-bit n-gram key collision between posting buckets; "
-                    "this corpus cannot be indexed with hashed postings")
+            already = old_keys[np.minimum(pos, len(old_keys) - 1)] == tu_keys
         else:
             already = np.zeros(len(tu_keys), dtype=bool)
 
@@ -441,12 +377,6 @@ class ArrayPostings:
         merged_keys = np.empty(n_merged, dtype=np.int64)
         merged_keys[insert_at] = tu_keys[fresh]
         merged_keys[old_at] = old_keys
-        merged_blocks = np.empty(n_merged, dtype=np.int64)
-        merged_blocks[insert_at] = tu_blocks[fresh]
-        merged_blocks[old_at] = sealed.key_blocks
-        merged_grams = np.empty((n_merged, n), dtype=np.uint8)
-        merged_grams[insert_at] = tu_grams[fresh]
-        merged_grams[old_at] = sealed.key_grams
         merged_counts = np.zeros(n_merged, dtype=np.int64)
         merged_counts[old_at] = old_counts
         tu_merged = np.searchsorted(merged_keys, tu_keys)
@@ -483,12 +413,9 @@ class ArrayPostings:
         # tail: a concurrent reader either sees a non-empty tail and
         # blocks on the merge lock, or an empty tail with the new
         # sealed arrays already in place.
-        self._sealed = _Sealed(merged_keys, merged_blocks, merged_grams,
-                               merged_offsets, out)
+        self._sealed = _Sealed(merged_keys, merged_offsets, out)
         self._t_keys = _IntVec(np.int64)
-        self._t_grams = bytearray()
         self._t_eids = _IntVec(np.int32)
-        self._t_eblocks = _IntVec(np.int64)
         self._t_ecounts = _IntVec(np.int32)
 
     # -------------------------------------------------------------- queries
@@ -499,17 +426,15 @@ class ArrayPostings:
         self.merge()
         return len(self._sealed.keys)
 
-    def lookup(self, query_keys: np.ndarray, query_blocks: np.ndarray,
-               query_grams: np.ndarray, window_rows: np.ndarray
+    def lookup(self, query_keys: np.ndarray, window_rows: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised candidate gather for hashed query windows.
+        """Vectorised candidate gather for query keys.
 
-        The first three parameters are parallel per query window: the
-        ``int64`` hashed key, the block size, and the raw gram bytes
-        (for exact verification of hash matches); ``window_rows`` maps
-        each window back to its query row.  Returns ``(row, entry_id)``
-        pairs — one per posting under a matched key — with entry ids in
-        the postings' native ``int32``.
+        ``query_keys`` holds one key per query gram (``signature_grams``
+        ORed with :func:`block_code`) and ``window_rows`` maps each back
+        to its query row.  Returns ``(row, entry_id)`` pairs — one per
+        posting under a matched key — with entry ids in the postings'
+        native ``int32``.
         """
 
         self.merge()
@@ -519,13 +444,7 @@ class ArrayPostings:
         if not len(sealed.keys) or not len(query_keys):
             return empty
         pos = np.searchsorted(sealed.keys, query_keys)
-        clamped = np.minimum(pos, len(sealed.keys) - 1)
-        hit = sealed.keys[clamped] == query_keys
-        # Exact verification: a matched key must carry the same block
-        # size and gram bytes, so a (vanishingly unlikely) query-side
-        # hash collision can never surface a false candidate.
-        hit &= sealed.key_blocks[clamped] == query_blocks
-        hit &= (sealed.key_grams[clamped] == query_grams).all(axis=1)
+        hit = sealed.keys[np.minimum(pos, len(sealed.keys) - 1)] == query_keys
         window_idx = np.flatnonzero(hit)
         if not window_idx.size:
             return empty
@@ -549,7 +468,7 @@ class ArrayPostings:
         self.merge()
         n_keys = len(self._sealed.keys)
         return (self.n_entries * 16
-                + n_keys * (16 + ROLLING_WINDOW)
+                + n_keys * 8
                 + (n_keys + 1) * 8
                 + len(self._sealed.entry_ids) * 4)
 
@@ -564,8 +483,6 @@ class ArrayPostings:
             "entry_block": self.entry_block.copy(),
             "entry_sig": self.entry_sig.copy(),
             "post_keys": sealed.keys.copy(),
-            "post_blocks": sealed.key_blocks.copy(),
-            "post_grams": sealed.key_grams.copy(),
             "post_offsets": sealed.offsets.copy(),
             "post_entries": sealed.entry_ids.copy(),
         }
@@ -598,7 +515,5 @@ class ArrayPostings:
                                     np.int32)
         self._sealed = _Sealed(
             _column(arrays["post_keys"], np.int64),
-            _column(arrays["post_blocks"], np.int64),
-            _column(arrays["post_grams"], np.uint8),
             _column(arrays["post_offsets"], np.int64),
             _column(arrays["post_entries"], np.int32))

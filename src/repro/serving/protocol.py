@@ -112,6 +112,8 @@ def parse_items(body: bytes, *, labelled: bool = False,
         payload = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ProtocolError("request body nests JSON too deeply") from exc
     if not isinstance(payload, dict):
         raise ProtocolError("request body must be a JSON object")
     items = payload.get("items")

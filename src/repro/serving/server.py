@@ -483,12 +483,8 @@ class ClassificationServer:
                                         None)
         if callable(extraction_cache_info):
             payload["extraction_cache"] = extraction_cache_info()
-        # Process-wide CTPH comparability counters: how many digest
-        # comparisons were structurally impossible, by typed reason.
         from ..features.extractors import malformed_elf_total
-        from ..hashing.compare import incomparable_counts
 
-        payload["incomparable_comparisons"] = incomparable_counts()
         # Process-wide count of extractions of ELF-magic uploads that
         # did not parse and were read as non-ELF input; a re-upload the
         # extraction cache answers is not parsed, so not counted again.

@@ -2,41 +2,28 @@
 
 A zero SSDeep score hides two different facts: *dissimilar* versus
 *cannot be scored at all*.  :func:`compare_digests_detailed` types the
-second case with a reason and feeds process-wide counters that the
-serving tier surfaces under ``GET /metrics``.
+second case with a reason.
 """
 
 import pytest
 
 from repro.distance.scoring import (COMPARABLE, INCOMPARABLE_BLOCK_SIZE,
                                     INCOMPARABLE_EMPTY,
-                                    INCOMPARABLE_REASONS,
                                     INCOMPARABLE_SHORT_SIGNATURE)
 from repro.hashing.compare import (DigestComparison, compare_digests,
-                                   compare_digests_detailed,
-                                   incomparable_counts,
-                                   reset_incomparable_counts)
+                                   compare_digests_detailed)
 from repro.hashing.ssdeep import fuzzy_hash
-
-
-@pytest.fixture(autouse=True)
-def _clean_counters():
-    reset_incomparable_counts()
-    yield
-    reset_incomparable_counts()
 
 
 def test_block_size_mismatch_is_typed():
     outcome = compare_digests_detailed("3:abcdefgh:abcd", "192:abcdefgh:abcd")
     assert outcome == DigestComparison(0, False, INCOMPARABLE_BLOCK_SIZE)
-    assert incomparable_counts()[INCOMPARABLE_BLOCK_SIZE] == 1
 
 
 def test_empty_digest_is_typed():
     outcome = compare_digests_detailed("3::", "3:abcdefgh:abcd")
     assert outcome.comparable is False
     assert outcome.reason == INCOMPARABLE_EMPTY
-    assert incomparable_counts()[INCOMPARABLE_EMPTY] == 1
 
 
 def test_short_signatures_are_typed():
@@ -45,7 +32,6 @@ def test_short_signatures_are_typed():
     outcome = compare_digests_detailed("3:abc:ab", "3:abd:ac")
     assert outcome == DigestComparison(0, False,
                                        INCOMPARABLE_SHORT_SIGNATURE)
-    assert incomparable_counts()[INCOMPARABLE_SHORT_SIGNATURE] == 1
 
 
 def test_identical_short_signatures_stay_comparable():
@@ -53,7 +39,6 @@ def test_identical_short_signatures_stay_comparable():
     assert outcome.score == 100
     assert outcome.comparable is True
     assert outcome.reason == COMPARABLE
-    assert not any(incomparable_counts().values())
 
 
 def test_genuine_zero_is_comparable():
@@ -62,7 +47,6 @@ def test_genuine_zero_is_comparable():
     outcome = compare_digests_detailed("3:abcdefghijk:abcdefgh",
                                        "3:ABCDEFGHIJK:ABCDEFGH")
     assert outcome == DigestComparison(0, True, COMPARABLE)
-    assert not any(incomparable_counts().values())
 
 
 def test_detailed_score_matches_plain_score():
@@ -72,16 +56,6 @@ def test_detailed_score_matches_plain_score():
         for d2 in digests:
             assert compare_digests_detailed(d1, d2).score == \
                 compare_digests(d1, d2)
-
-
-def test_counters_reset_and_cover_every_reason():
-    counts = incomparable_counts()
-    assert set(counts) == set(INCOMPARABLE_REASONS)
-    assert all(v == 0 for v in counts.values())
-    compare_digests("3:abcdefgh:abcd", "192:abcdefgh:abcd")
-    assert incomparable_counts()[INCOMPARABLE_BLOCK_SIZE] == 1
-    reset_incomparable_counts()
-    assert all(v == 0 for v in incomparable_counts().values())
 
 
 def test_comparison_dataclass_is_frozen():

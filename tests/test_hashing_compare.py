@@ -6,10 +6,8 @@ import pytest
 
 from repro.hashing.compare import (
     compare_digests,
-    compare_digest_strings,
     has_common_substring,
     normalize_repeats,
-    pairwise_scores,
     score_signatures,
 )
 from repro.hashing.ssdeep import FuzzyHasher, fuzzy_hash
@@ -80,7 +78,6 @@ def test_accepts_digest_strings_and_objects():
     digest_str = fuzzy_hash(data)
     digest_obj = SsdeepDigest.parse(digest_str)
     assert compare_digests(digest_str, digest_obj) == 100
-    assert compare_digest_strings(digest_str, digest_str) == 100
 
 
 def test_normalize_repeats():
@@ -102,13 +99,3 @@ def test_score_signatures_identical():
 def test_score_signatures_no_common_substring_is_zero():
     assert score_signatures("ABCDEFGHIJKLMNOP", "qrstuvwxyz012345", 3072) == 0
 
-
-def test_pairwise_scores_matrix():
-    data = random.Random(12).randbytes(8192)
-    digests = [fuzzy_hash(data), fuzzy_hash(_mutate(data, 4, seed=13)),
-               fuzzy_hash(random.Random(14).randbytes(8192))]
-    matrix = pairwise_scores(digests)
-    assert matrix[0][0] == 100
-    assert matrix[0][1] == matrix[1][0]
-    assert matrix[0][2] == 0
-    assert len(matrix) == 3 and all(len(row) == 3 for row in matrix)

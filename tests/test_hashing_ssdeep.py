@@ -109,6 +109,10 @@ def test_parse_rejects_malformed_digests():
     with pytest.raises(DigestFormatError):
         SsdeepDigest.parse("1:ABC:DEF")        # block size below minimum
     with pytest.raises(DigestFormatError):
+        SsdeepDigest.parse("5:ABC:DEF")        # not 3 * 2**k
+    with pytest.raises(DigestFormatError):
+        SsdeepDigest.parse(f"{3 << 70}:ABC:DEF")   # past int64's range
+    with pytest.raises(DigestFormatError):
         SsdeepDigest.parse("3:A!C:DEF")        # invalid alphabet
     with pytest.raises(DigestFormatError):
         SsdeepDigest.parse(1234)               # not a string

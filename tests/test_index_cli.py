@@ -134,6 +134,21 @@ def test_query_invalid_digest_exits_nonzero(index_file, capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("digest", [f"{3 << 70}:ABCDEFGHIJ:KLMNOPQRS",
+                                    "5:ABCDEFGHIJ:KLMNOPQRS"])
+def test_query_with_a_non_canonical_block_size_exits_2(
+        index_file, digest, capsys):
+    """A block size outside ``3 * 2**k`` below ``2**62`` is a digest
+    format error: one ``error:`` line and exit 2, never a traceback."""
+
+    code = main(["index", "query", index_file, digest, "--digest"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "block size" in captured.err
+
+
 def test_build_from_nonexistent_source_exits_nonzero(tmp_path, capsys):
     code = main(["index", "build", str(tmp_path / "nothing"),
                  "-o", str(tmp_path / "out.rpsi")])

@@ -193,15 +193,18 @@ def test_header_records_format_version(index, tmp_path):
 
 def test_v2_container_carries_columnar_arrays(index, tmp_path):
     """Formats v2+ persist the postings verbatim: the reader adopts the
-    arrays instead of re-hashing every gram on load."""
+    arrays instead of re-keying every gram on load.  Format 5 keys them
+    exactly, so no gram or block-size array rides beside the keys."""
 
-    assert FORMAT_VERSION == 4
+    assert FORMAT_VERSION == 5
     header, arrays = read_container(index.save(tmp_path / "cols.rpsi"))
     assert header["layout"] == "columnar"
     assert {"pool_bytes", "pool_offsets"} <= set(arrays)
     for name in ("entry_member", "entry_block", "entry_sig", "post_keys",
-                 "post_blocks", "post_grams", "post_offsets", "post_entries"):
+                 "post_offsets", "post_entries"):
         assert f"t0.{name}" in arrays
+    assert not any(name.endswith(("post_blocks", "post_grams"))
+                   for name in arrays)
     # Keys are sorted (searchsorted-ready) and offsets span the postings.
     import numpy as np
 

@@ -4,13 +4,12 @@ and the version-2 container format built on it."""
 import numpy as np
 import pytest
 
-from repro.exceptions import IndexFormatError, SimilarityIndexError
-from repro.hashing.fnv import fnv64_hash
+from repro.exceptions import IndexFormatError
+from repro.hashing.b64 import B64_ALPHABET
 from repro.hashing.ssdeep import fuzzy_hash
 from repro.index import SimilarityIndex
 from repro.index.core import expand_digest
-from repro.index.postings import block_prefix64, hash_windows, \
-    signature_windows
+from repro.index.postings import block_code, signature_grams
 from repro.index.storage import write_container
 
 
@@ -29,35 +28,35 @@ def make_corpus(n, seed=3):
     return members
 
 
-# ------------------------------------------------------------------ hashing
-def test_hash_windows_matches_fnv64_reference():
-    signature = "abcdefghijklmnop"
-    windows = signature_windows(signature)
-    keys = hash_windows(block_prefix64(96), windows)
-    for row, key in zip(windows, keys):
-        data = (96).to_bytes(8, "little") + row.tobytes()
-        assert int(np.uint64(key)) == fnv64_hash(data)
+# ------------------------------------------------------------------- keys
+def _reference_code(gram: str) -> int:
+    code = 0
+    for ch in gram:
+        code = (code << 6) | B64_ALPHABET.index(ch)
+    return code
 
 
-def test_signature_windows_short_signature_is_empty():
-    assert signature_windows("abc").shape == (0, 7)
-    assert signature_windows("").shape == (0, 7)
-    assert signature_windows("abcdefg").shape == (1, 7)
+def test_signature_grams_pack_base64_values():
+    """A gram's code is its seven base64 values, six bits each, first
+    character highest; codes come sorted, distinct and read-only."""
+
+    signature = "zy+/09ABzy+/09ABq"
+    expected = sorted({_reference_code(signature[i:i + 7])
+                       for i in range(len(signature) - 6)})
+    grams = signature_grams(signature)
+    assert grams.dtype == np.int64 and not grams.flags.writeable
+    assert grams.tolist() == expected
+    assert len(expected) < len(signature) - 6      # a repeated gram
+    assert max(expected) < 1 << 42
+    # The block size's exponent sits above the gram bits.
+    assert [block_code(3 << k) for k in (0, 1, 5, 60)] == \
+        [0, 1 << 42, 5 << 42, 60 << 42]
 
 
-def test_hash_collision_detected_at_merge(monkeypatch):
-    """A forced 64-bit key collision must fail loudly, never mis-score."""
-
-    import repro.index.postings as postings_mod
-
-    def colliding_hash(prefix, windows):
-        return np.zeros(windows.shape[0], dtype=np.int64)
-
-    monkeypatch.setattr(postings_mod, "hash_windows", colliding_hash)
-    index = SimilarityIndex(["ssdeep-file"])
-    index.add("a", {"ssdeep-file": "3:abcdefgh:ijklmnop"})
-    with pytest.raises(SimilarityIndexError, match="collision"):
-        index.seal()
+def test_signature_grams_short_signature_is_empty():
+    assert signature_grams("abc").shape == (0,)
+    assert signature_grams("").shape == (0,)
+    assert signature_grams("abcdefg").tolist() == [_reference_code("abcdefg")]
 
 
 # ----------------------------------------------------------- incrementality
@@ -158,6 +157,8 @@ def test_legacy_v1_arrays_rebuild_identically(tmp_path):
                             a["t0.post_keys"][::-1].copy()),
      "unsorted posting keys"),
     (lambda a: a["t0.entry_member"].__setitem__(0, 999), "member"),
+    (lambda a: a["t0.entry_block"].__setitem__(0, 5), "block size 5"),
+    (lambda a: a["pool_bytes"].__setitem__(0, ord("!")), "base64 alphabet"),
     (lambda a: a["t0.entry_sig"].__setitem__(0, 9999), "signature"),
     (lambda a: a["t0.post_entries"].__setitem__(0, 30000), "entry"),
     (lambda a: a.__setitem__("t0.post_offsets",

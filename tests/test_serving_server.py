@@ -198,6 +198,28 @@ def test_unknown_routes_and_malformed_requests(live_server):
     assert status == 400 and "base64" in body["error"]
 
 
+@pytest.mark.parametrize("kind", ["classify", "ingest"])
+def test_deeply_nested_json_body_answers_400_not_500(kind):
+    """JSON nested past the decoder's recursion limit is a bad request,
+    never a server error: 100 KB of "[", and a 10,000-deep array inside
+    "items"."""
+
+    server = ClassificationServer(
+        GatedManager(), ServerConfig(port=0, workers=1, enable_ingest=True))
+    bodies = (b"[" * 100_000,
+              b'{"items": ' + b"[" * 10_000 + b"]" * 10_000 + b"}")
+    try:
+        for body in bodies:
+            status, _headers, response = server.handle(kind, body)
+            assert status == 400
+            assert "nests JSON too deeply" in json.loads(response)["error"]
+        assert server.metrics.counter("http_responses_error").value == 0
+        assert server.metrics.counter("http_responses_bad_request").value \
+            == len(bodies)
+    finally:
+        server.shutdown()
+
+
 def test_negative_content_length_is_rejected_not_read(live_server):
     # rfile.read(-1) would block until the client hangs up, parking a
     # handler thread forever; the server must reject it up front.

@@ -83,7 +83,7 @@ def downgrade_to_unpadded(path, out_path, *, version=3):
 def test_v4_payloads_start_on_aligned_offsets(tmp_path):
     path = write_container(tmp_path / "c.rpsi", {"k": 1}, sample_arrays())
     header, plan = payload_offsets(path)
-    assert header["format_version"] == FORMAT_VERSION == 4
+    assert header["format_version"] == FORMAT_VERSION == 5
     assert header["payload_alignment"] == ARRAY_ALIGNMENT == 64
     for name, offset, _n_bytes in plan:
         assert offset % ARRAY_ALIGNMENT == 0, name
