@@ -8,7 +8,7 @@ raw little-endian array payloads.
 Header fields::
 
     kind                   "repro.fuzzy-hash-classifier"
-    format_version         written by the container (currently 5)
+    format_version         written by the container (currently 6)
     library_version        repro.__version__ that wrote the file
     params                 FuzzyHashClassifier hyper-parameters (not n_jobs)
     classes                {"kind": "str"|"int"|"float", "values": [...]}
@@ -22,26 +22,39 @@ predicts from (:meth:`repro.ml.forest.RandomForestClassifier.get_state`),
 under ``forest.*`` names, and, when ``include_index`` is left on, the
 anchor index under ``index.*`` names.
 
-Format version 2 additionally allowed the embedded anchor index to be
-sharded: its header (under ``index.header``) carries ``"sharded": true``
-plus the shard layout, and its arrays are prefixed ``index.shardN.*``.
-This build no longer writes that layout; it reads it into one index
-over the surviving members (:mod:`repro.index.legacy`).  Format version 3
-adds the second hash family: the classifier may carry a ``family``
-parameter (``"ctph"``/``"vector"``/``"both"``) and the embedded index
-may hold packed ``uint64`` vector-digest matrices (``v{idx}.*``
-sections, :mod:`repro.index.knn`).  Format version 4 changes only the
-physical layout: array payloads are padded so each starts on a 64-byte
-boundary (``payload_alignment`` in the container header), which lets
-:func:`load_model` with ``mmap_mode="r"`` adopt the bulk arrays as
-zero-copy memory-mapped views — an O(header) load whose pages N serving
-processes share through the OS page cache.  Format version 5 (this
-build) keys the embedded index's postings exactly and drops the two
-arrays per hash type that held each hashed key's block size and gram
-(:data:`repro.index.storage.FORMAT_VERSION`).  Version 1–4 artifacts
-load and predict identically: their anchor index re-keys its postings
-from its entries once at load, and v1–v3 files load through the
-materialising path; readers accept any version up to the current one.
+Version history:
+
+* **v1** — a single anchor index.
+* **v2** — the embedded anchor index may be sharded: its header (under
+  ``index.header``) carries ``"sharded": true`` plus the shard layout,
+  and its arrays are prefixed ``index.shardN.*``.  This build no longer
+  writes that layout; it reads it into one index over the surviving
+  members (:mod:`repro.index.legacy`).
+* **v3** — the second hash family: the classifier may carry a
+  ``family`` parameter (``"ctph"``/``"vector"``/``"both"``) and the
+  embedded index may hold packed ``uint64`` vector-digest matrices
+  (``v{idx}.*`` sections, :mod:`repro.index.knn`).
+* **v4** — only the physical layout changes: array payloads are padded
+  so each starts on a 64-byte boundary (``payload_alignment`` in the
+  container header), which lets :func:`load_model` with
+  ``mmap_mode="r"`` adopt the bulk arrays as zero-copy memory-mapped
+  views — an O(header) load whose pages N serving processes share
+  through the OS page cache.
+* **v5** — the embedded index keys its postings exactly and drops the
+  two arrays per hash type that held each hashed key's block size and
+  gram (:data:`repro.index.storage.FORMAT_VERSION`, still 5).
+* **v6** (this build) — the forest stores a leaf table: each leaf's
+  non-zero class probabilities in compressed rows (``leaf_offsets``,
+  ``leaf_classes``, ``leaf_proba``) in place of the dense per-node
+  ``node_values`` and the ``node_samples``, ``tree_classes``,
+  ``tree_class_offsets`` and ``tree_importances`` nothing read.
+
+Version 1–5 artifacts load and predict identically: their dense forest
+table converts to leaf entries at load
+(:meth:`~repro.ml.forest.RandomForestClassifier.set_state`), a v1–v4
+anchor index re-keys its postings from its entries, and v1–v3 files
+load through the materialising path.  A re-save writes v6.  Readers
+accept any version up to the current one.
 
 ``params`` no longer carries ``anchor_strategy`` or ``medoids_per_class``:
 the feature layout is fixed at one column per (hash type, class).  Older
@@ -96,10 +109,11 @@ __all__ = ["MODEL_FORMAT_VERSION", "MODEL_MAGIC", "MODEL_SUFFIX", "MODEL_KIND",
 
 _LOG = get_logger("api.artifact")
 
-#: Current model artifact format version; v1 (single-index anchors
-#: only), v2 (sharded anchors allowed, CTPH-only), v3 (unaligned
-#: payloads) and v4 (hashed posting keys) files remain readable.
-MODEL_FORMAT_VERSION = 5
+#: Current model artifact format version (a leaf table for the forest);
+#: v1 (single-index anchors only), v2 (sharded anchors allowed,
+#: CTPH-only), v3 (unaligned payloads), v4 (hashed posting keys) and v5
+#: (a dense forest table) files remain readable.
+MODEL_FORMAT_VERSION = 6
 
 #: File magic identifying a repro model artifact.
 MODEL_MAGIC = b"RPROMODL"
@@ -111,8 +125,8 @@ MODEL_SUFFIX = ".rpm"
 MODEL_KIND = "repro.fuzzy-hash-classifier"
 
 #: Container format of model artifact files (adds float64 for the
-#: forest's thresholds, node values and importances, and uint64 for
-#: packed vector-digest matrices).
+#: forest's thresholds, leaf probabilities and importances, and uint64
+#: for packed vector-digest matrices).
 MODEL_CONTAINER = ContainerFormat(
     magic=MODEL_MAGIC,
     version=MODEL_FORMAT_VERSION,
@@ -257,8 +271,9 @@ def load_model(path: str | os.PathLike,
     when the artifact embeds its own.
     ``mmap_mode="r"`` adopts the bulk arrays as read-only zero-copy
     views into a shared memory map (v4+ aligned artifacts; older files
-    transparently fall back to the materialising path, and a v4 file's
-    anchor index re-keys its postings).  Raises
+    transparently fall back to the materialising path, a v4 file's
+    anchor index re-keys its postings, and a v1–v5 file's dense forest
+    table converts to private leaf arrays).  Raises
     :class:`~repro.exceptions.ModelFormatError` on missing, corrupt,
     truncated, version- or feature-type-incompatible files.
     """

@@ -12,12 +12,16 @@ the choice with two properties (Section 3), both reproduced here:
   per-hash-type aggregation of these).
 
 A fitted forest is one **node table** (:data:`_TABLE_DTYPES`): the
-trees' node arrays concatenated tree after tree, with offset arrays,
-plus each tree's class indices and importances.  These are the arrays a
-model artifact stores under ``forest.*`` names
-(:mod:`repro.api.artifact`).  ``fit`` builds the table once from the
-grown trees; ``set_state`` validates a saved one and adopts it; both
-then derive, once, the view ``predict_proba`` walks.
+trees' structure arrays concatenated tree after tree, with their offsets,
+then each leaf's non-zero class probabilities in compressed rows (one
+offsets array over the nodes plus flat class and probability arrays),
+and the importances.  These are the arrays a model artifact stores under
+``forest.*`` names (:mod:`repro.api.artifact`).  ``fit`` builds the
+table once from the grown trees; ``set_state`` validates a saved one and
+adopts it, and converts the dense table of model formats 1–5 through the
+same leaf-entry function ``fit`` uses.  Both then derive, once, the
+self-looping view ``predict_proba`` walks (:func:`repro.ml.tree.walk`);
+the leaves reached add their entries with one ``np.bincount``.
 
 Trees can be fitted in parallel worker processes (``n_jobs``); each
 worker receives a batch of tree seeds to amortise the cost of shipping
@@ -26,7 +30,7 @@ the training matrix.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -46,6 +50,7 @@ from .tree import (
     DecisionTreeClassifier,
     class_distributions,
     encode_columns,
+    loop_leaves,
     walk,
 )
 
@@ -55,26 +60,39 @@ __all__ = ["RandomForestClassifier"]
 #: artifact stores them.  Tree ``t`` owns nodes ``tree_node_offsets[t]``
 #: up to ``tree_node_offsets[t + 1]``, numbered from 0 inside the tree
 #: (child pointers are tree-local; leaves have feature ``-2`` and
-#: children ``-1``), and its classes are the forest class indices
-#: ``tree_classes[tree_class_offsets[t]:tree_class_offsets[t + 1]]``.
-#: ``node_values`` holds each tree's (nodes x classes) class masses,
-#: row by row, tree after tree.
+#: children ``-1``).  Node ``i`` owns the leaf entries
+#: ``leaf_offsets[i]`` up to ``leaf_offsets[i + 1]``: a leaf's non-zero
+#: class probabilities, as forest class indices (``leaf_classes``,
+#: ascending within the leaf) and values (``leaf_proba``).  An internal
+#: node owns none, since prediction never reads it.
 _TABLE_DTYPES = {
     "tree_node_offsets": np.int64,
-    "tree_class_offsets": np.int64,
     "node_feature": np.int64,
     "node_left": np.int64,
     "node_right": np.int64,
-    "node_samples": np.int64,
     "node_threshold": np.float64,
-    "node_values": np.float64,
-    "tree_classes": np.int64,
-    "tree_importances": np.float64,
+    "leaf_offsets": np.int64,
+    "leaf_classes": np.int64,
+    "leaf_proba": np.float64,
     "importances": np.float64,
 }
 
+#: What the dense table of model formats 1–5 stores instead of the leaf
+#: entries: tree ``t``'s classes are the forest class indices
+#: ``tree_classes[tree_class_offsets[t]:tree_class_offsets[t + 1]]``,
+#: and ``node_values`` holds each tree's (nodes x classes) class masses,
+#: row by row, tree after tree.  ``node_samples`` and
+#: ``tree_importances`` are checked but never read.
+_DENSE_DTYPES = {
+    "tree_class_offsets": np.int64,
+    "node_samples": np.int64,
+    "node_values": np.float64,
+    "tree_classes": np.int64,
+    "tree_importances": np.float64,
+}
 
-def _offsets(counts: list[int]) -> np.ndarray:
+
+def _offsets(counts) -> np.ndarray:
     """Start offsets of consecutive blocks of ``counts``, plus the end."""
 
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -82,78 +100,179 @@ def _offsets(counts: list[int]) -> np.ndarray:
     return offsets
 
 
-def _checked_table(table: Mapping, n_classes: int, n_features: int) -> dict:
-    """``table``'s arrays in their table dtypes, once they are shown to
-    describe a forest of ``n_classes`` classes over ``n_features``.
+def _leaf_arrays(trees: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
+                 ) -> dict:
+    """The leaf entries of trees given as ``(values, classes, leaf)``.
 
-    An array that already has its dtype is not copied, so mapped views
-    stay views.  Every internal node's children must point forward
-    inside its own tree, which is how ``fit`` numbers them; this also
-    makes every walk end.  Raises :class:`ValidationError` on the first
-    inconsistency.
+    ``values`` holds one tree's (nodes x classes) class masses,
+    ``classes`` its forest class indices and ``leaf`` marks its leaves.
+    Each row is normalised by :func:`~repro.ml.tree.class_distributions`
+    and a leaf keeps its non-zero entries, in class-column order; an
+    internal node keeps none.  ``fit`` and the conversion of a dense
+    table both go through here, so the same rows give the same bits.
     """
 
-    missing = [name for name in _TABLE_DTYPES if name not in table]
+    counts, classes, proba = [], [], []
+    for values, tree_classes, leaf in trees:
+        distributions = class_distributions(values)
+        distributions[~leaf] = 0.0
+        nodes, columns = distributions.nonzero()
+        counts.append(np.bincount(nodes, minlength=len(values)))
+        classes.append(tree_classes[columns])
+        proba.append(distributions[nodes, columns])
+    return {"leaf_offsets": _offsets(np.concatenate(counts)),
+            "leaf_classes": np.concatenate(classes).astype(np.int64),
+            "leaf_proba": np.concatenate(proba)}
+
+
+def _typed(table: Mapping, dtypes: dict, classes: str) -> dict:
+    """``table``'s arrays of ``dtypes``, converted; ``classes`` names the
+    array of class indices, which must already be integers.
+
+    An array that already has its dtype is not copied, so mapped views
+    stay views.
+    """
+
+    missing = [name for name in dtypes if name not in table]
     if missing:
         raise ValidationError(f"forest node table is missing {missing}")
-    if not np.issubdtype(np.asarray(table["tree_classes"]).dtype, np.integer):
-        raise ValidationError("forest node table has tree classes that are "
-                              "not integer indices into the class table")
+    if not np.issubdtype(np.asarray(table[classes]).dtype, np.integer):
+        raise ValidationError(
+            f"forest node table has {classes.replace('_', ' ')} that are "
+            "not integer indices into the class table")
     try:
-        arrays = {name: np.asarray(table[name], dtype=dtype)
-                  for name, dtype in _TABLE_DTYPES.items()}
+        return {name: np.asarray(table[name], dtype=dtype)
+                for name, dtype in dtypes.items()}
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"invalid forest node table: {exc}") from exc
 
-    node_offsets = arrays["tree_node_offsets"]
-    class_offsets = arrays["tree_class_offsets"]
-    if node_offsets.ndim != 1 or class_offsets.shape != node_offsets.shape:
-        raise ValidationError("forest node table has inconsistent tree offsets")
-    if len(node_offsets) < 2:
-        raise ValidationError("forest node table holds no trees")
-    if node_offsets[0] != 0 or class_offsets[0] != 0:
-        raise ValidationError("forest node table has tree offsets that do "
-                              "not start at 0")
-    sizes, class_counts = np.diff(node_offsets), np.diff(class_offsets)
-    if np.any(sizes < 0) or np.any(class_counts < 0):
-        raise ValidationError("forest node table has decreasing tree offsets")
-    if np.any(sizes == 0):
-        raise ValidationError("forest node table has a tree with no nodes")
-    n_trees, n_nodes = len(sizes), int(node_offsets[-1])
-    expected_shapes = {
-        "node_feature": (n_nodes,),
-        "node_left": (n_nodes,),
-        "node_right": (n_nodes,),
-        "node_samples": (n_nodes,),
-        "node_threshold": (n_nodes,),
-        "node_values": (int(np.dot(sizes, class_counts)),),
-        "tree_classes": (int(class_offsets[-1]),),
-        "tree_importances": (n_trees, n_features),
-        "importances": (n_features,),
-    }
-    for name, shape in expected_shapes.items():
+
+def _check_shapes(arrays: dict, shapes: dict) -> None:
+    for name, shape in shapes.items():
         if arrays[name].shape != shape:
             raise ValidationError(
                 f"forest node table array {name!r} has shape "
                 f"{arrays[name].shape}, expected {shape}")
-    tree_classes = arrays["tree_classes"]
-    if tree_classes.size and (tree_classes.min() < 0
-                              or tree_classes.max() >= n_classes):
-        raise ValidationError("forest node table has tree classes outside "
-                              "the forest's class table")
+
+
+def _check_classes(classes: np.ndarray, n_classes: int, what: str) -> None:
+    if classes.size and (classes.min() < 0 or classes.max() >= n_classes):
+        raise ValidationError(f"forest node table has {what} outside the "
+                              "forest's class table")
+
+
+def _checked_table(table: Mapping, n_classes: int, n_features: int) -> dict:
+    """``table``'s arrays in their table dtypes, once they are shown to
+    describe a forest of ``n_classes`` classes over ``n_features``.
+
+    A dense table (one with ``node_values``, as model formats 1–5 store
+    it) is checked as those formats were and converted to leaf entries.
+    Every internal node's children must point forward inside its own
+    tree, and no node may have two parents, which is how ``fit`` builds
+    trees; this also bounds the depth every walk runs.  Raises
+    :class:`ValidationError` on the first inconsistency.
+    """
+
+    dense = "node_values" in table
+    if dense:
+        dtypes = {name: dtype for name, dtype in _TABLE_DTYPES.items()
+                  if not name.startswith("leaf_")} | _DENSE_DTYPES
+    else:
+        dtypes = _TABLE_DTYPES
+    arrays = _typed(table, dtypes, "tree_classes" if dense else "leaf_classes")
+
+    node_offsets = arrays["tree_node_offsets"]
+    if node_offsets.ndim != 1:
+        raise ValidationError("forest node table has inconsistent tree offsets")
+    if len(node_offsets) < 2:
+        raise ValidationError("forest node table holds no trees")
+    if node_offsets[0] != 0:
+        raise ValidationError("forest node table has tree offsets that do "
+                              "not start at 0")
+    sizes = np.diff(node_offsets)
+    if np.any(sizes < 0):
+        raise ValidationError("forest node table has decreasing tree offsets")
+    if np.any(sizes == 0):
+        raise ValidationError("forest node table has a tree with no nodes")
+    n_nodes = int(node_offsets[-1])
+    _check_shapes(arrays, {"node_feature": (n_nodes,), "node_left": (n_nodes,),
+                           "node_right": (n_nodes,),
+                           "node_threshold": (n_nodes,),
+                           "importances": (n_features,)})
     feature = arrays["node_feature"]
     if feature.min() < -2 or feature.max() >= n_features:
         raise ValidationError("forest node table references an invalid "
                               "feature")
-    local = np.arange(n_nodes) - np.repeat(node_offsets[:-1], sizes)
+    first = np.repeat(node_offsets[:-1], sizes)
+    local = np.arange(n_nodes) - first
     size = np.repeat(sizes, sizes)
     internal = feature >= 0
+    children = []
     for child in (arrays["node_left"], arrays["node_right"]):
         if np.any(internal & ((child <= local) | (child >= size))):
             raise ValidationError(
                 "forest node table has a child pointer that does not point "
                 "forward inside its own tree")
+        children.append((child + first)[internal])
+    if np.bincount(np.concatenate(children), minlength=n_nodes).max() > 1:
+        raise ValidationError("forest node table has a node with two parents")
+    if dense:
+        return _from_dense(arrays, n_classes, n_features)
+
+    leaf_offsets, leaf_classes = arrays["leaf_offsets"], arrays["leaf_classes"]
+    _check_shapes(arrays, {"leaf_offsets": (n_nodes + 1,),
+                           "leaf_classes": (leaf_classes.size,),
+                           "leaf_proba": (leaf_classes.size,)})
+    counts = np.diff(leaf_offsets)
+    if (leaf_offsets[0] != 0 or np.any(counts < 0)
+            or leaf_offsets[-1] != leaf_classes.size):
+        raise ValidationError("forest node table has leaf offsets that do "
+                              "not rise from 0 to the number of leaf entries")
+    if np.any(counts[internal] > 0):
+        raise ValidationError("forest node table has an internal node that "
+                              "owns leaf entries")
+    _check_classes(leaf_classes, n_classes, "leaf classes")
     return arrays
+
+
+def _from_dense(arrays: dict, n_classes: int, n_features: int) -> dict:
+    """The leaf table of a dense table whose node arrays are checked.
+
+    The dense arrays are checked as model formats 1–5 were, then each
+    tree's rows become leaf entries through :func:`_leaf_arrays`.  The
+    node arrays are kept as they are (views stay views); only the leaf
+    arrays are new.
+    """
+
+    node_offsets = arrays["tree_node_offsets"]
+    class_offsets = arrays["tree_class_offsets"]
+    if class_offsets.shape != node_offsets.shape:
+        raise ValidationError("forest node table has inconsistent tree offsets")
+    if class_offsets[0] != 0:
+        raise ValidationError("forest node table has tree offsets that do "
+                              "not start at 0")
+    sizes, class_counts = np.diff(node_offsets), np.diff(class_offsets)
+    if np.any(class_counts < 0):
+        raise ValidationError("forest node table has decreasing tree offsets")
+    _check_shapes(arrays, {
+        "node_samples": (int(node_offsets[-1]),),
+        "node_values": (int(np.dot(sizes, class_counts)),),
+        "tree_classes": (int(class_offsets[-1]),),
+        "tree_importances": (len(sizes), n_features),
+    })
+    tree_classes = arrays["tree_classes"]
+    _check_classes(tree_classes, n_classes, "tree classes")
+
+    leaf = arrays["node_feature"] < 0
+    value_offsets = _offsets(sizes * class_counts)
+    leaves = _leaf_arrays(
+        (arrays["node_values"][value_offsets[t]:value_offsets[t + 1]]
+         .reshape(sizes[t], class_counts[t]),
+         tree_classes[class_offsets[t]:class_offsets[t + 1]],
+         leaf[node_offsets[t]:node_offsets[t + 1]])
+        for t in range(len(sizes)))
+    return {name: arrays[name] if name in arrays else leaves[name]
+            for name in _TABLE_DTYPES}
 
 
 def _fit_tree_batch(args) -> list[DecisionTreeClassifier]:
@@ -258,20 +377,13 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         trees = self.estimators_
         self._install({
             "tree_node_offsets": _offsets([tree.node_count for tree in trees]),
-            "tree_class_offsets": _offsets([len(tree.classes_)
-                                            for tree in trees]),
             "node_feature": np.concatenate([t._node_feature for t in trees]),
             "node_left": np.concatenate([t._node_left for t in trees]),
             "node_right": np.concatenate([t._node_right for t in trees]),
-            "node_samples": np.concatenate([t._node_samples for t in trees]),
             "node_threshold": np.concatenate([t._node_threshold
                                               for t in trees]),
-            "node_values": np.concatenate([t._node_values.ravel()
-                                           for t in trees]),
-            "tree_classes": np.concatenate([t.classes_ for t in trees]
-                                           ).astype(np.int64),
-            "tree_importances": np.stack([t.feature_importances_
-                                          for t in trees]),
+            **_leaf_arrays((t._node_values, t.classes_, t._node_feature < 0)
+                           for t in trees),
             "importances": self._aggregate_importances(),
         })
         return self
@@ -285,20 +397,29 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
                 f"X has {X.shape[1]} features, expected {self.n_features_in_}")
         table = self._table
         # One walker per (tree, sample), advanced together: the loop runs
-        # max-tree-depth times on one big array instead of per tree, so
-        # NumPy dispatch overhead does not scale with forest size.
-        leaves = walk(X, table["tree_node_offsets"][:-1], table["node_feature"],
-                      table["node_threshold"], self._left, self._right)
+        # the forest's depth times on one big array instead of per tree,
+        # so NumPy dispatch overhead does not scale with forest size.
+        leaves = walk(X, self._trees).ravel()
 
-        # Summing the per-tree leaf distributions in tree order keeps the
-        # result bit-identical to the per-tree accumulation loop (absent
-        # classes contribute exact zeros).  Accumulating tree by tree
-        # caps the transient at one (n_samples, n_classes) gather instead
-        # of materialising the full (n_trees, n_samples, n_classes) cube.
-        total = np.zeros((X.shape[0], len(self.classes_)), dtype=np.float64)
-        for tree_leaves in leaves:
-            total += self._leaf_proba[tree_leaves]
-        total /= len(leaves)
+        # Every reached leaf's entries, in (tree, sample) order, go into
+        # one bincount, which adds them in input order: each cell gets
+        # its non-zero terms in tree order, starting from 0.0, as a
+        # tree-by-tree sum of dense leaf rows would (the terms left out
+        # are exact zeros), so the result is bit-identical to it.
+        offsets = table["leaf_offsets"]
+        first = offsets[leaves]
+        counts = offsets[leaves + 1] - first
+        entries = np.arange(counts.sum()) + np.repeat(
+            first - np.cumsum(counts) + counts, counts)
+        n_samples, n_classes = X.shape[0], len(self.classes_)
+        n_trees = len(self._trees.roots)
+        samples = np.repeat(np.tile(np.arange(n_samples), n_trees), counts)
+        total = np.bincount(samples * n_classes
+                            + table["leaf_classes"][entries],
+                            weights=table["leaf_proba"][entries],
+                            minlength=n_samples * n_classes
+                            ).reshape(n_samples, n_classes)
+        total /= n_trees
         return total
 
     def predict(self, X) -> np.ndarray:
@@ -329,10 +450,12 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
 
         The table is validated once and its arrays are adopted, copied
         only where they need a dtype conversion: a model loaded with
-        ``mmap_mode="r"`` predicts from views of the file.  The restored
-        forest has no ``estimators_``; nothing after a load needs tree
-        objects.  Raises :class:`ValidationError` on an inconsistent
-        table.
+        ``mmap_mode="r"`` predicts from views of the file.  A dense table
+        (model formats 1–5) is converted to leaf entries, its node arrays
+        adopted the same way, and :meth:`get_state` returns the leaf
+        table from then on.  The restored forest has no ``estimators_``;
+        nothing after a load needs tree objects.  Raises
+        :class:`ValidationError` on an inconsistent table.
         """
 
         try:
@@ -350,30 +473,15 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
 
     # ----------------------------------------------------------- internals
     def _install(self, table: dict) -> None:
-        """Adopt ``table`` and derive the view ``predict_proba`` walks.
+        """Adopt ``table`` and derive the view ``predict_proba`` walks:
+        child pointers rebased to table-wide node ids, leaves that loop
+        on themselves, and the forest's depth
+        (:func:`~repro.ml.tree.loop_leaves`)."""
 
-        Child pointers are rebased from tree-local to table-wide node
-        ids (leaf sentinels stay ``-1``), and each tree's class masses
-        are normalised per node and spread over the forest's class
-        columns, so the leaves of different trees add up directly.
-        """
-
-        offsets = table["tree_node_offsets"]
-        class_offsets = table["tree_class_offsets"]
-        sizes = np.diff(offsets)
-        first_node = np.repeat(offsets[:-1], sizes)
-        left, right = table["node_left"], table["node_right"]
-        self._left = np.where(left >= 0, left + first_node, left)
-        self._right = np.where(right >= 0, right + first_node, right)
-        tree_classes = np.split(table["tree_classes"], class_offsets[1:-1])
-        tree_values = np.split(table["node_values"],
-                               np.cumsum(sizes * np.diff(class_offsets))[:-1])
-        self._leaf_proba = np.zeros((len(first_node), len(self.classes_)),
-                                    dtype=np.float64)
-        for lo, hi, classes, values in zip(offsets[:-1], offsets[1:],
-                                           tree_classes, tree_values):
-            self._leaf_proba[lo:hi, classes] = class_distributions(
-                values.reshape(hi - lo, len(classes)))
+        self._trees = loop_leaves(table["tree_node_offsets"],
+                                  table["node_feature"],
+                                  table["node_threshold"], table["node_left"],
+                                  table["node_right"])
         self._table = table
         self.feature_importances_ = table["importances"]
 

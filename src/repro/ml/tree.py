@@ -27,6 +27,7 @@ visited in.  The only Python-level loop left is over tree nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,33 +187,87 @@ def split_gains(left_counts: np.ndarray, node: _Node, criterion: str
     return node.impurity - (weighted[0] + weighted[1]) / max(node.weight, 1e-12)
 
 
-def walk(X: np.ndarray, roots: np.ndarray, feature: np.ndarray,
-         threshold: np.ndarray, left: np.ndarray, right: np.ndarray
-         ) -> np.ndarray:
-    """The leaf each (root, sample) pair reaches: ``(len(roots), len(X))``.
+class LoopedTrees(NamedTuple):
+    """Trees stored back to back, in the form :func:`walk` reads.
 
-    One walker per root and sample starts at its root and moves one
-    level per step: left when ``X[sample, feature[node]] <=
-    threshold[node]``, else right.  A walker stops at a leaf (a node
-    with a negative feature; its children are ``-1``), so the loop runs
-    as many steps as the deepest path any walker takes, and each step
-    moves only the walkers that have not stopped.  Child pointers index
-    the same node arrays as ``roots``; a tree walks from root 0, a
-    forest from the first node of each of its trees.  Every walk ends
-    because a child's id is greater than its parent's: ``fit`` numbers
-    nodes that way, and a forest checks it on a loaded node table.
+    ``roots`` holds each tree's root.  Child ids index the whole node
+    arrays, and every leaf loops on itself: its feature is 0, its
+    threshold ``+inf`` and both its children are the leaf.  ``depth``
+    is the number of levels from a root to the deepest leaf.
     """
 
-    n_samples = X.shape[0]
-    nodes = np.broadcast_to(roots[:, None], (len(roots), n_samples)).copy()
-    samples = np.broadcast_to(np.arange(n_samples, dtype=np.int64),
-                              nodes.shape)
-    active = feature[nodes] >= 0
-    while np.any(active):
-        current = nodes[active]
-        go_left = X[samples[active], feature[current]] <= threshold[current]
-        nodes[active] = np.where(go_left, left[current], right[current])
-        active = feature[nodes] >= 0
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    depth: int
+
+
+def tree_depth(roots: np.ndarray, internal: np.ndarray, left: np.ndarray,
+               right: np.ndarray) -> int:
+    """Levels from ``roots`` to the deepest leaf below them.
+
+    ``internal`` marks the internal nodes, whose children index the same
+    arrays as ``roots``; the children of a leaf are never read.  One
+    vectorised step per level: each level's internal nodes give the
+    next level's nodes.  Every node is visited once, and the pass ends,
+    because each node below a root has exactly one parent and a greater
+    id than it: ``fit`` builds trees that way, and a forest checks both
+    on a loaded node table.
+    """
+
+    depth, nodes = 0, roots[internal[roots]]
+    while len(nodes):
+        depth += 1
+        nodes = np.concatenate([left[nodes], right[nodes]])
+        nodes = nodes[internal[nodes]]
+    return depth
+
+
+def loop_leaves(offsets: np.ndarray, feature: np.ndarray,
+                threshold: np.ndarray, left: np.ndarray, right: np.ndarray
+                ) -> LoopedTrees:
+    """The :class:`LoopedTrees` view of trees stored back to back.
+
+    Tree ``t`` owns nodes ``offsets[t]`` up to ``offsets[t + 1]``, with
+    tree-local child ids, and a leaf is a node with a negative feature
+    (``fit`` gives it feature ``-2`` and children ``-1``).  The arrays
+    are not modified.
+    """
+
+    sizes = np.diff(offsets)
+    leaf = feature < 0
+    node = np.arange(len(feature), dtype=np.int64)
+    first = np.repeat(offsets[:-1], sizes)
+    looped_left = np.where(leaf, node, left + first)
+    looped_right = np.where(leaf, node, right + first)
+    return LoopedTrees(
+        roots=offsets[:-1], feature=np.where(leaf, 0, feature),
+        threshold=np.where(leaf, np.inf, threshold),
+        left=looped_left, right=looped_right,
+        depth=tree_depth(offsets[:-1], ~leaf, looped_left, looped_right))
+
+
+def walk(X: np.ndarray, trees: LoopedTrees) -> np.ndarray:
+    """The leaf each (tree, sample) pair reaches: ``(len(roots), len(X))``.
+
+    One walker per tree and sample starts at the tree's root and moves
+    one level per step: left when ``X[sample, feature[node]] <=
+    threshold[node]``, else right.  A walker that reached its leaf stays
+    there, because the leaf loops on itself, so every walker takes
+    exactly ``trees.depth`` steps, with no test for which have stopped.
+    """
+
+    n_samples, n_features = X.shape
+    nodes = np.repeat(trees.roots[:, None], n_samples, axis=1)
+    # Row starts in the flat X, so one gather reads each walker's value.
+    row_start = np.arange(n_samples, dtype=np.int64) * n_features
+    flat = X.ravel()
+    for _ in range(trees.depth):
+        go_left = (flat[row_start + trees.feature[nodes]]
+                   <= trees.threshold[nodes])
+        nodes = np.where(go_left, trees.left[nodes], trees.right[nodes])
     return nodes
 
 
@@ -359,13 +414,8 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         """Depth of the fitted tree (root = depth 0)."""
 
         check_is_fitted(self, "classes_")
-        # Children are numbered after their parent, so one pass in node
-        # order sees every parent's depth before its children's.
-        depths = np.zeros(self.node_count, dtype=np.int64)
-        for node in np.flatnonzero(self._node_left >= 0):
-            depths[self._node_left[node]] = depths[node] + 1
-            depths[self._node_right[node]] = depths[node] + 1
-        return int(depths.max())
+        return tree_depth(np.zeros(1, dtype=np.int64), self._node_feature >= 0,
+                          self._node_left, self._node_right)
 
     # ----------------------------------------------------------- internals
     def _resolve_max_features(self, n_features: int) -> int:
@@ -545,8 +595,9 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         class mass over ``classes_``).  Nodes are numbered in the order
         ``_build`` made them, a node before its subtrees, so a child's
         id is always greater than its parent's.  Leaves have feature
-        ``-2`` and children ``-1``.  A forest concatenates these arrays
-        into its node table.
+        ``-2`` and children ``-1``.  A forest concatenates the structure
+        arrays into its node table and keeps only the leaves' non-zero
+        class probabilities of ``_node_values``.
         """
 
         self._node_feature = np.array(self._feature, dtype=np.int64)
@@ -561,9 +612,10 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
     def _apply(self, X: np.ndarray) -> np.ndarray:
         """The leaf each row of ``X`` reaches."""
 
-        return walk(X, np.zeros(1, dtype=np.int64), self._node_feature,
-                    self._node_threshold, self._node_left,
-                    self._node_right)[0]
+        looped = loop_leaves(np.array([0, self.node_count], dtype=np.int64),
+                             self._node_feature, self._node_threshold,
+                             self._node_left, self._node_right)
+        return walk(X, looped)[0]
 
     def _normalized_importances(self) -> np.ndarray:
         total = self._importances.sum()

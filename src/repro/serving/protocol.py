@@ -110,7 +110,9 @@ def parse_items(body: bytes, *, labelled: bool = False,
 
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
+        # Undecodable UTF-8, malformed JSON, and an integer literal past
+        # the interpreter's digit limit, which is a plain ValueError.
         raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ProtocolError("request body nests JSON too deeply") from exc

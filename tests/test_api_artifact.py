@@ -7,9 +7,11 @@ must all raise a :class:`~repro.exceptions.ModelFormatError` (a
 ``ReproError``), never an arbitrary traceback.
 """
 
+import dataclasses
 import json
 import random
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +40,10 @@ from repro.index import SimilarityIndex
 from repro.index.storage import read_container, write_container
 
 from test_index_core import make_corpus
+
+#: A format-5 artifact with a dense forest table (``data/dense_forest``).
+DENSE_MODEL = (Path(__file__).resolve().parent / "data" / "dense_forest"
+               / "model.rpm")
 
 
 def make_records(n=36, *, seed=5, n_families=4, feature_type="ssdeep-file"):
@@ -302,6 +308,30 @@ def _tamper(header, arrays, case):
     elif case == "float-tree-classes":
         arrays["forest.tree_classes"] = \
             arrays["forest.tree_classes"].astype(np.float64)
+    elif case == "short-leaf-offsets":
+        arrays["forest.leaf_offsets"] = arrays["forest.leaf_offsets"][:-1]
+    elif case == "leaf-offsets-not-from-0":
+        arrays["forest.leaf_offsets"][0] = -1
+    elif case == "decreasing-leaf-offsets":
+        leaf_offsets = arrays["forest.leaf_offsets"]
+        leaf_offsets[-2] = leaf_offsets[-1] + 1
+    elif case == "leaf-offsets-past-entries":
+        arrays["forest.leaf_offsets"][-1] += 1
+    elif case == "short-leaf-proba":
+        arrays["forest.leaf_proba"] = arrays["forest.leaf_proba"][:-1]
+    elif case == "internal-node-owns-entries":
+        # An internal node takes the first entry of the node after it.
+        leaf_offsets = arrays["forest.leaf_offsets"]
+        counts = np.diff(leaf_offsets)
+        node = next(i for i, feature in enumerate(arrays["forest.node_feature"])
+                    if feature >= 0 and counts[i + 1] > 0)
+        leaf_offsets[node + 1] += 1
+    elif case == "leaf-class-past-class-table":
+        arrays["forest.leaf_classes"][0] = len(header["forest"]["classes"]
+                                               ["values"])
+    elif case == "float-leaf-classes":
+        arrays["forest.leaf_classes"] = \
+            arrays["forest.leaf_classes"].astype(np.float64)
     elif case == "feature-past-n-features":
         arrays["forest.node_feature"][0] = header["forest"]["n_features_in"]
     elif case == "child-past-tree-end":
@@ -312,6 +342,11 @@ def _tamper(header, arrays, case):
         # Tree 0's root points at itself: a walk would never end.
         assert arrays["forest.node_feature"][0] >= 0
         arrays["forest.node_left"][0] = 0
+    elif case == "shared-child":
+        # Both of the root's children are one node, whose subtree a
+        # level-by-level pass would then visit twice.
+        assert arrays["forest.node_feature"][0] >= 0
+        arrays["forest.node_right"][0] = arrays["forest.node_left"][0]
     elif case == "short-importances":
         arrays["forest.importances"] = arrays["forest.importances"][:-1]
     elif case == "n-trees-off-by-one":
@@ -328,12 +363,26 @@ TAMPERED_FOREST = {
     "trailing-node-value": "'node_values'",
     "class-index-past-class-table": "class table",
     "float-tree-classes": "integer",
+    "short-leaf-offsets": "'leaf_offsets'",
+    "leaf-offsets-not-from-0": "leaf offsets",
+    "decreasing-leaf-offsets": "leaf offsets",
+    "leaf-offsets-past-entries": "leaf offsets",
+    "short-leaf-proba": "'leaf_proba'",
+    "internal-node-owns-entries": "internal node that owns",
+    "leaf-class-past-class-table": "leaf classes outside",
+    "float-leaf-classes": "leaf classes that are not integer",
     "feature-past-n-features": "invalid feature",
     "child-past-tree-end": "child pointer",
     "backward-child-pointer": "child pointer",
+    "shared-child": "two parents",
     "short-importances": "'importances'",
     "n-trees-off-by-one": "offsets",
 }
+
+#: The cases that tamper a dense forest table, which model formats 1–5
+#: store: they start from a format-5 file written by the dense-table code.
+DENSE_CASES = ("trailing-node-value", "class-index-past-class-table",
+               "float-tree-classes")
 
 
 @pytest.mark.parametrize("case", TAMPERED_FOREST)
@@ -342,10 +391,13 @@ def test_tampered_forest_payload_raises(saved, tmp_path, case):
     the file.  Neither call predicts, so a table that would make a walk
     loop forever fails here instead of hanging."""
 
-    header, arrays = read_container(saved, fmt=MODEL_CONTAINER)
+    source, fmt = saved, MODEL_CONTAINER
+    if case in DENSE_CASES:
+        source, fmt = DENSE_MODEL, dataclasses.replace(MODEL_CONTAINER,
+                                                       version=5)
+    header, arrays = read_container(source, fmt=MODEL_CONTAINER)
     _tamper(header, arrays, case)
-    path = write_container(tmp_path / f"{case}.rpm", header, arrays,
-                           fmt=MODEL_CONTAINER)
+    path = write_container(tmp_path / f"{case}.rpm", header, arrays, fmt=fmt)
     for load in (load_model, validate_model):
         with pytest.raises(ModelFormatError,
                            match=TAMPERED_FOREST[case]) as excinfo:

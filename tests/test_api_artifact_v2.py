@@ -48,8 +48,8 @@ def _legacy_queries():
             for sid, digests in expected()["model"]["queries"]]
 
 
-def test_format_version_is_five():
-    assert MODEL_FORMAT_VERSION == 5
+def test_format_version_is_six():
+    assert MODEL_FORMAT_VERSION == 6
 
 
 def test_sharded_artifact_round_trips_bit_identically(tmp_path):

@@ -103,7 +103,7 @@ def test_format4_model_decides_as_recorded(mmap, tmp_path):
     # Re-saved, the anchor index is a fresh build's, with exact keys.
     resaved = loaded.save(tmp_path / "resaved.rpm")
     header, arrays = read_container(resaved, fmt=MODEL_CONTAINER)
-    assert header["format_version"] == 5
+    assert header["format_version"] == 6
     _, fresh = fresh_index(recorded["members"], ["ssdeep-file"]).get_state()
     index_arrays = {name.split(".", 1)[1]: array
                     for name, array in arrays.items()

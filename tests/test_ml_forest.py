@@ -6,6 +6,7 @@ import pytest
 from repro.exceptions import NotFittedError, ValidationError
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.metrics import accuracy_score
+from repro.ml.tree import class_distributions
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +120,48 @@ def test_get_set_params_roundtrip():
     assert forest.n_estimators == 11
     with pytest.raises(ValidationError):
         forest.set_params(not_a_parameter=1)
+
+
+def dense_sum_proba(forest, X):
+    """The forest's probabilities as a tree-by-tree sum of dense leaf
+    rows over the forest's classes: the reference the leaf table keeps
+    bit for bit."""
+
+    total = np.zeros((len(X), len(forest.classes_)))
+    for tree in forest.estimators_:
+        rows = np.zeros((tree.node_count, len(forest.classes_)))
+        rows[:, tree.classes_] = class_distributions(tree._node_values)
+        total += rows[tree.apply(X)]
+    total /= len(forest.estimators_)
+    return total
+
+
+def sequential_depth(tree):
+    """Depth by one pass in node order (children follow their parent)."""
+
+    depths = np.zeros(tree.node_count, dtype=np.int64)
+    for node in np.flatnonzero(tree._node_feature >= 0):
+        depths[tree._node_left[node]] = depths[node] + 1
+        depths[tree._node_right[node]] = depths[node] + 1
+    return int(depths.max())
+
+
+@pytest.mark.parametrize("max_depth", [None, 2])
+def test_leaf_table_sums_like_dense_rows(blobs, max_depth):
+    X, y = blobs
+    forest = RandomForestClassifier(n_estimators=9, max_depth=max_depth,
+                                    class_weight="balanced",
+                                    random_state=4).fit(X, y)
+    table = forest.get_state()["table"]
+    counts = np.diff(table["leaf_offsets"])
+    leaf = table["node_feature"] < 0
+    assert np.all(counts[~leaf] == 0) and np.all(counts[leaf] >= 1)
+    if max_depth is not None:
+        assert counts.max() > 1          # mixed leaves carry several classes
+    for rows in (X[:1], X[:37], X):
+        assert forest.predict_proba(rows).tobytes() == \
+            dense_sum_proba(forest, rows).tobytes()
+    depths = [tree.get_depth() for tree in forest.estimators_]
+    assert depths == [sequential_depth(tree) for tree in forest.estimators_]
+    assert forest._trees.depth == max(depths)
+
