@@ -86,6 +86,9 @@ class BenchResult:
     traces_in_ring: int = 0
     stages_observed: tuple[str, ...] = ()
     stage_sums_within_wall: bool = True
+    # The captured trace whose stage sum came closest to (or furthest
+    # past) its wall time: (stage sum, wall), in ms.
+    worst_stage_sum_ms: tuple[float, float] = (0.0, 0.0)
     decisions_match: bool = True
 
     @property
@@ -123,7 +126,9 @@ class BenchResult:
             f"traces sampled: {self.traces_sampled} "
             f"({self.traces_in_ring} in the /debug/trace ring)",
             f"stages observed: {', '.join(self.stages_observed)}",
-            f"stage sums within wall time: {self.stage_sums_within_wall}",
+            f"stage sums within wall time: {self.stage_sums_within_wall} "
+            f"(worst: {self.worst_stage_sum_ms[0]:.3f} ms of stages in "
+            f"{self.worst_stage_sum_ms[1]:.3f} ms wall)",
             f"served decisions identical to direct classify_bytes: "
             f"{self.decisions_match}",
         ])
@@ -239,6 +244,7 @@ def run(n_estimators: int, n_requests: int, n_clients: int,
         traces_in_ring = 0
         stages: set[str] = set()
         sums_ok = True
+        worst: tuple[float, float] | None = None
         # Alternate which mode runs first (off-on, on-off, ...) so that
         # drift within a pair of rounds hits both modes equally, and
         # compare each mode's median round: a round's time swings with
@@ -263,6 +269,9 @@ def run(n_estimators: int, n_requests: int, n_clients: int,
                     stage_sum = sum(trace["stages"].values())
                     if stage_sum > trace["wall_ms"] * 1.05 + 1.0:
                         sums_ok = False
+                    excess = stage_sum - trace["wall_ms"]
+                    if worst is None or excess > worst[0] - worst[1]:
+                        worst = (stage_sum, trace["wall_ms"])
 
     return BenchResult(
         n_train=len(features),
@@ -278,6 +287,7 @@ def run(n_estimators: int, n_requests: int, n_clients: int,
         traces_in_ring=traces_in_ring,
         stages_observed=tuple(sorted(stages)),
         stage_sums_within_wall=sums_ok,
+        worst_stage_sum_ms=worst or (0.0, 0.0),
         decisions_match=decisions_match,
     )
 

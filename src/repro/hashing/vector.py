@@ -74,7 +74,6 @@ __all__ = [
     "hamming_distance",
     "score_from_distance",
     "compare_vector_digests",
-    "popcount_u8",
     "digests_to_matrix",
     "packed_hamming",
 ]
@@ -125,17 +124,8 @@ def _build_pearson_table() -> np.ndarray:
 _PEARSON = _build_pearson_table()
 #: Gray code of the four quartiles: adjacent quartiles differ by 1 bit.
 _GRAY = np.asarray([0b00, 0b01, 0b11, 0b10], dtype=np.uint8)
-#: Per-byte popcount lookup table.
-_POPCOUNT8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
-                           axis=1).sum(axis=1).astype(np.uint8)
 _CHECKSUM_WEIGHTS = np.arange(1, VECTOR_BUCKETS + 1, dtype=np.int64)
 _LOG_1_5 = math.log(1.5)
-
-
-def popcount_u8(array: np.ndarray) -> np.ndarray:
-    """Per-byte popcount of a ``uint8`` array (8-bit lookup table)."""
-
-    return _POPCOUNT8[array]
 
 
 @dataclass(frozen=True)
@@ -295,9 +285,7 @@ def hamming_distance(d1: "VectorDigest | str", d2: "VectorDigest | str") -> int:
     bucket would break it for size-changing edits.
     """
 
-    b1 = np.frombuffer(_coerce(d1).body, dtype=np.uint8)
-    b2 = np.frombuffer(_coerce(d2).body, dtype=np.uint8)
-    return int(_POPCOUNT8[b1 ^ b2].sum())
+    return int(np.bitwise_count(_coerce(d1).words ^ _coerce(d2).words).sum())
 
 
 def score_from_distance(distance) -> "int | np.ndarray":
@@ -333,7 +321,7 @@ def digests_to_matrix(digests: Sequence["VectorDigest | str"]) -> np.ndarray:
 def packed_hamming(matrix: np.ndarray, query_words: np.ndarray) -> np.ndarray:
     """Body Hamming distance of one query against a packed matrix.
 
-    One vectorised ``XOR`` + table popcount sweep over the whole
+    One vectorised ``XOR`` + ``np.bitwise_count`` sweep over the whole
     ``(n, VECTOR_WORDS)`` ``uint64`` matrix; returns ``(n,)`` ``int32``
     distances.
     """
@@ -342,4 +330,4 @@ def packed_hamming(matrix: np.ndarray, query_words: np.ndarray) -> np.ndarray:
     if matrix.size == 0:
         return np.zeros(matrix.shape[0], dtype=np.int32)
     xor = np.bitwise_xor(matrix, np.asarray(query_words, dtype=np.uint64)[None, :])
-    return _POPCOUNT8[xor.view(np.uint8)].sum(axis=1, dtype=np.int32)
+    return np.bitwise_count(xor).sum(axis=1, dtype=np.int32)

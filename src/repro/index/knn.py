@@ -27,7 +27,6 @@ from ..hashing.vector import (
     VectorDigest,
     hamming_distance,
     packed_hamming,
-    popcount_u8,
     score_from_distance,
 )
 
@@ -156,7 +155,7 @@ class PackedDigestStore:
         matrix = self.matrix
         xor = np.bitwise_xor(matrix[rows_a], matrix[rows_b])
         scores = score_from_distance(
-            popcount_u8(xor.view(np.uint8)).sum(axis=1, dtype=np.int64))
+            np.bitwise_count(xor).sum(axis=1, dtype=np.int64))
         present = self.present
         scores[~(present[rows_a] & present[rows_b])] = 0
         return scores

@@ -24,8 +24,9 @@ self-looping view ``predict_proba`` walks (:func:`repro.ml.tree.walk`);
 the leaves reached add their entries with one ``np.bincount``.
 
 Trees can be fitted in parallel worker processes (``n_jobs``); each
-worker receives a batch of tree seeds to amortise the cost of shipping
-the training matrix.
+worker receives a batch of tree seeds, to amortise the cost of shipping
+the training matrix, and grows the batch's trees together in lockstep
+(:func:`repro.ml.tree._grow_trees`).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .class_weight import compute_sample_weight
 from .encoding import LabelEncoder
 from .tree import (
     DecisionTreeClassifier,
+    _offsets,
     class_distributions,
     encode_columns,
     loop_leaves,
@@ -90,14 +92,6 @@ _DENSE_DTYPES = {
     "tree_classes": np.int64,
     "tree_importances": np.float64,
 }
-
-
-def _offsets(counts) -> np.ndarray:
-    """Start offsets of consecutive blocks of ``counts``, plus the end."""
-
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets
 
 
 def _leaf_arrays(trees: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -276,27 +270,27 @@ def _from_dense(arrays: dict, n_classes: int, n_features: int) -> dict:
 
 
 def _fit_tree_batch(args) -> list[DecisionTreeClassifier]:
-    """Fit a batch of trees (module-level so it can cross process
-    boundaries)."""
+    """Fit a batch of trees, grown together in lockstep (module-level so
+    it can cross process boundaries)."""
 
     (tree_params, X, y, sample_weight, seeds, bootstrap) = args
     n_samples = X.shape[0]
-    # One encoding serves every tree: a bootstrap sample's rows of it
-    # encode the sample.
+    # One encoding serves every tree: each grows on the rows of its
+    # bootstrap sample.
     ranks, values = encode_columns(X)
     trees: list[DecisionTreeClassifier] = []
+    sets = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         tree = DecisionTreeClassifier(random_state=int(rng.integers(0, 2**31 - 1)),
                                       **tree_params)
-        if bootstrap:
-            indices = rng.integers(0, n_samples, size=n_samples)
-            tree._fit_encoded(ranks[indices], values, y[indices],
-                              sample_weight=None if sample_weight is None
-                              else sample_weight[indices])
-        else:
-            tree._fit_encoded(ranks, values, y, sample_weight=sample_weight)
+        rows = (rng.integers(0, n_samples, size=n_samples) if bootstrap
+                else np.arange(n_samples))
+        sets.append(tree._training_set(
+            rows, y[rows],
+            None if sample_weight is None else sample_weight[rows]))
         trees.append(tree)
+    DecisionTreeClassifier._grow(trees, ranks, values, sets)
     return trees
 
 

@@ -24,11 +24,13 @@ from hypothesis import strategies as st
 
 from repro.exceptions import DigestFormatError
 from repro.hashing.vector import (VECTOR_BODY_BITS, VECTOR_DIGEST_LENGTH,
-                                  VECTOR_PREFIX, VectorDigest, VectorHasher,
+                                  VECTOR_PREFIX, VECTOR_WORDS, VectorDigest,
+                                  VectorHasher,
                                   compare_vector_digests, digests_to_matrix,
                                   hamming_distance, is_vector_digest,
                                   is_vector_feature_type, packed_hamming,
                                   score_from_distance, vector_hash)
+from repro.index.knn import PackedDigestStore
 
 _settings = settings(max_examples=50, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -156,3 +158,30 @@ def test_packed_hamming_matches_scalar(blobs, query_blob):
     packed = packed_hamming(matrix, query.words)
     scalar = [hamming_distance(d, query) for d in digests]
     assert packed.tolist() == scalar
+
+
+_word = st.integers(0, 2**64 - 1)
+
+
+@_settings
+@given(st.lists(st.lists(_word, min_size=VECTOR_WORDS, max_size=VECTOR_WORDS),
+                min_size=1, max_size=12),
+       st.lists(_word, min_size=VECTOR_WORDS, max_size=VECTOR_WORDS))
+def test_bit_counts_match_unpackbits(rows, query_row):
+    """``hamming_distance``, ``packed_hamming`` and the store's
+    ``pair_scores`` count the bits ``np.unpackbits`` counts, on any
+    words (including all-ones and all-zero ones)."""
+
+    matrix = np.array(rows, dtype=np.uint64)
+    query = np.array(query_row, dtype=np.uint64)
+    expected = np.unpackbits((matrix ^ query).view(np.uint8), axis=1).sum(axis=1)
+    assert packed_hamming(matrix, query).tolist() == expected.tolist()
+    digests = [VectorDigest.from_words(0, 0, row) for row in matrix]
+    other = VectorDigest.from_words(0, 0, query)
+    assert [hamming_distance(d, other) for d in digests] == expected.tolist()
+    store = PackedDigestStore()
+    for digest in digests + [other]:
+        store.append(digest)
+    pairs = np.arange(len(digests))
+    assert store.pair_scores(pairs, np.full_like(pairs, len(digests))).tolist() \
+        == score_from_distance(expected).tolist()

@@ -1,84 +1,33 @@
-"""The histogram split search builds the trees of the sort-based search.
+"""The lockstep grower builds the trees of the per-node growers.
 
-``sort_split`` is the per-feature argsort/cumsum search the tree used
-before the histogram kernel, kept here as the reference: it reads the
-same rank encoding, counts integer groups and scores candidates with the
-shared :func:`repro.ml.tree.split_gains`, so the two must agree bit for
-bit on every node array, importance and probability.
+``per_node_tree`` keeps the recursive grower that grew one tree, one
+node at a time, before ``repro.ml.tree._grow_trees`` grew a batch of trees
+in lockstep, and the per-feature argsort/cumsum split search before
+that.  All of them read the same rank encoding and count integer
+groups, so they must agree bit for bit on every node array, importance,
+node table and probability.  ``training_sets`` draws at most 6 classes;
+``wide_training_sets`` draws 8-40, the widths at which a gain reduced
+over a padded or merged class axis would change its bits.
 """
-
-from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.ml.forest import RandomForestClassifier
-from repro.ml.tree import (
-    DecisionTreeClassifier,
-    _MIN_GAIN,
-    _Split,
-    encode_columns,
-    split_gains,
-    weight_groups,
-)
+from per_node_tree import PerNodeGrower, SortGrower, fit_with
+from repro.ml.encoding import LabelEncoder
+from repro.ml.forest import RandomForestClassifier, _fit_tree_batch
+from repro.ml.tree import DecisionTreeClassifier, encode_columns, weight_groups
 
 _settings = settings(max_examples=60, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
-
-
-def sort_split(self, data, node, rng):
-    """Reference split search: one argsort and one cumsum per drawn feature."""
-
-    draws = rng.permutation(data.ranks.shape[1])
-    n_node = len(node.indices)
-    onehot = np.zeros((n_node, node.counts.size), dtype=np.int64)
-    onehot[np.arange(n_node), node.groups] = 1
-    positions = np.arange(1, n_node)
-    min_leaf = self.min_samples_leaf
-    best, best_gain, examined = None, -np.inf, 0
-    for feature in draws:
-        if examined >= data.max_features and best is not None:
-            break
-        examined += 1
-        ranks = data.ranks[node.indices, feature]
-        order = np.argsort(ranks, kind="stable")
-        sorted_ranks = ranks[order]
-        if sorted_ranks[0] == sorted_ranks[-1]:
-            continue  # constant in this node
-        cumulative = np.cumsum(onehot[order], axis=0)[:-1]
-        low = data.values[feature, sorted_ranks[:-1]]
-        high = data.values[feature, sorted_ranks[1:]]
-        thresholds = (low + high) / 2.0
-        valid = ((sorted_ranks[1:] != sorted_ranks[:-1])
-                 & (positions >= min_leaf) & (n_node - positions >= min_leaf)
-                 & (thresholds < high))
-        if not valid.any():
-            continue
-        gains = split_gains(cumulative[valid], node, self.criterion)
-        local = int(np.argmax(gains))
-        if gains[local] <= _MIN_GAIN:
-            continue
-        if gains[local] > best_gain:
-            best_gain = float(gains[local])
-            best = _Split(feature=int(feature),
-                          threshold=float(thresholds[valid][local]),
-                          rank=int(sorted_ranks[:-1][valid][local]),
-                          impurity_decrease=node.weight * best_gain)
-    return best
-
-
-def sort_search(estimator, *args, **kwargs):
-    """Fit ``estimator`` with the reference split search in place of the
-    kernel (in this process: forests here run with ``n_jobs=1``)."""
-
-    with mock.patch.object(DecisionTreeClassifier, "_best_split", sort_split):
-        return estimator.fit(*args, **kwargs)
-
+_wide = settings(max_examples=10, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+REFERENCES = (PerNodeGrower, SortGrower)
 
 #: A fitted tree's node arrays, its class index and its importances.
 TREE_ARRAYS = ("_node_feature", "_node_threshold", "_node_left",
-               "_node_right", "_node_samples", "_node_values", "classes_",
+               "_node_right", "_node_values", "classes_",
                "feature_importances_")
 
 
@@ -102,6 +51,25 @@ def assert_same_tree(a, b):
 
 def assert_same_proba(a, b, X):
     assert a.predict_proba(X).tobytes() == b.predict_proba(X).tobytes()
+
+
+def assert_same_forest(a, b, X):
+    assert len(a.estimators_) == len(b.estimators_)
+    for tree_a, tree_b in zip(a.estimators_, b.estimators_):
+        assert_same_tree(tree_a, tree_b)
+    assert (a.feature_importances_.tobytes()
+            == b.feature_importances_.tobytes())
+    assert_same_arrays(a.get_state()["table"], b.get_state()["table"])
+    assert_same_proba(a, b, X)
+
+
+def _weights(draw, rng, n_samples):
+    kind = draw(st.sampled_from([None, "few", "integer"]))
+    if kind == "few":
+        return rng.choice([0.5, 1.0, 2.25], n_samples)
+    if kind == "integer":
+        return rng.integers(0, 4, n_samples).astype(np.float64)
+    return None
 
 
 @st.composite
@@ -132,14 +100,26 @@ def training_sets(draw):
     y = rng.integers(0, n_classes, n_samples)
     if draw(st.booleans()):
         y = np.array([f"app-{label}" for label in y])
-    weights = draw(st.sampled_from([None, "few", "integer"]))
-    if weights == "few":
-        sample_weight = rng.choice([0.5, 1.0, 2.25], n_samples)
-    elif weights == "integer":
-        sample_weight = rng.integers(0, 4, n_samples).astype(np.float64)
-    else:
-        sample_weight = None
-    return X, y, sample_weight
+    return X, y, _weights(draw, rng, n_samples)
+
+
+@st.composite
+def wide_training_sets(draw):
+    """8-40 classes over up to 200 samples and 20 features: mostly
+    similarity-like score columns, a dense float column now and then."""
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_classes = draw(st.integers(8, 40))
+    n_samples = draw(st.integers(n_classes, 200))
+    n_features = draw(st.integers(2, 20))
+    zeros = draw(st.floats(0.5, 0.98))
+    X = rng.integers(0, 101, (n_samples, n_features)).astype(np.float64)
+    X[rng.random(X.shape) < zeros] = 0.0
+    dense = rng.random(n_features) < draw(st.floats(0.0, 0.3))
+    X[:, dense] = np.round(rng.normal(0.0, 2.0, (n_samples, dense.sum())), 1)
+    y = rng.integers(0, n_classes, n_samples)
+    y[:n_classes] = np.arange(n_classes)
+    return X, y, _weights(draw, rng, n_samples)
 
 
 hyper_parameters = st.fixed_dictionaries({
@@ -149,46 +129,92 @@ hyper_parameters = st.fixed_dictionaries({
     "max_depth": st.sampled_from([None, 1, 3]),
     "class_weight": st.sampled_from([None, "balanced"]),
 })
+seeds = st.integers(0, 2**31 - 1)
 
 
-@_settings
-@given(training_sets(), hyper_parameters, st.integers(0, 2**31 - 1))
-def test_tree_matches_sort_search(data, params, seed):
+def check_tree(data, params, seed):
+    """The lockstep tree equals both references' trees."""
+
     X, y, sample_weight = data
-    kernel = DecisionTreeClassifier(random_state=seed, **params).fit(
+    lockstep = DecisionTreeClassifier(random_state=seed, **params).fit(
         X, y, sample_weight=sample_weight)
-    reference = sort_search(DecisionTreeClassifier(random_state=seed, **params),
-                            X, y, sample_weight=sample_weight)
-    assert_same_tree(kernel, reference)
-    assert_same_proba(kernel, reference, X)
-    assert_same_proba(kernel, reference, X + 0.5)
+    for grower in REFERENCES:
+        reference = fit_with(grower,
+                             DecisionTreeClassifier(random_state=seed, **params),
+                             X, y, sample_weight=sample_weight)
+        assert_same_tree(lockstep, reference)
+        assert_same_proba(lockstep, reference, X)
+        assert_same_proba(lockstep, reference, X + 0.5)
     # Rows of a larger matrix's encoding (how a forest fits its trees)
     # grow the same tree as the rows' own encoding.
     ranks, values = encode_columns(np.vstack([X * 3.0, X, X - 1.0]))
     rows = DecisionTreeClassifier(random_state=seed, **params)._fit_encoded(
         ranks[len(X):2 * len(X)], values, y, sample_weight=sample_weight)
-    assert_same_tree(kernel, rows)
+    assert_same_tree(lockstep, rows)
+
+
+def check_forest(data, params, seed, bootstrap):
+    """The lockstep forest equals both references' forests."""
+
+    X, y, sample_weight = data
+    settings_ = dict(n_estimators=4, bootstrap=bootstrap, random_state=seed,
+                     **params)
+    lockstep = RandomForestClassifier(**settings_).fit(
+        X, y, sample_weight=sample_weight)
+    for grower in REFERENCES:
+        reference = fit_with(grower, RandomForestClassifier(**settings_), X, y,
+                             sample_weight=sample_weight)
+        assert_same_forest(lockstep, reference, X)
+
+
+@_settings
+@given(training_sets(), hyper_parameters, seeds)
+def test_tree_matches_sort_search(data, params, seed):
+    """Trees equal those of the sort search and the per-node grower."""
+
+    check_tree(data, params, seed)
+
+
+@_wide
+@given(wide_training_sets(), hyper_parameters, seeds)
+def test_wide_tree_matches_sort_search(data, params, seed):
+    check_tree(data, params, seed)
 
 
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(training_sets(), hyper_parameters, st.integers(0, 2**31 - 1),
-       st.booleans())
+@given(training_sets(), hyper_parameters, seeds, st.booleans())
 def test_forest_matches_sort_search(data, params, seed, bootstrap):
+    """Forests equal those of the sort search and the per-node grower."""
+
+    check_forest(data, params, seed, bootstrap)
+
+
+@_wide
+@given(wide_training_sets(), hyper_parameters, seeds, st.booleans())
+def test_wide_forest_matches_sort_search(data, params, seed, bootstrap):
+    check_forest(data, params, seed, bootstrap)
+
+
+@_wide
+@given(st.one_of(training_sets(), wide_training_sets()), hyper_parameters,
+       st.lists(st.integers(0, 2**63 - 1), min_size=2, max_size=5),
+       st.booleans())
+def test_tree_does_not_depend_on_its_batch(data, params, tree_seeds,
+                                           bootstrap):
+    """A batch's trees equal the same seeds fitted one at a time."""
+
     X, y, sample_weight = data
-    settings_ = dict(n_estimators=4, bootstrap=bootstrap, random_state=seed,
-                     **params)
-    kernel = RandomForestClassifier(**settings_).fit(
-        X, y, sample_weight=sample_weight)
-    reference = sort_search(RandomForestClassifier(**settings_), X, y,
-                            sample_weight=sample_weight)
-    for a, b in zip(kernel.estimators_, reference.estimators_):
-        assert_same_tree(a, b)
-    assert (kernel.feature_importances_.tobytes()
-            == reference.feature_importances_.tobytes())
-    assert_same_arrays(kernel.get_state()["table"],
-                       reference.get_state()["table"])
-    assert_same_proba(kernel, reference, X)
+    y = LabelEncoder().fit_transform(y)
+    # A forest passes class weights in as sample weights.
+    tree_params = {name: value for name, value in params.items()
+                   if name != "class_weight"}
+    together = _fit_tree_batch((tree_params, X, y, sample_weight, tree_seeds,
+                                bootstrap))
+    for seed, tree in zip(tree_seeds, together):
+        alone, = _fit_tree_batch((tree_params, X, y, sample_weight, [seed],
+                                  bootstrap))
+        assert_same_tree(tree, alone)
 
 
 def test_constant_block_falls_back_to_first_useful_draw():
@@ -201,12 +227,41 @@ def test_constant_block_falls_back_to_first_useful_draw():
     # block (max_features=2) is constant.
     seed = next(s for s in range(100)
                 if 3 not in np.random.default_rng(s).permutation(4)[:2])
-    kernel = DecisionTreeClassifier(max_features=2, random_state=seed).fit(X, y)
-    reference = sort_search(
-        DecisionTreeClassifier(max_features=2, random_state=seed), X, y)
-    assert kernel._node_feature[0] == 3
-    assert kernel._node_threshold[0] == 20.0
-    assert_same_tree(kernel, reference)
+    lockstep = DecisionTreeClassifier(max_features=2, random_state=seed).fit(X, y)
+    assert lockstep._node_feature[0] == 3
+    assert lockstep._node_threshold[0] == 20.0
+    for grower in REFERENCES:
+        assert_same_tree(lockstep, fit_with(
+            grower, DecisionTreeClassifier(max_features=2, random_state=seed),
+            X, y))
+
+
+def test_negative_zero_mass_keeps_its_sign_beside_more_weight_slots():
+    # Class 3 weighs -0.0, so its masses are -0.0.  Grown beside a tree
+    # with two weight slots, the tree's table is padded to two slots,
+    # and the padding must not turn those masses into +0.0.
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 5, (40, 4)).astype(np.float64)
+    y = np.repeat([0, 1, 2, 3], 10)
+    weights = np.where(y == 3, -0.0, 1.0)
+    two_slots = weights.copy()
+    two_slots[0] = 2.0
+    ranks, values = encode_columns(X)
+    rows = np.arange(len(X))
+    alone = DecisionTreeClassifier(random_state=1)
+    DecisionTreeClassifier._grow([alone], ranks, values,
+                                 [alone._training_set(rows, y, weights)])
+    batch = [DecisionTreeClassifier(random_state=1),
+             DecisionTreeClassifier(random_state=2)]
+    DecisionTreeClassifier._grow(batch, ranks, values, [
+        batch[0]._training_set(rows, y, weights),
+        batch[1]._training_set(rows, y, two_slots)])
+    assert np.signbit(alone._node_values).any()
+    assert_same_tree(batch[0], alone)
+    for grower in REFERENCES:
+        assert_same_tree(alone, fit_with(
+            grower, DecisionTreeClassifier(random_state=1), X, y,
+            sample_weight=weights))
 
 
 @_settings

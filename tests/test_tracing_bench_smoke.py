@@ -32,20 +32,30 @@ def bench():
 def test_quick_benchmark_identity_and_attribution(bench):
     result = bench.run(n_estimators=40, n_requests=24, n_clients=4,
                        repeats=2)
+    # Every message carries the whole measurement (rounds, sampled
+    # counts, stages, the worst stage sum), so a failure says what was
+    # measured, not only which check tripped.
+    report = "\n" + result.table()
     assert result.decisions_match, \
-        "decisions diverged between tracing modes and direct classify_bytes"
+        "decisions diverged between tracing modes and direct " \
+        "classify_bytes" + report
     # Full sampling: every request (plus the warmup) must be traced.
-    assert result.traces_sampled >= 24
-    assert result.traces_in_ring >= 24
-    assert set(bench.REQUIRED_STAGES) <= set(result.stages_observed)
+    assert result.traces_sampled >= 24, \
+        f"{result.traces_sampled} traces sampled for 24 requests" + report
+    assert result.traces_in_ring >= 24, \
+        f"{result.traces_in_ring} traces in the ring for 24 requests" + report
+    missing = set(bench.REQUIRED_STAGES) - set(result.stages_observed)
+    assert not missing, f"stages never attributed: {sorted(missing)}" + report
     assert result.stage_sums_within_wall, \
-        "a trace's stage sum exceeded its wall time (double counting)"
+        "a trace's stage sum exceeded its wall time (double counting)" \
+        + report
     # The acceptance ceiling is 5% (CI benchmark job, median of 10
     # rounds); the smoke bar is loose so scheduler noise on a busy
     # runner cannot flake tier 1 — a real hot-path regression blows
     # well past it.
     assert result.overhead <= 0.5, \
-        f"tracing overhead {result.overhead * 100:.1f}% even for smoke"
+        f"tracing overhead {result.overhead * 100:.1f}% even for smoke" \
+        + report
 
 
 def test_benchmark_cli_mode(bench, capsys, tmp_path, monkeypatch):
