@@ -82,7 +82,6 @@ from .features import (
     FEATURE_TYPES,
     FeatureExtractionPipeline,
     FeatureExtractor,
-    FeatureStore,
     SampleFeatures,
     SimilarityFeatureBuilder,
 )
@@ -167,7 +166,6 @@ __all__ = [
     "FEATURE_TYPES",
     "FeatureExtractor",
     "FeatureExtractionPipeline",
-    "FeatureStore",
     "SampleFeatures",
     "SimilarityFeatureBuilder",
     # similarity index

@@ -29,7 +29,7 @@ Version history:
   ``index.header``) carries ``"sharded": true`` plus the shard layout,
   and its arrays are prefixed ``index.shardN.*``.  This build no longer
   writes that layout; it reads it into one index over the surviving
-  members (:mod:`repro.index.legacy`).
+  members.
 * **v3** — the second hash family: the classifier may carry a
   ``family`` parameter (``"ctph"``/``"vector"``/``"both"``) and the
   embedded index may hold packed ``uint64`` vector-digest matrices
@@ -49,18 +49,13 @@ Version history:
   ``node_values`` and the ``node_samples``, ``tree_classes``,
   ``tree_class_offsets`` and ``tree_importances`` nothing read.
 
-Version 1–5 artifacts load and predict identically: their dense forest
-table converts to leaf entries at load
-(:meth:`~repro.ml.forest.RandomForestClassifier.set_state`), a v1–v4
-anchor index re-keys its postings from its entries, and v1–v3 files
-load through the materialising path.  A re-save writes v6.  Readers
-accept any version up to the current one.
-
-``params`` no longer carries ``anchor_strategy`` or ``medoids_per_class``:
-the feature layout is fixed at one column per (hash type, class).  Older
-files that carry them, all with ``anchor_strategy: "class-max"``, still
-load and predict identically; any other strategy is refused with
-:class:`~repro.exceptions.ModelFormatError`.
+Version 1–5 artifacts load and predict identically: the upgrade steps
+(:mod:`repro.upgrade`) first turn a dense forest table into the leaf
+table, re-key a v1–v4 anchor index from its entries, and drop the
+``anchor_strategy: "class-max"`` and ``medoids_per_class`` params (any
+other strategy is refused), so the rest of this module reads v6 only.
+v1–v3 files load materialised.  A re-save writes v6; readers accept any
+version up to the current one.
 
 Validation on load is strict: bad magic, truncation, a future format
 version, unknown feature types, a forest node table that is
@@ -102,6 +97,7 @@ from ..index.storage import (
     write_container,
 )
 from ..logging_utils import get_logger
+from ..upgrade import upgrade_model
 
 __all__ = ["MODEL_FORMAT_VERSION", "MODEL_MAGIC", "MODEL_SUFFIX", "MODEL_KIND",
            "save_model", "load_model", "inspect_model", "validate_model",
@@ -295,6 +291,7 @@ def _restore(path: Path,
     if kind != MODEL_KIND:
         raise ModelFormatError(
             f"{source} holds a {kind!r} model; this build reads {MODEL_KIND!r}")
+    header, embedded, table = upgrade_model(header, arrays, source=source)
     try:
         params = dict(header["params"])
         feature_names = list(header["feature_names"])
@@ -313,15 +310,6 @@ def _restore(path: Path,
             f"{source} uses feature types {unknown_types or '[]'} unknown to "
             f"this build (supported: {list(ALL_FEATURE_TYPES)})")
 
-    # Files written before the feature layout became fixed name it:
-    # "class-max" (one column per hash type and class) is the layout
-    # this build computes, and any other is refused.
-    strategy = params.pop("anchor_strategy", "class-max")
-    params.pop("medoids_per_class", None)
-    if strategy != "class-max":
-        raise ModelFormatError(
-            f"{source} uses anchor strategy {strategy!r}; this build "
-            "computes the 'class-max' feature layout only")
     try:
         classifier = FuzzyHashClassifier(**params)
     except (TypeError, ReproError) as exc:
@@ -333,10 +321,7 @@ def _restore(path: Path,
             _LOG.warning("%s embeds its anchor index; ignoring the explicitly "
                          "supplied one", source)
         index_header = index_block.get("header")
-        index_arrays = {name.split(".", 1)[1]: array
-                        for name, array in arrays.items()
-                        if name.startswith("index.")}
-        if not isinstance(index_header, dict) or not index_arrays:
+        if not isinstance(index_header, dict) or not embedded:
             raise ModelFormatError(
                 f"{source} declares an embedded index but carries no "
                 "index payload")
@@ -346,7 +331,7 @@ def _restore(path: Path,
         # scans (the file was validated when written).
         try:
             anchor = SimilarityIndex.from_state(
-                index_header, index_arrays, source=source,
+                index_header, embedded, source=source,
                 copy=False, deep_validate=mmap_mode is None)
         except ReproError as exc:
             raise ModelFormatError(
@@ -374,9 +359,7 @@ def _restore(path: Path,
         forest_state = {
             "classes": _decode_labels(forest_header["classes"], source=source),
             "n_features_in": int(forest_header["n_features_in"]),
-            "table": {name.split(".", 1)[1]: array
-                      for name, array in arrays.items()
-                      if name.startswith("forest.")},
+            "table": table,
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(
@@ -426,16 +409,8 @@ def _summarise(path: Path, header: Mapping) -> dict:
         raise ModelFormatError(
             f"{source} is missing required header fields: {exc}") from exc
     index_header = index_block.get("header") or {}
-    if not index_block.get("included"):
-        index_members = 0
-    elif index_header.get("sharded"):
-        # Legacy sharded anchors: every member in the global order,
-        # minus the tombstoned ones.
-        tombstones = sum(len(dead)
-                         for dead in index_header.get("tombstones", []))
-        index_members = len(index_header.get("order", [])) - tombstones
-    else:
-        index_members = len(index_header.get("sample_ids", []))
+    index_members = len(index_header.get("sample_ids", [])) \
+        if index_block.get("included") else 0
     family = str(params.get("family", "ctph"))
     try:
         active_types = list(resolve_family_feature_types(
@@ -492,11 +467,12 @@ def inspect_model(path: str | os.PathLike) -> dict:
     """Header-level summary of an artifact (no model reconstruction)."""
 
     path = Path(path)
-    # Mapped read: inspection only touches the header, so the (possibly
-    # huge) payloads are never faulted in on v4 aligned files.
-    header, _arrays = read_container(path, fmt=MODEL_CONTAINER,
-                                     mmap_mode="r")
-    return _summarise(path, header)
+    # Mapped read: a current file's payloads are never faulted in on v4
+    # aligned files; an older one's run through the upgrade steps.
+    header, arrays = read_container(path, fmt=MODEL_CONTAINER,
+                                    mmap_mode="r")
+    return _summarise(path, upgrade_model(
+        header, arrays, source=f"model artifact {path}")[0])
 
 
 def validate_model(path: str | os.PathLike,

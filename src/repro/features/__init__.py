@@ -13,15 +13,13 @@ trained on.
   (optionally in parallel worker processes),
 * :mod:`repro.features.similarity` — turn digests into the similarity
   feature matrix (SSDeep scores against per-class anchors), with
-  7-gram candidate pruning and a bit-parallel edit-distance kernel,
-* :mod:`repro.features.store` — on-disk feature cache.
+  7-gram candidate pruning and a bit-parallel edit-distance kernel.
 """
 
 from .extractors import FEATURE_TYPES, FeatureExtractor
 from .records import SampleFeatures, features_to_json, features_from_json
 from .pipeline import FeatureExtractionPipeline
 from .similarity import SimilarityFeatureBuilder, SimilarityMatrix
-from .store import FeatureStore
 
 __all__ = [
     "FEATURE_TYPES",
@@ -32,5 +30,4 @@ __all__ = [
     "FeatureExtractionPipeline",
     "SimilarityFeatureBuilder",
     "SimilarityMatrix",
-    "FeatureStore",
 ]

@@ -20,13 +20,9 @@ incrementally, queried repeatedly and shipped between processes:
   merge);
 * :mod:`~repro.index.storage` — the single-file on-disk container
   (JSON header + raw NumPy arrays, versioned, magic ``RPROSIDX``;
-  format v5 carries the columnar arrays with exact keys, v2–v4 files
-  re-key their postings on load and v1 files rebuild on load);
-* :mod:`~repro.index.legacy` — readers for the retired sharded
-  layouts (a ``manifest.json`` directory, or a ``"sharded": true``
-  snapshot inside a model artifact), which load as one index over
-  their surviving members; :func:`~repro.index.core.load_index` opens
-  a file or such a directory.
+  format v5 carries the columnar arrays with exact keys); older files,
+  and the retired sharded directories :func:`~repro.index.core.load_index`
+  also opens, are upgraded to v5 at load (:mod:`repro.upgrade`).
 
 Removing members
 ----------------
@@ -36,8 +32,8 @@ renumbered densely in insertion order, exactly as a fresh index built
 from them would.  ``compact()`` drops tombstoned members physically,
 and ``get_state`` / ``save`` always write the survivors only, byte for
 byte as a fresh build over them would: compaction, snapshots and the
-legacy readers copy members through one path that appends each the way
-``add`` does.
+legacy sharded layouts copy members through one array gather that
+appends each the way ``add`` does.
 
 Digest format and comparability rules
 -------------------------------------

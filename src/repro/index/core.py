@@ -22,16 +22,17 @@ drops them physically.  Snapshots (``get_state`` / ``save``) always hold
 the survivors only, so a removed member can never come back on reload,
 and are byte-identical to a fresh build over them.
 
-Since format version 2 the postings and entry tables live in compact
-columnar NumPy arrays (:mod:`repro.index.postings`): signatures are
-interned in an index-wide string pool, entries are ``int32``/``int64``
-columns, and each feature type's inverted postings are a sorted
-CSR-style triple over exact ``(block_size, gram)`` keys (format 5; the
-hashed keys of formats 2–4 are rebuilt from the entries at load).
-Candidate generation is one vectorised sweep — ``np.searchsorted`` over
-the key array, slab gathers, ``np.unique`` de-duplication over packed
-pairs — instead of the first-generation per-gram dict walk; results are
-bit-identical (the Hypothesis equivalence suite pins this down).
+The postings and entry tables live in compact columnar NumPy arrays
+(:mod:`repro.index.postings`): signatures are interned in an index-wide
+string pool, entries are ``int32``/``int64`` columns, and each feature
+type's inverted postings are a sorted CSR-style triple over exact
+``(block_size, gram)`` keys.  :meth:`SimilarityIndex.from_state` reads
+that layout (format 5) only; older layouts are upgraded to it first
+(:mod:`repro.upgrade`).  Candidate generation is one vectorised sweep —
+``np.searchsorted`` over the key array, slab gathers, ``np.unique``
+de-duplication over packed pairs — instead of the first-generation
+per-gram dict walk; results are bit-identical (the Hypothesis
+equivalence suite pins this down).
 
 Scoring semantics (the "comparability rules") are exactly those of the
 bulk seed path:
@@ -80,7 +81,7 @@ from ..logging_utils import get_logger
 from ..observability.trace import span
 from .knn import PackedDigestStore
 from .postings import ArrayPostings, SignaturePool, block_code, \
-    is_signature_bytes, signature_grams
+    is_signature_bytes, key_entries, signature_grams
 from .storage import read_container, write_container
 
 __all__ = ["CandidateBatch", "IndexMatch", "PairScore", "SimilarityIndex",
@@ -93,10 +94,11 @@ _LOG = get_logger("index.core")
 _NO_EXCLUDED: frozenset[int] = frozenset()
 
 #: The arrays of one CTPH section (``t{i}.*``): the entry columns, then
-#: the postings (:meth:`ArrayPostings.get_arrays`).
-_ENTRY_ARRAYS = ("entry_member", "entry_block", "entry_sig")
-_SECTION_ARRAYS = _ENTRY_ARRAYS + ("post_keys", "post_offsets",
-                                   "post_entries")
+#: the postings (:meth:`ArrayPostings.get_arrays`), with their dtypes.
+_ENTRY_ARRAYS = {"entry_member": np.int32, "entry_block": np.int64,
+                 "entry_sig": np.int32}
+_SECTION_ARRAYS = (*_ENTRY_ARRAYS, "post_keys", "post_offsets",
+                   "post_entries")
 
 #: Candidate de-duplication switches from a dense boolean
 #: (query rows × entries) scatter to sorting packed codes above this
@@ -233,12 +235,7 @@ class SimilarityIndex:
         if feature_types is None:
             from ..features.extractors import FEATURE_TYPES
             feature_types = FEATURE_TYPES
-        feature_types = tuple(feature_types)
-        if not feature_types:
-            raise ValidationError("feature_types must not be empty")
-        if len(set(feature_types)) != len(feature_types):
-            raise ValidationError("feature_types must not repeat")
-        self._feature_types = feature_types
+        self._feature_types = feature_types = _checked_types(feature_types)
         # The index carries two digest families: CTPH types (variable
         # length, edit-distance scored, 7-gram postings) and vector-*
         # types (fixed length, packed-Hamming scored, no postings).
@@ -348,7 +345,8 @@ class SimilarityIndex:
         member = self._append_member(sample_id, class_name)
         for feature_type, pairs in expanded.items():
             for block_size, signature in pairs:
-                self._add_entry(feature_type, member, block_size, signature)
+                self._stores[feature_type].add_entry(
+                    member, block_size, self._pool.intern(signature))
         # Every member appends exactly one row per vector store (absent
         # digests append a masked zero row) so row index == member index.
         for feature_type, parsed in vparsed.items():
@@ -410,15 +408,8 @@ class SimilarityIndex:
 
         dropped = len(self._dead)
         if dropped:
-            fresh = self._survivor_copy()
-            self._sample_ids = fresh._sample_ids
-            self._class_names = fresh._class_names
-            self._members_by_id = fresh._members_by_id
-            self._pool = fresh._pool
-            self._stores = fresh._stores
-            self._vstores = fresh._vstores
-            self._dead = set()
-            self._view = None
+            vars(self).update(vars(self.from_state(
+                *self.get_state(), copy=False, deep_validate=False)))
             _LOG.info("compacted index: dropped %d tombstoned members, "
                       "%d survive", dropped, self.n_members)
         return dropped
@@ -959,13 +950,6 @@ class SimilarityIndex:
                                        (pairs % n).tolist(), best.tolist())
                 if score >= min_score]
 
-    # ------------------------------------------------------ entry transfer
-    # Members move between indexes as already-expanded entries, never
-    # round-tripping through lossy digests (the original digest string
-    # is not recoverable from normalised signatures).  `_copy_members`
-    # is the one copy path: compaction, snapshots taken with tombstones
-    # and the legacy sharded-layout reader all go through it.
-
     def member_signatures(self, feature_type: str
                           ) -> dict[int, dict[int, str]]:
         """Member index -> ``{block_size: signature}`` for one type.
@@ -975,59 +959,24 @@ class SimilarityIndex:
         """
 
         self._check_feature_type(feature_type)
-        signatures = self._member_signatures(feature_type)
+        if feature_type in self._vstores:
+            vstore = self._vstores[feature_type]
+            signatures = {member: {0: vstore.digest_string(member)}
+                          for member in np.flatnonzero(vstore.present).tolist()}
+        else:
+            store = self._stores[feature_type]
+            pool = self._pool
+            signatures = defaultdict(dict)
+            for member, block, sig_id in zip(store.entry_member.tolist(),
+                                             store.entry_block.tolist(),
+                                             store.entry_sig.tolist()):
+                signatures[member][block] = pool[sig_id]
+            signatures = dict(signatures)
         if not self._dead:
             return signatures
         dense = self._survivors()[1]
         return {int(dense[member]): sigs
                 for member, sigs in signatures.items() if dense[member] >= 0}
-
-    def _member_signatures(self, feature_type: str
-                           ) -> dict[int, dict[int, str]]:
-        """:meth:`member_signatures` keyed by physical member."""
-
-        if feature_type in self._vstores:
-            vstore = self._vstores[feature_type]
-            return {member: {0: vstore.digest_string(member)}
-                    for member in np.flatnonzero(vstore.present).tolist()}
-        store = self._stores[feature_type]
-        pool = self._pool
-        sig_by_member: dict[int, dict[int, str]] = defaultdict(dict)
-        for member, block, sig_id in zip(store.entry_member.tolist(),
-                                         store.entry_block.tolist(),
-                                         store.entry_sig.tolist()):
-            sig_by_member[member][block] = pool[sig_id]
-        return dict(sig_by_member)
-
-    @classmethod
-    def _copy_members(cls, feature_types: Sequence[str],
-                      members: Iterable[tuple["SimilarityIndex", int]]
-                      ) -> "SimilarityIndex":
-        """A new index holding ``(source index, physical member)`` pairs,
-        in order.
-
-        Each member is appended the way :meth:`add` appends one: the
-        member, then its CTPH entries type by type, then one row per
-        vector type.  So the copy is byte-identical to a fresh build
-        from the same digests.
-        """
-
-        index = cls(feature_types)
-        signatures: dict[SimilarityIndex, dict[str, dict]] = {}
-        for source, member in members:
-            by_type = signatures.get(source)
-            if by_type is None:
-                by_type = signatures[source] = {
-                    ft: source._member_signatures(ft) for ft in feature_types}
-            new = index._append_member(source._sample_ids[member],
-                                       source._class_names[member])
-            for ft in index._ctph_types:
-                for block_size, signature in sorted(
-                        by_type[ft].get(member, {}).items()):
-                    index._add_entry(ft, new, block_size, signature)
-            for ft in index._vector_types:
-                index._vstores[ft].append(by_type[ft].get(member, {}).get(0))
-        return index
 
     # ---------------------------------------------------------------- stats
     def stats(self) -> dict:
@@ -1096,20 +1045,13 @@ class SimilarityIndex:
 
     # ---------------------------------------------------------- persistence
     def get_state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        """Serialisable ``(header, arrays)`` snapshot of the index.
-
-        The same representation backs :meth:`save` (written as a
-        standalone container file) and the embedded index payload of
-        model artifacts (:mod:`repro.api.artifact`);
-        :meth:`from_state` restores it.  Since index format version 2
-        the snapshot carries the columnar postings verbatim, so loading
-        adopts the arrays directly instead of re-keying every gram.
-        The snapshot holds the survivors only (a compacted copy when the
+        """Serialisable ``(header, arrays)`` snapshot of the index: what
+        :meth:`save` writes and model artifacts embed, and what
+        :meth:`from_state` adopts without re-keying a gram.  It holds the
+        survivors only (copied through :func:`_copy_members` when the
         index has tombstones), so the format carries no tombstones.
         """
 
-        if self._dead:
-            return self._survivor_copy().get_state()
         pool_bytes, pool_offsets = self._pool.packed()
         header = {
             "ngram_length": ROLLING_WINDOW,
@@ -1131,6 +1073,10 @@ class SimilarityIndex:
         for type_idx, feature_type in enumerate(self._vector_types):
             for name, array in self._vstores[feature_type].get_arrays().items():
                 arrays[f"v{type_idx}.{name}"] = array
+        if self._dead:
+            return _copy_members(
+                self._feature_types, [(header, arrays)],
+                [(0, member) for member in self._survivors()[0].tolist()])
         return header, arrays
 
     def save(self, path: str | os.PathLike) -> Path:
@@ -1144,25 +1090,24 @@ class SimilarityIndex:
     @classmethod
     def load(cls, path: str | os.PathLike, *,
              mmap_mode: str | None = None) -> "SimilarityIndex":
-        """Load an index saved by :meth:`save`.
+        """Load an index saved by :meth:`save`, or by an older build (its
+        layout upgraded first, :func:`repro.upgrade.upgrade_index`).
 
-        Reads both the current columnar layout and legacy (version 1)
-        flat-entry files, which are rebuilt through the normal add path.
         With ``mmap_mode="r"`` (and a v4+ aligned file) the bulk arrays
         are adopted as read-only zero-copy views into a shared memory
-        map: the load is O(header) and deep content validation is
-        deferred — a v5 container was validated when written, and
-        faulting every payload page in just to re-check it would defeat
-        the point of mapping.  Raises
-        :class:`~repro.exceptions.IndexFormatError` on missing, corrupt,
-        truncated or unsupported files.
+        map, and deep content validation is deferred: the load is
+        O(header).  Raises :class:`~repro.exceptions.IndexFormatError`
+        on missing, corrupt, truncated or unsupported files.
         """
 
-        header, arrays = read_container(path, mmap_mode=mmap_mode)
+        from ..upgrade import upgrade_index
+
+        source = f"index file {path}"
+        header, arrays = upgrade_index(
+            *read_container(path, mmap_mode=mmap_mode), source=source)
         # A freshly-read container is exclusively owned (eager) or an
         # immutable mapped view (mmap): adopt without re-copying.
-        index = cls.from_state(header, arrays, source=f"index file {path}",
-                               copy=False,
+        index = cls.from_state(header, arrays, source=source, copy=False,
                                deep_validate=mmap_mode is None)
         _LOG.info("loaded index (%d members) from %s", index.n_members, path)
         return index
@@ -1171,237 +1116,32 @@ class SimilarityIndex:
     def from_state(cls, header: Mapping, arrays: Mapping[str, np.ndarray], *,
                    source: str = "index state", copy: bool = True,
                    deep_validate: bool = True) -> "SimilarityIndex":
-        """Rebuild an index from a :meth:`get_state` snapshot.
+        """Rebuild an index from a :meth:`get_state` snapshot, in the
+        current (format 5) layout only: :func:`repro.upgrade.upgrade_index`
+        brings an older one to it.
 
-        ``source`` names the origin (a file path, or the embedding model
-        artifact) in error messages.  Raises
-        :class:`~repro.exceptions.IndexFormatError` on inconsistent or
-        corrupt state.  Columnar (version 5) snapshots adopt their
-        arrays after validation; columnar snapshots with hashed keys
-        (versions 2–4) re-key their postings from their entries, and
-        legacy flat-entry snapshots are rebuilt entry by entry.
-        ``copy=False`` adopts the arrays as views
-        (zero-copy; the caller guarantees nothing else mutates them) and
-        ``deep_validate=False`` skips the O(payload) content scans — the
-        mapped-load fast path.  A legacy sharded snapshot (header
-        ``"sharded": true``) is rebuilt as one index over its survivors
-        (:mod:`repro.index.legacy`).
+        ``source`` names the origin in the
+        :class:`~repro.exceptions.IndexFormatError` corrupt state raises.
+        ``copy=False`` adopts the arrays as views (the caller guarantees
+        nothing else mutates them), and ``deep_validate=False`` skips the
+        content scans of :func:`_checked_state` and defers signature
+        decoding: on a memory-mapped load they would fault in the whole
+        payload.
         """
 
-        if isinstance(header, Mapping) and header.get("sharded"):
-            from .legacy import index_from_sharded_state
-
-            return index_from_sharded_state(header, arrays, source=source,
-                                            copy=copy,
-                                            deep_validate=deep_validate)
-        try:
-            ngram_length = int(header["ngram_length"])
-            feature_types = [str(ft) for ft in header["feature_types"]]
-            sample_ids = [str(s) for s in header["sample_ids"]]
-            class_names = [str(c) for c in header["class_names"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IndexFormatError(
-                f"{source} is missing required fields: {exc}") from exc
-        if len(class_names) != len(sample_ids):
-            raise IndexFormatError(
-                f"{source} has {len(sample_ids)} sample ids but "
-                f"{len(class_names)} class names")
-        if ngram_length != ROLLING_WINDOW:
-            raise IndexFormatError(
-                f"{source} uses {ngram_length}-gram postings; this build "
-                f"reads {ROLLING_WINDOW}-gram postings only")
-        try:
-            index = cls(feature_types)
-        except ValidationError as exc:
-            raise IndexFormatError(f"{source} has an invalid "
-                                   f"configuration: {exc}") from exc
-        index._sample_ids = sample_ids
-        index._class_names = class_names
+        (feature_types, sample_ids, class_names, pool, sections,
+         vstores) = _checked_state(header, arrays, source, deep=deep_validate,
+                                   copy=copy)
+        index = cls(feature_types)
+        index._sample_ids, index._class_names = sample_ids, class_names
         for member, sample_id in enumerate(sample_ids):
             index._members_by_id.setdefault(sample_id, set()).add(member)
-
-        if "pool_offsets" in arrays:
-            index._adopt_columnar_state(arrays, source=source, copy=copy,
-                                        deep_validate=deep_validate)
-        else:
-            index._rebuild_legacy_state(arrays, source=source)
-        return index
-
-    def _adopt_columnar_state(self, arrays: Mapping[str, np.ndarray], *,
-                              source: str, copy: bool = True,
-                              deep_validate: bool = True) -> None:
-        """Validate and adopt a columnar (format v2+) snapshot.
-
-        ``deep_validate=False`` keeps the cheap shape/length checks but
-        skips every scan that touches array *contents* (offset
-        monotonicity, sorted keys, member/signature ranges, the
-        signature alphabet, the block size rule) and defers signature
-        decoding — on a memory-mapped load those scans would fault in
-        the whole payload.  A section written with hashed keys (formats
-        2–4) is re-keyed from its entries through
-        :meth:`ArrayPostings.add_entry`, after the entry and alphabet
-        checks, on every load.
-        """
-
-        n_members = len(self._sample_ids)
-        try:
-            pool_bytes = arrays["pool_bytes"]
-            pool_offsets = arrays["pool_offsets"]
-        except KeyError as exc:
-            raise IndexFormatError(
-                f"{source} is missing required fields: {exc}") from exc
-        if len(pool_offsets) < 1:
-            raise IndexFormatError(f"{source} has corrupt signature "
-                                   "pool offsets")
-        if deep_validate and (
-                pool_offsets[0] != 0
-                or pool_offsets[-1] != len(pool_bytes)
-                or (len(pool_offsets) > 1
-                    and np.any(np.diff(pool_offsets) < 0))):
-            raise IndexFormatError(f"{source} has corrupt signature "
-                                   "pool offsets")
-        if deep_validate:
-            _check_signature_bytes(pool_bytes, source)
-        pool = SignaturePool.from_packed(pool_bytes, pool_offsets,
-                                         lazy=not deep_validate)
-        self._pool = pool
-        n_sigs = len(pool)
-        for type_idx, feature_type in enumerate(self._ctph_types):
-            prefix = f"t{type_idx}."
-            # Formats 2-4 keyed postings by a hash and stored each key's
-            # block size and gram in two more arrays: a section with
-            # arrays this format does not write re-keys its entries
-            # instead of adopting its postings.
-            hashed = any(name.startswith(prefix)
-                         and name[len(prefix):] not in _SECTION_ARRAYS
-                         for name in arrays)
-            names = _ENTRY_ARRAYS if hashed else _SECTION_ARRAYS
-            try:
-                cols = {name: arrays[prefix + name] for name in names}
-            except KeyError as exc:
-                raise IndexFormatError(
-                    f"{source} is missing required fields: {exc}") from exc
-            n_entries = len(cols["entry_member"])
-            if len(cols["entry_block"]) != n_entries \
-                    or len(cols["entry_sig"]) != n_entries:
-                raise IndexFormatError(f"{source} has inconsistent "
-                                       "entry array lengths")
-            # The re-keying reads every entry anyway, so its checks run
-            # whatever deep_validate says.
-            if (deep_validate or hashed) and n_entries:
-                members = cols["entry_member"]
-                if members.min() < 0 or members.max() >= n_members:
-                    raise IndexFormatError(
-                        f"{source} references member "
-                        f"#{int(members.max())} but only {n_members} "
-                        "are declared")
-                sigs = cols["entry_sig"]
-                if sigs.min() < 0 or sigs.max() >= n_sigs:
-                    raise IndexFormatError(
-                        f"{source} references signature "
-                        f"#{int(sigs.max())} but the pool holds {n_sigs}")
-                _check_block_sizes(np.unique(cols["entry_block"]).tolist(),
-                                   source)
-            store = ArrayPostings(pool)
-            if hashed:
-                if not deep_validate:
-                    _check_signature_bytes(pool_bytes, source)
-                for entry in zip(cols["entry_member"].tolist(),
-                                 cols["entry_block"].tolist(),
-                                 cols["entry_sig"].tolist()):
-                    store.add_entry(*entry)
-                self._stores[feature_type] = store
-                continue
-            n_keys = len(cols["post_keys"])
-            if len(cols["post_offsets"]) != n_keys + 1:
-                raise IndexFormatError(f"{source} has inconsistent "
-                                       "posting array lengths")
-            if deep_validate:
-                offsets = cols["post_offsets"]
-                if n_keys and (offsets[0] != 0
-                               or offsets[-1] != len(cols["post_entries"])
-                               or np.any(np.diff(offsets) < 0)):
-                    raise IndexFormatError(f"{source} has corrupt "
-                                           "posting offsets")
-                if n_keys > 1 and np.any(np.diff(cols["post_keys"]) < 0):
-                    raise IndexFormatError(
-                        f"{source} has unsorted posting keys")
-                posted = cols["post_entries"]
-                if len(posted) and (n_entries == 0 or posted.min() < 0
-                                    or posted.max() >= n_entries):
-                    raise IndexFormatError(
-                        f"{source} postings reference entry "
-                        f"#{int(posted.max())} but only {n_entries} exist")
+        index._pool = SignaturePool.from_packed(*pool, lazy=not deep_validate)
+        for feature_type, cols in zip(index._ctph_types, sections):
+            store = index._stores[feature_type] = ArrayPostings(index._pool)
             store.adopt_arrays(cols, copy=copy)
-            self._stores[feature_type] = store
-        for type_idx, feature_type in enumerate(self._vector_types):
-            prefix = f"v{type_idx}."
-            cols = {name[len(prefix):]: array
-                    for name, array in arrays.items()
-                    if name.startswith(prefix)}
-            if not cols:
-                raise IndexFormatError(
-                    f"{source} declares vector feature type "
-                    f"{feature_type!r} but carries no {prefix}* arrays")
-            try:
-                vstore = PackedDigestStore.adopt_arrays(cols, copy=copy)
-            except ValidationError as exc:
-                raise IndexFormatError(
-                    f"{source} has a corrupt vector section: {exc}") from exc
-            if len(vstore) != n_members:
-                raise IndexFormatError(
-                    f"{source} vector section {feature_type!r} has "
-                    f"{len(vstore)} rows but {n_members} members are "
-                    "declared")
-            self._vstores[feature_type] = vstore
-
-    def _rebuild_legacy_state(self, arrays: Mapping[str, np.ndarray], *,
-                              source: str) -> None:
-        """Rebuild from a legacy (format v1) flat-entry snapshot."""
-
-        if self._vector_types:
-            raise IndexFormatError(
-                f"{source} uses the legacy flat-entry layout, which "
-                "predates vector feature types")
-        try:
-            entry_type = arrays["entry_type"]
-            entry_member = arrays["entry_member"]
-            entry_block = arrays["entry_block"]
-            sig_offsets = arrays["sig_offsets"]
-            sig_bytes = arrays["sig_bytes"]
-        except KeyError as exc:
-            raise IndexFormatError(
-                f"{source} is missing required fields: {exc}") from exc
-        feature_types = self._feature_types
-        n_entries = len(entry_type)
-        if len(entry_member) != n_entries or len(entry_block) != n_entries \
-                or len(sig_offsets) != n_entries + 1:
-            raise IndexFormatError(f"{source} has inconsistent "
-                                   "entry array lengths")
-        if n_entries and (np.any(np.diff(sig_offsets) < 0)
-                          or sig_offsets[0] != 0
-                          or sig_offsets[-1] != len(sig_bytes)):
-            raise IndexFormatError(f"{source} has corrupt "
-                                   "signature offsets")
-        _check_signature_bytes(sig_bytes, source)
-        all_signatures = sig_bytes.tobytes().decode("ascii")
-        n_members = len(self._sample_ids)
-        _check_block_sizes(np.unique(entry_block).tolist(), source)
-        for i in range(n_entries):
-            type_idx = int(entry_type[i])
-            member = int(entry_member[i])
-            if not 0 <= type_idx < len(feature_types):
-                raise IndexFormatError(
-                    f"{source} references feature type #{type_idx} "
-                    f"but only {len(feature_types)} are declared")
-            if not 0 <= member < n_members:
-                raise IndexFormatError(
-                    f"{source} references member #{member} "
-                    f"but only {n_members} are declared")
-            signature = all_signatures[int(sig_offsets[i]):
-                                       int(sig_offsets[i + 1])]
-            self._add_entry(feature_types[type_idx], member,
-                            int(entry_block[i]), signature)
+        index._vstores.update(zip(index._vector_types, vstores))
+        return index
 
     # ------------------------------------------------------------ internals
     def _append_member(self, sample_id: str, class_name: str) -> int:
@@ -1429,18 +1169,6 @@ class SimilarityIndex:
             view = self._view = (alive, dense)
         return view
 
-    def _survivor_copy(self) -> "SimilarityIndex":
-        """A new index over the surviving members, in insertion order."""
-
-        return self._copy_members(
-            self._feature_types,
-            ((self, member) for member in self._survivors()[0].tolist()))
-
-    def _add_entry(self, feature_type: str, member: int, block_size: int,
-                   signature: str) -> None:
-        sig_id = self._pool.intern(signature)
-        self._stores[feature_type].add_entry(member, block_size, sig_id)
-
     def _check_feature_type(self, feature_type: str) -> None:
         if feature_type not in self._feature_types:
             raise ValidationError(
@@ -1452,16 +1180,245 @@ def load_index(path: str | os.PathLike, *,
                mmap_mode: str | None = None) -> SimilarityIndex:
     """Load an index file, or a legacy sharded-index directory.
 
-    A directory is read by :func:`repro.index.legacy.load_sharded_directory`
+    A directory is read by :func:`repro.upgrade.read_sharded_directory`
     into one index over its survivors; a file loads through
     :meth:`SimilarityIndex.load` (``mmap_mode="r"`` maps it zero-copy).
     """
 
     if Path(path).is_dir():
-        from .legacy import load_sharded_directory
+        from ..upgrade import read_sharded_directory
 
-        return load_sharded_directory(path, mmap_mode=mmap_mode)
+        header, arrays = read_sharded_directory(path, mmap_mode=mmap_mode)
+        return SimilarityIndex.from_state(
+            header, arrays, source=f"sharded index directory {path}",
+            copy=False)
     return SimilarityIndex.load(path, mmap_mode=mmap_mode)
+
+
+# --------------------------------------------------------- state helpers
+# Shared with :mod:`repro.upgrade`, which checks every old state it reads.
+
+def _checked_types(feature_types: Iterable[str]) -> tuple[str, ...]:
+    feature_types = tuple(feature_types)
+    if not feature_types:
+        raise ValidationError("feature_types must not be empty")
+    if len(set(feature_types)) != len(feature_types):
+        raise ValidationError("feature_types must not repeat")
+    return feature_types
+
+
+def _read_header(header: Mapping, source: str
+                 ) -> tuple[tuple[str, ...], list[str], list[str]]:
+    """``(feature_types, sample_ids, class_names)`` of an index header,
+    checked."""
+
+    try:
+        ngram_length = int(header["ngram_length"])
+        feature_types = [str(ft) for ft in header["feature_types"]]
+        sample_ids = [str(s) for s in header["sample_ids"]]
+        class_names = [str(c) for c in header["class_names"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IndexFormatError(
+            f"{source} is missing required fields: {exc}") from exc
+    if len(class_names) != len(sample_ids):
+        raise IndexFormatError(
+            f"{source} has {len(sample_ids)} sample ids but "
+            f"{len(class_names)} class names")
+    if ngram_length != ROLLING_WINDOW:
+        raise IndexFormatError(
+            f"{source} uses {ngram_length}-gram postings; this build "
+            f"reads {ROLLING_WINDOW}-gram postings only")
+    try:
+        return _checked_types(feature_types), sample_ids, class_names
+    except ValidationError as exc:
+        raise IndexFormatError(f"{source} has an invalid "
+                               f"configuration: {exc}") from exc
+
+
+def _section_of(arrays: Mapping[str, np.ndarray], prefix: str
+                ) -> dict[str, np.ndarray]:
+    """Every array named ``prefix + name``, keyed by ``name``."""
+
+    return {name[len(prefix):]: array for name, array in arrays.items()
+            if name.startswith(prefix)}
+
+
+def _section(arrays: Mapping[str, np.ndarray], prefix: str,
+             names: Iterable[str], source: str) -> dict[str, np.ndarray]:
+    """The arrays ``prefix + name`` of a state, keyed by ``name``."""
+
+    try:
+        return {name: arrays[prefix + name] for name in names}
+    except KeyError as exc:
+        raise IndexFormatError(
+            f"{source} is missing required fields: {exc}") from exc
+
+
+def _checked_state(header: Mapping, arrays: Mapping[str, np.ndarray],
+                   source: str, *, deep: bool = True, copy: bool = False,
+                   postings: bool = True) -> tuple:
+    """``(feature_types, sample_ids, class_names, (pool_bytes,
+    pool_offsets), sections, vstores)`` of a columnar state: each CTPH
+    section's columns (postings too with ``postings``), each vector
+    section's store.  Shapes and lengths are always checked; ``deep``
+    also scans contents: offset order, sorted keys, member and signature
+    ranges, the signature alphabet and the block size rule."""
+
+    feature_types, sample_ids, class_names = _read_header(header, source)
+    n_members = len(sample_ids)
+    pool_bytes, pool_offsets = _section(
+        arrays, "", ("pool_bytes", "pool_offsets"), source).values()
+    if len(pool_offsets) < 1 or deep and (
+            pool_offsets[0] != 0 or pool_offsets[-1] != len(pool_bytes)
+            or np.any(np.diff(pool_offsets) < 0)):
+        raise IndexFormatError(f"{source} has corrupt signature "
+                               "pool offsets")
+    if deep:
+        _check_signature_bytes(pool_bytes, source)
+    n_sigs = len(pool_offsets) - 1
+    ctph = [ft for ft in feature_types if not is_vector_feature_type(ft)]
+    sections = []
+    for type_idx in range(len(ctph)):
+        prefix = f"t{type_idx}."
+        cols = _section(arrays, prefix, _SECTION_ARRAYS if postings
+                        else _ENTRY_ARRAYS, source)
+        if postings and len(_section_of(arrays, prefix)) > len(cols):
+            # An older section's keys, adopted as exact ones, match nothing.
+            raise IndexFormatError(f"{source} carries arrays of an older "
+                                   "layout; repro.upgrade reads it")
+        sections.append(cols)
+        n_entries = len(cols["entry_member"])
+        if len(cols["entry_block"]) != n_entries \
+                or len(cols["entry_sig"]) != n_entries:
+            raise IndexFormatError(f"{source} has inconsistent "
+                                   "entry array lengths")
+        if deep and n_entries:
+            members = cols["entry_member"]
+            if members.min() < 0 or members.max() >= n_members:
+                raise IndexFormatError(
+                    f"{source} references member #{int(members.max())} "
+                    f"but only {n_members} are declared")
+            sigs = cols["entry_sig"]
+            if sigs.min() < 0 or sigs.max() >= n_sigs:
+                raise IndexFormatError(
+                    f"{source} references signature #{int(sigs.max())} "
+                    f"but the pool holds {n_sigs}")
+            _check_block_sizes(np.unique(cols["entry_block"]).tolist(),
+                               source)
+        if not postings:
+            continue
+        n_keys = len(cols["post_keys"])
+        if len(cols["post_offsets"]) != n_keys + 1:
+            raise IndexFormatError(f"{source} has inconsistent "
+                                   "posting array lengths")
+        if deep:
+            offsets = cols["post_offsets"]
+            if n_keys and (offsets[0] != 0
+                           or offsets[-1] != len(cols["post_entries"])
+                           or np.any(np.diff(offsets) < 0)):
+                raise IndexFormatError(f"{source} has corrupt "
+                                       "posting offsets")
+            if n_keys > 1 and np.any(np.diff(cols["post_keys"]) < 0):
+                raise IndexFormatError(f"{source} has unsorted posting keys")
+            posted = cols["post_entries"]
+            if len(posted) and (n_entries == 0 or posted.min() < 0
+                                or posted.max() >= n_entries):
+                raise IndexFormatError(
+                    f"{source} postings reference entry "
+                    f"#{int(posted.max())} but only {n_entries} exist")
+    vstores = []
+    vector = [ft for ft in feature_types if is_vector_feature_type(ft)]
+    for type_idx, feature_type in enumerate(vector):
+        prefix = f"v{type_idx}."
+        cols = _section_of(arrays, prefix)
+        if not cols:
+            raise IndexFormatError(
+                f"{source} declares vector feature type {feature_type!r} "
+                f"but carries no {prefix}* arrays")
+        try:
+            vstores.append(PackedDigestStore.adopt_arrays(cols, copy=copy))
+        except ValidationError as exc:
+            raise IndexFormatError(
+                f"{source} has a corrupt vector section: {exc}") from exc
+        if len(vstores[-1]) != n_members:
+            raise IndexFormatError(
+                f"{source} vector section {feature_type!r} has "
+                f"{len(vstores[-1])} rows but {n_members} members are "
+                "declared")
+    return (feature_types, sample_ids, class_names, (pool_bytes, pool_offsets),
+            sections, vstores)
+
+
+def _copy_members(feature_types: Sequence[str],
+                  states: Sequence[tuple[Mapping, Mapping[str, np.ndarray]]],
+                  picks: Sequence[tuple[int, int]]
+                  ) -> tuple[dict, dict[str, np.ndarray]]:
+    """The state of a new index holding ``picks``, ``(state, member)``
+    pairs over checked columnar ``states`` (postings unread), in order.
+
+    Each member is appended as :meth:`SimilarityIndex.add` appends one:
+    the member, its CTPH entries type by type in ascending block size
+    (a signature interned where it first appears), then a row per
+    vector type; so the state equals a fresh build's, array for array.
+    Compaction, snapshots with tombstones and :mod:`repro.upgrade`'s
+    sharded layouts all copy members through here.
+    """
+
+    header = {"ngram_length": ROLLING_WINDOW,
+              "feature_types": list(feature_types), "layout": "columnar"}
+    for key in ("sample_ids", "class_names"):
+        header[key] = [str(states[state][0][key][member])
+                       for state, member in picks]
+    n_ctph = sum(not is_vector_feature_type(ft) for ft in feature_types)
+    rows = []   # (new member, type, block size, signature) per entry
+    for state_idx, (_header, state_arrays) in enumerate(states):
+        signatures = SignaturePool.from_packed(
+            state_arrays["pool_bytes"], state_arrays["pool_offsets"]).strings
+        new = {member: position for position, (state, member)
+               in enumerate(picks) if state == state_idx}
+        for type_idx in range(n_ctph):
+            rows += [(new[member], type_idx, block, signatures[sig])
+                     for member, block, sig in zip(*(
+                         state_arrays[f"t{type_idx}.{name}"].tolist()
+                         for name in _ENTRY_ARRAYS)) if member in new]
+    rows.sort(key=lambda row: row[:3])
+    pool = SignaturePool()
+    entries = np.array([(member, type_idx, block, pool.intern(signature))
+                        for member, type_idx, block, signature in rows],
+                       dtype=np.int64).reshape(-1, 4)
+    arrays = dict(zip(("pool_bytes", "pool_offsets"), pool.packed()))
+    for type_idx in range(n_ctph):
+        mine = entries[entries[:, 1] == type_idx]
+        for column, (name, dtype) in zip((0, 2, 3), _ENTRY_ARRAYS.items()):
+            arrays[f"t{type_idx}.{name}"] = mine[:, column].astype(dtype)
+    for type_idx in range(len(feature_types) - n_ctph):
+        prefix = f"v{type_idx}."
+        sources = [PackedDigestStore.adopt_arrays(
+            _section_of(state_arrays, prefix), copy=False)
+            for _header, state_arrays in states]
+        store = PackedDigestStore()
+        for state, member in picks:
+            store.append(sources[state].digest_string(member))
+        arrays.update({prefix + name: array
+                       for name, array in store.get_arrays().items()})
+    return header, _keyed(arrays)
+
+
+def _keyed(entries: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A checked entries-only state's arrays with each CTPH section's
+    postings (:func:`~repro.index.postings.key_entries`) after its entry
+    columns, as :meth:`SimilarityIndex.get_state` orders them."""
+
+    signatures = SignaturePool.from_packed(entries["pool_bytes"],
+                                           entries["pool_offsets"]).strings
+    keyed = {}
+    for name, array in entries.items():
+        keyed[name] = array
+        if name.endswith(".entry_sig"):
+            prefix = name[:-len("entry_sig")]
+            keyed.update((prefix + key, value) for key, value in key_entries(
+                signatures, entries[prefix + "entry_block"], array).items())
+    return keyed
 
 
 def _check_signature_bytes(data: np.ndarray, source: str) -> None:

@@ -29,6 +29,7 @@ from ..hashing.vector import (
     packed_hamming,
     score_from_distance,
 )
+from .postings import adopted
 
 __all__ = ["PackedDigestStore", "brute_force_top_k"]
 
@@ -217,13 +218,6 @@ class PackedDigestStore:
         without copying — the zero-copy load path for mapped containers.
         """
 
-        def _column(array, dtype):
-            wanted = np.dtype(dtype)
-            array = np.asarray(array)
-            if array.dtype == wanted and array.flags.c_contiguous:
-                return array.copy() if copy else array
-            return np.ascontiguousarray(array, dtype=wanted)
-
         try:
             words = np.asarray(arrays["words"])
             present = np.asarray(arrays["present"])
@@ -241,12 +235,12 @@ class PackedDigestStore:
             raise ValidationError(
                 "vector store arrays disagree on member count")
         store = cls()
-        store._base_words = _column(words, np.uint64)
+        store._base_words = adopted(words, np.uint64, copy=copy)
         # The 1-byte presence mask is normalised to bool (a copy, but a
         # negligible one next to the digest matrix staying mapped).
         store._base_present = present.astype(bool)
-        store._base_lvalues = _column(lvalues, np.uint8)
-        store._base_checksums = _column(checksums, np.uint8)
+        store._base_lvalues = adopted(lvalues, np.uint8, copy=copy)
+        store._base_checksums = adopted(checksums, np.uint8, copy=copy)
         return store
 
 

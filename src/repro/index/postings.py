@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import threading
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +53,7 @@ from ..hashing.rolling import ROLLING_WINDOW
 from ..hashing.ssdeep import MIN_BLOCKSIZE
 
 __all__ = ["ArrayPostings", "SignaturePool", "block_code",
-           "is_signature_bytes", "signature_grams"]
+           "is_signature_bytes", "key_entries", "signature_grams"]
 
 #: Bits of one packed gram: six per base64 character.
 GRAM_BITS = 6 * ROLLING_WINDOW
@@ -109,6 +110,49 @@ def block_code(block_size: int) -> int:
     return ((block_size // MIN_BLOCKSIZE).bit_length() - 1) << GRAM_BITS
 
 
+def adopted(array: np.ndarray, dtype, *, copy: bool) -> np.ndarray:
+    """``array`` as a C-contiguous ``dtype`` array: itself, or a copy
+    with ``copy``, when it is one already (so a mapped view stays a
+    view), else a converted array, which is owned either way."""
+
+    array = np.asarray(array)
+    if array.dtype == dtype and array.flags.c_contiguous:
+        return array.copy() if copy else array
+    return np.ascontiguousarray(array, dtype=dtype)
+
+
+def key_entries(signatures, entry_block: np.ndarray, entry_sig: np.ndarray
+                ) -> dict[str, np.ndarray]:
+    """The postings of entry columns at once: each entry's grams keyed at
+    its block size (``signatures`` maps a signature id to its string),
+    grouped by :func:`_grouped`; what :meth:`ArrayPostings.add_entry`
+    per entry and then :meth:`ArrayPostings.merge` build."""
+
+    grams = [signature_grams(signatures[sig]) for sig in entry_sig.tolist()]
+    counts = np.fromiter(map(len, grams), dtype=np.int64, count=len(grams))
+    blocks, block_of = np.unique(entry_block, return_inverse=True)
+    codes = np.array([block_code(block) for block in blocks.tolist()],
+                     dtype=np.int64)
+    keys = np.concatenate([np.zeros(0, dtype=np.int64)] + grams) \
+        | np.repeat(codes[block_of], counts)
+    entries = np.repeat(np.arange(len(grams), dtype=np.int32), counts)
+    return dict(zip(("post_keys", "post_offsets", "post_entries"),
+                    _grouped(keys, entries)))
+
+
+def _grouped(keys: np.ndarray, entries: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(unique keys, offsets, entries)`` of ``(key, entry)`` postings:
+    one stable sort by key, so each bucket keeps its input order."""
+
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(new)
+    return keys[starts], np.append(starts, len(keys)), entries[order]
+
+
 class _IntVec:
     """Growable NumPy-backed integer column (amortised O(1) appends)."""
 
@@ -148,7 +192,7 @@ class _IntVec:
         return self._buf[:self._n]
 
     @classmethod
-    def adopt(cls, array: np.ndarray, dtype) -> "_IntVec":
+    def adopt(cls, array: np.ndarray) -> "_IntVec":
         """Wrap an existing 1-D array without copying (the load path).
 
         The adopted buffer may be read-only (an mmap view): it is never
@@ -157,12 +201,9 @@ class _IntVec:
         writeable buffer (copy-on-grow).
         """
 
-        array = np.asarray(array)
-        if array.dtype != np.dtype(dtype) or array.ndim != 1:
-            array = np.ascontiguousarray(array, dtype=dtype).reshape(-1)
         vec = cls.__new__(cls)
-        vec._buf = array
-        vec._n = len(array)
+        vec._buf = array.reshape(-1)
+        vec._n = len(vec._buf)
         return vec
 
 
@@ -247,7 +288,7 @@ class SignaturePool:
         return pool
 
 
-class _Sealed:
+class _Sealed(NamedTuple):
     """Immutable sealed postings: sorted CSR over exact keys.
 
     Held by :class:`ArrayPostings` behind a single reference that is
@@ -255,17 +296,9 @@ class _Sealed:
     half-updated arrays.
     """
 
-    __slots__ = ("keys", "offsets", "entry_ids")
-
-    def __init__(self, keys, offsets, entry_ids):
-        self.keys = keys
-        self.offsets = offsets
-        self.entry_ids = entry_ids
-
-    @classmethod
-    def empty(cls) -> "_Sealed":
-        return cls(np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64),
-                   np.zeros(0, dtype=np.int32))
+    keys: np.ndarray
+    offsets: np.ndarray
+    entry_ids: np.ndarray
 
 
 class ArrayPostings:
@@ -277,7 +310,8 @@ class ArrayPostings:
         self._e_member = _IntVec(np.int32)
         self._e_block = _IntVec(np.int64)
         self._e_sig = _IntVec(np.int32)
-        self._sealed = _Sealed.empty()
+        self._sealed = _Sealed(*_grouped(np.zeros(0, dtype=np.int64),
+                                         np.zeros(0, dtype=np.int32)))
         self._merge_lock = threading.Lock()
         # Mutable tail: flat keys, plus one (entry id, key count) pair
         # per appended entry — the per-key entry column expands only
@@ -327,96 +361,40 @@ class ArrayPostings:
 
     # --------------------------------------------------------------- merge
     def merge(self) -> None:
-        """Fold the mutable tail into the sorted CSR arrays (idempotent).
-
-        A sorted merge, not a re-sort: only the (bounded) tail is
-        sorted; sealed postings — already grouped by key, ascending
-        entry ids per bucket — are moved slab-wise into their new
-        offsets.  Peak transient memory is one index array over the
-        sealed postings plus the merged output, a fraction of what a
-        full stable argsort over the concatenation would allocate.
-        """
+        """Fold the mutable tail into the sorted CSR arrays (idempotent):
+        only the tail is sorted, and each tail posting is inserted at the
+        end of its key's sealed bucket (sealed entry ids predate every
+        tail id), or where a new key sorts."""
 
         if not len(self._t_keys):
             return
         with self._merge_lock:
-            self._merge_locked()
-
-    def _merge_locked(self) -> None:
-        if not len(self._t_keys):
-            # Another reader finished the merge while we waited.
-            return
-        sealed = self._sealed
-        # Expand the per-entry tail pairs into a flat entry column, then
-        # sort; stable keeps ascending entry ids per key.
-        t_order = np.argsort(self._t_keys.array(), kind="stable")
-        t_keys = self._t_keys.array()[t_order]
-        t_entries = np.repeat(self._t_eids.array(),
-                              self._t_ecounts.array())[t_order]
-        # Unique tail keys (sorted) with their posting counts.
-        t_new = np.ones(len(t_keys), dtype=bool)
-        t_new[1:] = t_keys[1:] != t_keys[:-1]
-        tu_idx = np.flatnonzero(t_new)
-        tu_keys = t_keys[tu_idx]
-        tu_counts = np.diff(np.append(tu_idx, len(t_keys)))
-
-        old_keys = sealed.keys
-        old_counts = np.diff(sealed.offsets)
-        pos = np.searchsorted(old_keys, tu_keys)
-        if len(old_keys):
-            already = old_keys[np.minimum(pos, len(old_keys) - 1)] == tu_keys
-        else:
-            already = np.zeros(len(tu_keys), dtype=bool)
-
-        # Interleave brand-new keys into the sealed key order.
-        fresh = ~already
-        n_merged = len(old_keys) + int(fresh.sum())
-        insert_at = pos[fresh] + np.arange(int(fresh.sum()), dtype=np.int64)
-        old_at = np.ones(n_merged, dtype=bool)
-        old_at[insert_at] = False
-        merged_keys = np.empty(n_merged, dtype=np.int64)
-        merged_keys[insert_at] = tu_keys[fresh]
-        merged_keys[old_at] = old_keys
-        merged_counts = np.zeros(n_merged, dtype=np.int64)
-        merged_counts[old_at] = old_counts
-        tu_merged = np.searchsorted(merged_keys, tu_keys)
-        merged_counts[tu_merged] += tu_counts
-        merged_offsets = np.zeros(n_merged + 1, dtype=np.int64)
-        np.cumsum(merged_counts, out=merged_offsets[1:])
-
-        # Placement by run copies: sealed postings are already laid out
-        # in merged order, only interrupted where a tail group lands, so
-        # everything moves as contiguous slices — no index arithmetic
-        # over the full posting list, and sealed slabs stay first inside
-        # each bucket (their entry ids predate every tail id).
-        out = np.empty(int(merged_offsets[-1]), dtype=np.int32)
-        entry_ids = sealed.entry_ids
-        old_offsets = sealed.offsets
-        src = dst = 0
-        pos_list = pos.tolist()
-        already_list = already.tolist()
-        bounds = np.append(tu_idx, len(t_keys)).tolist()
-        for j in range(len(tu_keys)):
-            src_end = int(old_offsets[pos_list[j] + 1]) if already_list[j] \
-                else int(old_offsets[pos_list[j]])
-            if src_end > src:
-                out[dst:dst + src_end - src] = entry_ids[src:src_end]
-                dst += src_end - src
-                src = src_end
-            count = bounds[j + 1] - bounds[j]
-            out[dst:dst + count] = t_entries[bounds[j]:bounds[j + 1]]
-            dst += count
-        if len(entry_ids) > src:
-            out[dst:] = entry_ids[src:]
-
-        # Swap the sealed reference first (atomic), then clear the
-        # tail: a concurrent reader either sees a non-empty tail and
-        # blocks on the merge lock, or an empty tail with the new
-        # sealed arrays already in place.
-        self._sealed = _Sealed(merged_keys, merged_offsets, out)
-        self._t_keys = _IntVec(np.int64)
-        self._t_eids = _IntVec(np.int32)
-        self._t_ecounts = _IntVec(np.int32)
+            if not len(self._t_keys):
+                # Another reader finished the merge while we waited.
+                return
+            sealed = self._sealed
+            keys, offsets, entries = _grouped(
+                self._t_keys.array(),
+                np.repeat(self._t_eids.array(), self._t_ecounts.array()))
+            counts = np.diff(offsets)
+            pos = np.searchsorted(sealed.keys, keys)
+            known = pos < len(sealed.keys)
+            known[known] = sealed.keys[pos[known]] == keys[known]
+            entry_ids = np.insert(sealed.entry_ids, np.repeat(
+                sealed.offsets[pos + known], counts), entries)
+            merged_keys = np.insert(sealed.keys, pos[~known], keys[~known])
+            merged_counts = np.insert(np.diff(sealed.offsets), pos[~known], 0)
+            merged_counts[np.searchsorted(merged_keys, keys)] += counts
+            merged_offsets = np.zeros(len(merged_keys) + 1, dtype=np.int64)
+            np.cumsum(merged_counts, out=merged_offsets[1:])
+            # Swap the sealed reference first (atomic), then clear the
+            # tail: a concurrent reader either sees a non-empty tail and
+            # blocks on the merge lock, or an empty tail with the new
+            # sealed arrays already in place.
+            self._sealed = _Sealed(merged_keys, merged_offsets, entry_ids)
+            self._t_keys = _IntVec(np.int64)
+            self._t_eids = _IntVec(np.int32)
+            self._t_ecounts = _IntVec(np.int32)
 
     # -------------------------------------------------------------- queries
     @property
@@ -499,21 +477,15 @@ class ArrayPostings:
         ``add`` simply pays the copy then.
         """
 
-        def _column(array, dtype):
-            wanted = np.dtype(dtype)
-            if array.dtype == wanted and array.flags.c_contiguous:
-                return array.copy() if copy else array
-            # A dtype/contiguity conversion allocates fresh storage, so
-            # the result is owned either way.
-            return np.ascontiguousarray(array, dtype=wanted)
-
-        self._e_member = _IntVec.adopt(_column(arrays["entry_member"],
-                                               np.int32), np.int32)
-        self._e_block = _IntVec.adopt(_column(arrays["entry_block"],
-                                              np.int64), np.int64)
-        self._e_sig = _IntVec.adopt(_column(arrays["entry_sig"], np.int32),
-                                    np.int32)
-        self._sealed = _Sealed(
-            _column(arrays["post_keys"], np.int64),
-            _column(arrays["post_offsets"], np.int64),
-            _column(arrays["post_entries"], np.int32))
+        column = {name: adopted(arrays[name], dtype, copy=copy)
+                  for name, dtype in (("entry_member", np.int32),
+                                      ("entry_block", np.int64),
+                                      ("entry_sig", np.int32),
+                                      ("post_keys", np.int64),
+                                      ("post_offsets", np.int64),
+                                      ("post_entries", np.int32))}
+        self._e_member = _IntVec.adopt(column["entry_member"])
+        self._e_block = _IntVec.adopt(column["entry_block"])
+        self._e_sig = _IntVec.adopt(column["entry_sig"])
+        self._sealed = _Sealed(column["post_keys"], column["post_offsets"],
+                               column["post_entries"])

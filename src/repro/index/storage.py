@@ -74,18 +74,15 @@ __all__ = ["FORMAT_VERSION", "MAGIC", "ARRAY_ALIGNMENT", "ContainerFormat",
 #: the postings exactly (``(k << 42) | gram`` for block size ``3 * 2**k``,
 #: :mod:`repro.index.postings`) and drops the two arrays (each key's
 #: block size and gram) that versions 2–4 stored beside their FNV-64
-#: hashed keys; a section that still carries them re-keys its entries
-#: once at load, so such files lose the zero-copy postings.  Version 4
-#: pads every array payload to a 64-byte-aligned file offset so the file
-#: can be memory-mapped and served zero-copy (``read_container(...,
-#: mmap_mode="r")``).  Version 3 adds the optional packed vector-digest
-#: sections (``v{idx}.*`` ``uint64`` matrices, :mod:`repro.index.knn`);
-#: version 2 carries the columnar postings layout (interned signature
-#: pool + CSR posting arrays per feature type); version 1 files — flat
-#: per-entry arrays — still load through the rebuild path in
-#: :meth:`repro.index.SimilarityIndex.from_state`.  v1–v3 files have no
-#: padding (and no vector sections below v3) and keep loading through
-#: the materialising path.
+#: hashed keys.  Version 4 pads every array payload to a 64-byte-aligned
+#: file offset so the file can be memory-mapped and served zero-copy
+#: (``read_container(..., mmap_mode="r")``).  Version 3 adds the
+#: optional packed vector-digest sections (``v{idx}.*`` ``uint64``
+#: matrices, :mod:`repro.index.knn`); version 2 carries the columnar
+#: postings layout (interned signature pool + CSR posting arrays per
+#: feature type); version 1 stores flat per-entry arrays.  Older layouts
+#: are upgraded at load (:mod:`repro.upgrade`), their entries keyed once
+#: into private postings; v1–v3 files, unpadded, load materialised.
 FORMAT_VERSION = 5
 
 #: File magic identifying a repro similarity index.

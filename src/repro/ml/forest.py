@@ -17,11 +17,11 @@ then each leaf's non-zero class probabilities in compressed rows (one
 offsets array over the nodes plus flat class and probability arrays),
 and the importances.  These are the arrays a model artifact stores under
 ``forest.*`` names (:mod:`repro.api.artifact`).  ``fit`` builds the
-table once from the grown trees; ``set_state`` validates a saved one and
-adopts it, and converts the dense table of model formats 1–5 through the
-same leaf-entry function ``fit`` uses.  Both then derive, once, the
-self-looping view ``predict_proba`` walks (:func:`repro.ml.tree.walk`);
-the leaves reached add their entries with one ``np.bincount``.
+table once from the grown trees; ``set_state`` validates a saved one
+(model formats 1–5 are upgraded to it first, :mod:`repro.upgrade`) and
+adopts it.  Both then derive, once, the self-looping view
+``predict_proba`` walks (:func:`repro.ml.tree.walk`); the leaves reached
+add their entries with one ``np.bincount``.
 
 Trees can be fitted in parallel worker processes (``n_jobs``); each
 worker receives a batch of tree seeds, to amortise the cost of shipping
@@ -79,21 +79,6 @@ _TABLE_DTYPES = {
     "importances": np.float64,
 }
 
-#: What the dense table of model formats 1–5 stores instead of the leaf
-#: entries: tree ``t``'s classes are the forest class indices
-#: ``tree_classes[tree_class_offsets[t]:tree_class_offsets[t + 1]]``,
-#: and ``node_values`` holds each tree's (nodes x classes) class masses,
-#: row by row, tree after tree.  ``node_samples`` and
-#: ``tree_importances`` are checked but never read.
-_DENSE_DTYPES = {
-    "tree_class_offsets": np.int64,
-    "node_samples": np.int64,
-    "node_values": np.float64,
-    "tree_classes": np.int64,
-    "tree_importances": np.float64,
-}
-
-
 def _leaf_arrays(trees: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
                  ) -> dict:
     """The leaf entries of trees given as ``(values, classes, leaf)``.
@@ -102,8 +87,9 @@ def _leaf_arrays(trees: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
     ``classes`` its forest class indices and ``leaf`` marks its leaves.
     Each row is normalised by :func:`~repro.ml.tree.class_distributions`
     and a leaf keeps its non-zero entries, in class-column order; an
-    internal node keeps none.  ``fit`` and the conversion of a dense
-    table both go through here, so the same rows give the same bits.
+    internal node keeps none.  ``fit`` and the upgrade of a dense table
+    (:mod:`repro.upgrade`) both go through here, so the same rows give
+    the same bits.
     """
 
     counts, classes, proba = [], [], []
@@ -155,25 +141,15 @@ def _check_classes(classes: np.ndarray, n_classes: int, what: str) -> None:
                               "forest's class table")
 
 
-def _checked_table(table: Mapping, n_classes: int, n_features: int) -> dict:
-    """``table``'s arrays in their table dtypes, once they are shown to
-    describe a forest of ``n_classes`` classes over ``n_features``.
+def _checked_nodes(arrays: dict, n_features: int) -> np.ndarray:
+    """Check the tree structure of a table typed by :func:`_typed`;
+    returns which nodes are internal.
 
-    A dense table (one with ``node_values``, as model formats 1–5 store
-    it) is checked as those formats were and converted to leaf entries.
     Every internal node's children must point forward inside its own
     tree, and no node may have two parents, which is how ``fit`` builds
     trees; this also bounds the depth every walk runs.  Raises
     :class:`ValidationError` on the first inconsistency.
     """
-
-    dense = "node_values" in table
-    if dense:
-        dtypes = {name: dtype for name, dtype in _TABLE_DTYPES.items()
-                  if not name.startswith("leaf_")} | _DENSE_DTYPES
-    else:
-        dtypes = _TABLE_DTYPES
-    arrays = _typed(table, dtypes, "tree_classes" if dense else "leaf_classes")
 
     node_offsets = arrays["tree_node_offsets"]
     if node_offsets.ndim != 1:
@@ -210,11 +186,20 @@ def _checked_table(table: Mapping, n_classes: int, n_features: int) -> dict:
         children.append((child + first)[internal])
     if np.bincount(np.concatenate(children), minlength=n_nodes).max() > 1:
         raise ValidationError("forest node table has a node with two parents")
-    if dense:
-        return _from_dense(arrays, n_classes, n_features)
+    return internal
 
+
+def _checked_table(table: Mapping, n_classes: int, n_features: int) -> dict:
+    """``table``'s arrays in their table dtypes, once they are shown to
+    describe a forest of ``n_classes`` classes over ``n_features``
+    (:func:`_checked_nodes`, then the leaf entries).  Raises
+    :class:`ValidationError` on the first inconsistency.
+    """
+
+    arrays = _typed(table, _TABLE_DTYPES, "leaf_classes")
+    internal = _checked_nodes(arrays, n_features)
     leaf_offsets, leaf_classes = arrays["leaf_offsets"], arrays["leaf_classes"]
-    _check_shapes(arrays, {"leaf_offsets": (n_nodes + 1,),
+    _check_shapes(arrays, {"leaf_offsets": (len(internal) + 1,),
                            "leaf_classes": (leaf_classes.size,),
                            "leaf_proba": (leaf_classes.size,)})
     counts = np.diff(leaf_offsets)
@@ -227,46 +212,6 @@ def _checked_table(table: Mapping, n_classes: int, n_features: int) -> dict:
                               "owns leaf entries")
     _check_classes(leaf_classes, n_classes, "leaf classes")
     return arrays
-
-
-def _from_dense(arrays: dict, n_classes: int, n_features: int) -> dict:
-    """The leaf table of a dense table whose node arrays are checked.
-
-    The dense arrays are checked as model formats 1–5 were, then each
-    tree's rows become leaf entries through :func:`_leaf_arrays`.  The
-    node arrays are kept as they are (views stay views); only the leaf
-    arrays are new.
-    """
-
-    node_offsets = arrays["tree_node_offsets"]
-    class_offsets = arrays["tree_class_offsets"]
-    if class_offsets.shape != node_offsets.shape:
-        raise ValidationError("forest node table has inconsistent tree offsets")
-    if class_offsets[0] != 0:
-        raise ValidationError("forest node table has tree offsets that do "
-                              "not start at 0")
-    sizes, class_counts = np.diff(node_offsets), np.diff(class_offsets)
-    if np.any(class_counts < 0):
-        raise ValidationError("forest node table has decreasing tree offsets")
-    _check_shapes(arrays, {
-        "node_samples": (int(node_offsets[-1]),),
-        "node_values": (int(np.dot(sizes, class_counts)),),
-        "tree_classes": (int(class_offsets[-1]),),
-        "tree_importances": (len(sizes), n_features),
-    })
-    tree_classes = arrays["tree_classes"]
-    _check_classes(tree_classes, n_classes, "tree classes")
-
-    leaf = arrays["node_feature"] < 0
-    value_offsets = _offsets(sizes * class_counts)
-    leaves = _leaf_arrays(
-        (arrays["node_values"][value_offsets[t]:value_offsets[t + 1]]
-         .reshape(sizes[t], class_counts[t]),
-         tree_classes[class_offsets[t]:class_offsets[t + 1]],
-         leaf[node_offsets[t]:node_offsets[t + 1]])
-        for t in range(len(sizes)))
-    return {name: arrays[name] if name in arrays else leaves[name]
-            for name in _TABLE_DTYPES}
 
 
 def _fit_tree_batch(args) -> list[DecisionTreeClassifier]:
@@ -411,8 +356,12 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         total = np.bincount(samples * n_classes
                             + table["leaf_classes"][entries],
                             weights=table["leaf_proba"][entries],
-                            minlength=n_samples * n_classes
-                            ).reshape(n_samples, n_classes)
+                            minlength=n_samples * n_classes)
+        # Over no entries at all (every leaf's class mass was 0) bincount
+        # counts in integers; the forest then predicts zero rows, as each
+        # of its trees does.
+        total = total.astype(np.float64, copy=False).reshape(n_samples,
+                                                             n_classes)
         total /= n_trees
         return total
 
@@ -444,10 +393,10 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
 
         The table is validated once and its arrays are adopted, copied
         only where they need a dtype conversion: a model loaded with
-        ``mmap_mode="r"`` predicts from views of the file.  A dense table
-        (model formats 1–5) is converted to leaf entries, its node arrays
-        adopted the same way, and :meth:`get_state` returns the leaf
-        table from then on.  The restored forest has no ``estimators_``;
+        ``mmap_mode="r"`` predicts from views of the file.  Only the leaf
+        table is read; :func:`repro.upgrade.upgrade_model` converts the
+        dense table of model formats 1–5 to it first.  The restored
+        forest has no ``estimators_``;
         nothing after a load needs tree objects.  Raises
         :class:`ValidationError` on an inconsistent table.
         """

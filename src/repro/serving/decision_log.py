@@ -19,8 +19,8 @@ the checksum existed carry no ``"crc"`` and stay readable.
 Rotation is size-based and atomic: when the active file would exceed
 ``max_bytes`` it is flushed, fsynced and renamed to ``<name>.1`` with a
 single :func:`os.replace` (older backups shift up first, each shift its
-own atomic replace — the same primitive ``FeatureStore.save`` and the
-artifact writers use), then a fresh active file is opened.  A crash at
+own atomic replace — the same primitive the artifact writers use), then
+a fresh active file is opened.  A crash at
 any point leaves only complete files with complete lines.
 """
 

@@ -384,6 +384,27 @@ TAMPERED_FOREST = {
 DENSE_CASES = ("trailing-node-value", "class-index-past-class-table",
                "float-tree-classes")
 
+#: The cases that tamper the tree structure, which both tables carry.
+STRUCTURE_CASES = ("decreasing-node-offsets", "empty-tree",
+                   "short-node-threshold", "feature-past-n-features",
+                   "child-past-tree-end", "backward-child-pointer",
+                   "shared-child", "short-importances", "n-trees-off-by-one")
+
+
+def _assert_tampered_load_raises(source, version, case, tmp_path):
+    """Tamper ``source`` by ``case``, write it stamped ``version``, and
+    check both the load and the validation fail, naming the file."""
+
+    header, arrays = read_container(source, fmt=MODEL_CONTAINER)
+    _tamper(header, arrays, case)
+    fmt = dataclasses.replace(MODEL_CONTAINER, version=version)
+    path = write_container(tmp_path / f"{case}.rpm", header, arrays, fmt=fmt)
+    for load in (load_model, validate_model):
+        with pytest.raises(ModelFormatError,
+                           match=TAMPERED_FOREST[case]) as excinfo:
+            load(path)
+        assert str(path) in str(excinfo.value)
+
 
 @pytest.mark.parametrize("case", TAMPERED_FOREST)
 def test_tampered_forest_payload_raises(saved, tmp_path, case):
@@ -391,18 +412,20 @@ def test_tampered_forest_payload_raises(saved, tmp_path, case):
     the file.  Neither call predicts, so a table that would make a walk
     loop forever fails here instead of hanging."""
 
-    source, fmt = saved, MODEL_CONTAINER
     if case in DENSE_CASES:
-        source, fmt = DENSE_MODEL, dataclasses.replace(MODEL_CONTAINER,
-                                                       version=5)
-    header, arrays = read_container(source, fmt=MODEL_CONTAINER)
-    _tamper(header, arrays, case)
-    path = write_container(tmp_path / f"{case}.rpm", header, arrays, fmt=fmt)
-    for load in (load_model, validate_model):
-        with pytest.raises(ModelFormatError,
-                           match=TAMPERED_FOREST[case]) as excinfo:
-            load(path)
-        assert str(path) in str(excinfo.value)
+        _assert_tampered_load_raises(DENSE_MODEL, 5, case, tmp_path)
+    else:
+        _assert_tampered_load_raises(saved, MODEL_FORMAT_VERSION, case,
+                                     tmp_path)
+
+
+@pytest.mark.parametrize("case", STRUCTURE_CASES)
+def test_tampered_dense_forest_structure_raises(tmp_path, case):
+    """A dense table's tree structure is checked before the table is
+    converted, so each structure case fails a format-5 file as it fails
+    a leaf table."""
+
+    _assert_tampered_load_raises(DENSE_MODEL, 5, case, tmp_path)
 
 
 def test_all_artifact_errors_are_repro_errors():

@@ -1,4 +1,4 @@
-"""Tests for batch feature extraction and the on-disk feature store."""
+"""Tests for batch feature extraction and the feature JSON format."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.exceptions import FeatureExtractionError
 from repro.features.extractors import FEATURE_TYPES
 from repro.features.pipeline import FeatureExtractionPipeline
 from repro.features.records import SampleFeatures, features_from_json, features_to_json
-from repro.features.store import FeatureStore
 
 
 def test_extract_generated_covers_all_samples(tiny_samples, tiny_features):
@@ -70,91 +69,6 @@ def test_feature_json_rejects_garbage():
         features_from_json("{not json")
     with pytest.raises(FeatureExtractionError):
         features_from_json('{"samples": [{"sample_id": "x"}]}')
-
-
-def test_feature_store_roundtrip(tmp_path, tiny_features):
-    store = FeatureStore(tmp_path / "cache")
-    key = store.key_for([(f.sample_id, f.file_size) for f in tiny_features],
-                        FEATURE_TYPES)
-    assert store.load(key) is None
-    store.save(key, tiny_features)
-    loaded = store.load(key)
-    assert loaded is not None
-    assert len(loaded) == len(tiny_features)
-    assert loaded[3].digests == tiny_features[3].digests
-
-
-def test_feature_store_key_changes_with_content(tmp_path, tiny_features):
-    store = FeatureStore(tmp_path)
-    descriptors = [(f.sample_id, f.file_size) for f in tiny_features]
-    key_a = store.key_for(descriptors, FEATURE_TYPES)
-    key_b = store.key_for(descriptors, FEATURE_TYPES[:1])
-    key_c = store.key_for(descriptors[:-1], FEATURE_TYPES)
-    assert len({key_a, key_b, key_c}) == 3
-
-
-def test_feature_store_ignores_corrupt_files(tmp_path, tiny_features):
-    store = FeatureStore(tmp_path)
-    key = "deadbeef"
-    store.path_for(key).write_text("corrupted{")
-    assert store.load(key) is None
-
-
-def test_feature_store_clear(tmp_path, tiny_features):
-    store = FeatureStore(tmp_path)
-    store.save("k1", tiny_features[:2])
-    store.save("k2", tiny_features[:2])
-    assert store.clear() == 2
-    assert store.load("k1") is None
-
-
-def test_feature_store_save_is_atomic(tmp_path, tiny_features, monkeypatch):
-    """save writes via a same-directory temp file + os.replace, so an
-    interrupted run never leaves a half-written cache entry under the
-    final name."""
-
-    import os
-
-    store = FeatureStore(tmp_path)
-    replaced = []
-    real_replace = os.replace
-
-    def spy(src, dst):
-        replaced.append((str(src), str(dst)))
-        return real_replace(src, dst)
-
-    monkeypatch.setattr(os, "replace", spy)
-    path = store.save("atomic", tiny_features[:2])
-    assert replaced, "save() must go through os.replace"
-    src, dst = replaced[-1]
-    assert dst == str(path)
-    assert src.endswith(".tmp")
-    assert os.path.dirname(src) == os.path.dirname(dst)
-    # No temp litter, and the entry loads back.
-    assert not list(tmp_path.glob("*.tmp"))
-    assert store.load("atomic") is not None
-
-
-def test_feature_store_interrupted_save_leaves_old_entry_intact(
-        tmp_path, tiny_features, monkeypatch):
-    """A crash mid-write must not clobber the previous cache entry."""
-
-    import os
-
-    store = FeatureStore(tmp_path)
-    store.save("key", tiny_features[:3])
-    before = store.path_for("key").read_text(encoding="utf-8")
-
-    def boom(src, dst):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(os, "replace", boom)
-    with pytest.raises(OSError):
-        store.save("key", tiny_features[:1])
-    monkeypatch.undo()
-    assert store.path_for("key").read_text(encoding="utf-8") == before
-    assert not list(tmp_path.glob("*.tmp"))
-    assert len(store.load("key")) == 3
 
 
 def test_pipeline_extract_bytes(tiny_samples):

@@ -111,3 +111,31 @@ def test_format4_model_decides_as_recorded(mmap, tmp_path):
     assert index_arrays.keys() == fresh.keys()
     assert all(np.array_equal(index_arrays[name], fresh[name])
                for name in fresh)
+
+
+def test_from_state_refuses_a_hashed_state_it_would_mis_key():
+    """``from_state`` reads the current layout only: handed a format-4
+    state directly, whose keys are hashes, it refuses instead of
+    answering from postings no query key can match."""
+
+    from repro.exceptions import IndexFormatError
+    from repro.upgrade import upgrade_index
+
+    header, arrays = read_container(INDEX_FILE)
+    with pytest.raises(IndexFormatError, match="older layout"):
+        SimilarityIndex.from_state(header, arrays, source="old state")
+    upgraded = SimilarityIndex.from_state(*upgrade_index(header, arrays))
+    assert upgraded.n_members == len(expected()["index"]["members"])
+
+
+def test_mapped_format4_index_keeps_its_views():
+    """Only the postings the upgrade builds are private: a mapped
+    format-4 file's signature pool, entry columns and vector rows stay
+    read-only views of the file."""
+
+    index = SimilarityIndex.load(INDEX_FILE, mmap_mode="r")
+    store = index._stores["ssdeep-file"]
+    views = [*index._pool._packed, store.entry_member, store.entry_block,
+             store.entry_sig, index._vstores["vector-file"].matrix]
+    assert not any(array.flags.writeable for array in views)
+    assert all(array.flags.writeable for array in store._sealed)

@@ -225,3 +225,46 @@ def test_version_1_preamble_still_accepted(index, tmp_path):
     path.write_bytes(bytes(data))
     header, _ = read_container(path)
     assert header["layout"] == "columnar"
+
+
+def test_version_1_flat_entries_load_in_entry_order(tmp_path):
+    """A version-1 file (flat entries, written type by type) loads,
+    eager and mapped, answering as a fresh build does, with its
+    signature pool interned in the file's entry order."""
+
+    import numpy as np
+
+    types = ["ssdeep-file", "ssdeep-strings"]
+    fresh = SimilarityIndex(types)
+    for (sid, digests, cls), (_, more, _) in zip(
+            make_corpus(20, seed=4),
+            make_corpus(20, seed=9, feature_type="ssdeep-strings")):
+        fresh.add(sid, {**digests, **more}, class_name=cls)
+    header, arrays = fresh.get_state()
+    bounds = arrays["pool_offsets"].tolist()
+    pool = [arrays["pool_bytes"][a:b].tobytes().decode("ascii")
+            for a, b in zip(bounds, bounds[1:])]
+    columns = [np.concatenate([np.full(len(arrays[f"t{t}.entry_sig"]), t)
+                               for t in range(2)])]
+    columns += [np.concatenate([arrays[f"t{t}.{name}"] for t in range(2)])
+                for name in ("entry_member", "entry_block", "entry_sig")]
+    signatures = [pool[sig] for sig in columns[3].tolist()]
+    v1 = {"entry_type": columns[0].astype(np.int16),
+          "entry_member": columns[1], "entry_block": columns[2],
+          "sig_offsets": np.cumsum([0] + [len(s) for s in signatures]),
+          "sig_bytes": np.frombuffer("".join(signatures).encode("ascii"),
+                                     dtype=np.uint8).copy()}
+    path = write_container(tmp_path / "v1.rpsi", {
+        name: header[name] for name in ("ngram_length", "feature_types",
+                                        "sample_ids", "class_names")}, v1)
+    in_entry_order = list(dict.fromkeys(signatures))
+    assert in_entry_order != pool
+    for mmap_mode in (None, "r"):
+        loaded = SimilarityIndex.load(path, mmap_mode=mmap_mode)
+        assert loaded._pool.strings == in_entry_order
+        for ft in types:
+            assert loaded.member_signatures(ft) == fresh.member_signatures(ft)
+        for _, digests, _ in make_corpus(20, seed=4)[::3]:
+            query = digests["ssdeep-file"]
+            assert loaded.top_k(query, 20, min_score=0) == \
+                fresh.top_k(query, 20, min_score=0)

@@ -19,7 +19,7 @@ import pytest
 
 from repro.exceptions import IndexFormatError
 from repro.index import SimilarityIndex, load_index
-from repro.index.legacy import load_sharded_directory
+from repro.upgrade import read_sharded_directory
 
 from legacy_fixtures import (
     LEGACY_DIR,
@@ -147,7 +147,7 @@ def _rewrite_manifest(path, **changes):
 
 def test_load_missing_directory(tmp_path):
     with pytest.raises(IndexFormatError, match="does not exist"):
-        load_sharded_directory(tmp_path / "nope")
+        read_sharded_directory(tmp_path / "nope")
 
 
 def test_load_directory_without_manifest(tmp_path):

@@ -20,6 +20,7 @@ from repro.exceptions import IndexFormatError
 from repro.hashing.ssdeep import fuzzy_hash
 from repro.hashing.vector import vector_hash
 from repro.index import SimilarityIndex, load_index
+from repro.upgrade import upgrade_index
 
 from legacy_fixtures import (LEGACY_DIR, directory_survivors, expected,
                              fresh_directory_index)
@@ -189,5 +190,5 @@ def test_legacy_v1_state_cannot_declare_vector_types():
             for _, digests, _ in members
         ],
     }
-    with pytest.raises(IndexFormatError):
-        SimilarityIndex.from_state(legacy_header, {})
+    with pytest.raises(IndexFormatError, match="predates vector"):
+        upgrade_index(legacy_header, {})

@@ -165,3 +165,30 @@ def test_leaf_table_sums_like_dense_rows(blobs, max_depth):
     assert depths == [sequential_depth(tree) for tree in forest.estimators_]
     assert forest._trees.depth == max(depths)
 
+
+def test_forest_with_no_leaf_entries_predicts_zero_rows():
+    """With every sample weighted 0 no leaf holds a class probability:
+    the forest predicts zero rows, as each of its trees does, and so
+    does a restored table without leaf entries."""
+
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(20, 3))
+    y = rng.integers(0, 3, size=20)
+    forest = RandomForestClassifier(n_estimators=3, random_state=0).fit(
+        X, y, sample_weight=np.zeros(20))
+    assert forest.get_state()["table"]["leaf_classes"].size == 0
+    proba = forest.predict_proba(X)
+    assert proba.dtype == np.float64 and proba.shape == (20, 3)
+    assert not proba.any()
+    for tree in forest.estimators_:
+        assert not tree.predict_proba(X).any()
+
+    fitted = RandomForestClassifier(n_estimators=4, random_state=1).fit(X, y)
+    state = fitted.get_state()
+    table = dict(state["table"])
+    table["leaf_offsets"] = np.zeros_like(table["leaf_offsets"])
+    table["leaf_classes"] = table["leaf_classes"][:0]
+    table["leaf_proba"] = table["leaf_proba"][:0]
+    restored = RandomForestClassifier().set_state({**state, "table": table})
+    assert restored.predict_proba(X[:5]).tobytes() == \
+        np.zeros((5, 3)).tobytes()

@@ -20,12 +20,14 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.hashing.fnv import fnv_hash
 from repro.hashing.ssdeep import fuzzy_hash
 from repro.index import SimilarityIndex, load_index
+from repro.upgrade import upgrade_index
 
 FT = "ssdeep-file"
 
@@ -150,8 +152,16 @@ def test_sharded_top_k_equals_single_index_over_survivors(
     removed_ids = _removed_ids(members, removals)
     reference = _reference(members, removed_ids)
 
-    sharded = SimilarityIndex.from_state(
-        *_sharded_state(members, removed_ids, n_shards))
+    sharded = SimilarityIndex.from_state(*upgrade_index(
+        *_sharded_state(members, removed_ids, n_shards)))
+    # The upgrade copies the survivors the way a fresh build adds them.
+    header, arrays = sharded.get_state()
+    want_header, want_arrays = reference.get_state()
+    assert header == want_header
+    assert list(arrays) == list(want_arrays)
+    for name, array in want_arrays.items():
+        assert arrays[name].dtype == array.dtype, name
+        assert np.array_equal(arrays[name], array), name
     removed_in_place = SimilarityIndex([FT])
     removed_in_place.add_many(members)
     for sample_id in removed_ids:
